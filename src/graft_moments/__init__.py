@@ -47,9 +47,7 @@ from .weights import (
     ConstantWeight,
     DegreeWeight,
     ExplicitWeight,
-    HalfWeight,
     Rational,
-    UnitWeight,
     WeightFunction,
     combine_gamma,
     describe_weight,

@@ -133,6 +133,8 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
         sigmas = list(itertools.permutations(range(1, r + 1)))
         enumeration = "full"
     else:
+        if args.count < 1:
+            raise GraphFormatError(f"--count must be at least 1, got {args.count}")
         rng = random.Random(_resolve_seed(args))
         sigmas = [tuple(rng.sample(range(1, r + 1), r)) for _ in range(args.count)]
         enumeration = "sampled"

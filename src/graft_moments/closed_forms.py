@@ -2,20 +2,23 @@
 
 Each function evaluates a published formula symbol by symbol from its
 inputs -- factor moments, branch orders, total weights, host distances
--- without building the product graph.  Every one of them is certified
-against the brute-force oracle (build the product, run BFS, sum) by the
-verify module and the test suite; agreement is exact, never approximate.
+-- without building the product graph.  Each factor graph gets one
+distance pass; point moments of affine weights follow by linearity,
+M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Every
+formula is certified against the brute-force oracle (build the product,
+run BFS, sum) by the verify module and the test suite; agreement is
+exact, never approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
-    DisconnectedGraph,
     GraphFormatError,
     InvalidExtendedCycle,
     NegativeWeight,
@@ -23,10 +26,10 @@ from .errors import (
     OrderMismatch,
     UnknownVertex,
 )
-from .graph import DistanceMatrix, Graph, cycle_graph, distance_matrix, is_connected
-from .moments import moment, moment_at
-from .weights import DEGREE, UNIT, AffineWeight, WeightFunction
-from .products import GraftSpec
+from .graph import DistanceMatrix, Graph, cycle_graph, distance_matrix
+from .moments import moment
+from .weights import DEGREE, UNIT, WeightFunction
+from .products import GraftSpec, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
 Family = Mapping[int, Sequence[tuple[Graph, int, WeightFunction]]]
@@ -127,6 +130,28 @@ class HostVectors:
         )
 
 
+# -- one distance pass per factor ---------------------------------------------
+
+
+class _Factor:
+    """Distances and weights of one factor graph, from a single pass."""
+
+    __slots__ = ("distances", "values", "total", "moment")
+
+    def __init__(
+        self, g: Graph, weights: WeightFunction, distances: DistanceMatrix | None = None
+    ):
+        self.distances = distance_matrix(g) if distances is None else distances
+        self.values = [weights.value(g, v) for v in g.vertices]
+        self.total = sum(self.values, Fraction(0))
+        self.moment = sum(map(mul, self.values, self.distances.row_sums), Fraction(0))
+
+    def point_moment(self, y: int, scale, shift) -> Fraction:
+        """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y)."""
+        row = self.distances.row(y)
+        return scale * sum(map(mul, self.values, row), Fraction(0)) + shift * sum(row)
+
+
 # -- general graft products -------------------------------------------------
 
 
@@ -139,39 +164,23 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     The sums run over the attachment list, so repeated receptors are fine.
     """
     host = spec.host
-    if not is_connected(host):
-        raise DisconnectedGraph("host graph is not connected")
-    for att in spec.attachments:
-        if not host.has_vertex(att.receptor):
-            raise UnknownVertex(f"receptor {att.receptor!r} is not a host vertex")
-        if not att.branch.has_vertex(att.root):
-            raise UnknownVertex(f"root {att.root!r} is not a branch vertex")
-        if not is_connected(att.branch):
-            raise DisconnectedGraph("branch graph is not connected")
-
-    alpha = spec.host_weights
-    branch_totals = [a.weights.total(a.branch) for a in spec.attachments]
-    host_total = alpha.total(host)
-    grand_total = host_total + sum(branch_totals, Fraction(0))
+    _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
+    h = _Factor(host, spec.host_weights)
+    factors = [_Factor(a.branch, a.weights) for a in spec.attachments]
+    grand_total = h.total + sum((f.total for f in factors), Fraction(0))
     product_order = spec.product_order
 
-    result = moment(host, alpha)
-    dm = distance_matrix(host) if spec.attachments else None
-    for i, att in enumerate(spec.attachments):
-        branch, beta = att.branch, att.weights
-        result += moment(branch, beta)
-        toward_host = AffineWeight(branch.order - 1, alpha, branch_totals[i])
-        result += moment_at(host, toward_host, att.receptor)
-        from_outside = AffineWeight(
-            product_order - branch.order, beta, grand_total - branch_totals[i]
+    result = h.moment
+    for att, f in zip(spec.attachments, factors):
+        grown = att.branch.order - 1
+        result += f.moment
+        result += h.point_moment(att.receptor, grown, f.total)
+        result += f.point_moment(
+            att.root, product_order - att.branch.order, grand_total - f.total
         )
-        result += moment_at(branch, from_outside, att.root)
-        for j, other in enumerate(spec.attachments):
-            result += (
-                (branch.order - 1)
-                * dm.entry(att.receptor, other.receptor)
-                * branch_totals[j]
-            )
+        for other, other_f in zip(spec.attachments, factors):
+            dist = h.distances.entry(att.receptor, other.receptor)
+            result += grown * dist * other_f.total
     return result
 
 
@@ -184,33 +193,26 @@ def family_graft_moment_formula(
     (n - 1)^T D w over host vertices, with n the block orders and w the
     attached weight totals.
     """
-    if not is_connected(host):
-        raise DisconnectedGraph("host graph is not connected")
-    for x, branches in family.items():
-        for branch, root, _ in branches:
-            if not branch.has_vertex(root):
-                raise UnknownVertex(f"root {root!r} is not a branch vertex")
-            if not is_connected(branch):
-                raise DisconnectedGraph("branch graph is not connected")
+    _validate_factors(
+        host, ((x, b, root) for x, bs in family.items() for b, root, _ in bs)
+    )
     vectors = HostVectors.from_family(host, family)
+    h = _Factor(host, alpha, vectors.distances)
     product_order = vectors.product_order
-    host_total = alpha.total(host)
-    grand_total = host_total + sum(vectors.attached_totals, Fraction(0))
+    grand_total = h.total + sum(vectors.attached_totals, Fraction(0))
 
-    result = moment(host, alpha)
+    result = h.moment
     for x, n_x, w_x in zip(
         host.vertices, vectors.block_orders, vectors.attached_totals
     ):
-        toward_host = AffineWeight(n_x - 1, alpha, w_x)
-        result += moment_at(host, toward_host, x)
+        result += h.point_moment(x, n_x - 1, w_x)
     for x, branches in family.items():
         for branch, root, beta in branches:
-            branch_total = beta.total(branch)
-            result += moment(branch, beta)
-            from_outside = AffineWeight(
-                product_order - branch.order, beta, grand_total - branch_total
+            f = _Factor(branch, beta)
+            result += f.moment
+            result += f.point_moment(
+                root, product_order - branch.order, grand_total - f.total
             )
-            result += moment_at(branch, from_outside, root)
     dm = vectors.distances
     for x, n_x in zip(host.vertices, vectors.block_orders):
         if n_x == 1:
@@ -231,23 +233,17 @@ def flower_moment_formula(
     center = Fraction(center_weight)
     if center < 0:
         raise NegativeWeight(f"center weight {center} is negative")
-    for branch, root, _ in branches:
-        if not branch.has_vertex(root):
-            raise UnknownVertex(f"root {root!r} is not a branch vertex")
-        if not is_connected(branch):
-            raise DisconnectedGraph("branch graph is not connected")
+    _validate_factors(None, ((None, branch, root) for branch, root, _ in branches))
     r = len(branches)
-    orders = [branch.order for branch, _, _ in branches]
-    totals = [weights.total(branch) for branch, _, weights in branches]
+    factors = [_Factor(branch, beta) for branch, _, beta in branches]
+    order_sum = sum(branch.order for branch, _, _ in branches)
+    total_sum = sum((f.total for f in factors), Fraction(0))
     result = Fraction(0)
-    for i, (branch, root, beta) in enumerate(branches):
-        result += moment(branch, beta)
-        others_order = sum(orders) - orders[i]
-        others_total = sum(totals, Fraction(0)) - totals[i]
-        from_outside = AffineWeight(
-            others_order - r + 1, beta, center + others_total
+    for (branch, root, _), f in zip(branches, factors):
+        result += f.moment
+        result += f.point_moment(
+            root, order_sum - branch.order - r + 1, center + total_sum - f.total
         )
-        result += moment_at(branch, from_outside, root)
     return result
 
 
@@ -344,16 +340,16 @@ def concentration_difference_formula(
     for receptor in receptors:
         if not host.has_vertex(receptor):
             raise UnknownVertex(f"receptor {receptor!r} is not a host vertex")
-    toward_host = AffineWeight(branch_order - 1, alpha, total)
-    at_x = moment_at(host, toward_host, x)
+    h = _Factor(host, alpha)
+    grown = branch_order - 1
+    at_x = h.point_moment(x, grown, total)
     result = Fraction(0)
     for receptor in receptors:
-        result += at_x - moment_at(host, toward_host, receptor)
-    dm = distance_matrix(host)
+        result += at_x - h.point_moment(receptor, grown, total)
     pair_sum = sum(
-        dm.entry(a, b) for a in receptors for b in receptors
+        h.distances.entry(a, b) for a in receptors for b in receptors
     )
-    return result - total * (branch_order - 1) * pair_sum
+    return result - total * grown * pair_sum
 
 
 # -- cycles with grafted branches (degree weights) ---------------------------
@@ -378,27 +374,23 @@ def unicyclic_degree_distance(
     for x, branches in forest.items():
         if not host.has_vertex(x):
             raise UnknownVertex(f"forest receptor {x!r} is not a cycle vertex")
-        for tree, root in branches:
-            if not tree.has_vertex(root):
-                raise UnknownVertex(f"root {root!r} is not a branch vertex")
-            if not is_connected(tree) or tree.edge_count != tree.order - 1:
-                raise NotATree(
-                    f"branch at {x!r} has {tree.edge_count} edges "
-                    f"on {tree.order} vertices"
-                )
-            flattened.append((x, tree, root))
-
+        flattened.extend((x, tree, root) for tree, root in branches)
+    _validate_factors(host, flattened)
     block_orders = {x: 1 for x in host.vertices}
     for x, tree, _ in flattened:
+        if tree.edge_count != tree.order - 1:
+            raise NotATree(
+                f"branch at {x!r} has {tree.edge_count} edges "
+                f"on {tree.order} vertices"
+            )
         block_orders[x] += tree.order - 1
     product_order = sum(block_orders.values())
 
     result = Fraction(0)
     for _, tree, root in flattened:
-        result += moment(tree, DEGREE)
+        f = _Factor(tree, DEGREE)
         outside = product_order - tree.order
-        from_outside = AffineWeight(outside, DEGREE, 2 * outside + 2)
-        result += moment_at(tree, from_outside, root)
+        result += f.moment + f.point_moment(root, outside, 2 * outside + 2)
     dm = distance_matrix(host)
     for x in host.vertices:
         for y in host.vertices:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -47,6 +48,9 @@ class Graph:
                 u, v = edge
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {edge!r} is not a pair") from None
+            for x in (u, v):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise GraphFormatError(f"edge endpoints must be integers, got {x!r}")
             if u not in vertex_set or v not in vertex_set:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
             if u == v:
@@ -169,10 +173,14 @@ class DistanceMatrix:
     def order(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def _index(self, v: int) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._positions[v]
+        except (KeyError, TypeError):
             raise UnknownVertex(f"vertex {v!r} is not in the matrix") from None
 
     def entry(self, u: int, v: int) -> int:

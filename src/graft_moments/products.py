@@ -16,7 +16,7 @@ spec therefore yields byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -64,6 +64,26 @@ class GraftSpec:
         return self.host.order + sum(a.branch.order - 1 for a in self.attachments)
 
 
+def _validate_factors(
+    host: Graph | None, triples: Iterable[tuple[int, Graph, int]]
+) -> None:
+    """The checks every graft construction and closed form shares.
+
+    The host must be connected, and each (receptor, branch, root) triple
+    needs a host receptor, a branch root and a connected branch.  With
+    host None (a flower's center) the host and receptor checks are skipped.
+    """
+    if host is not None and not is_connected(host):
+        raise DisconnectedGraph("host graph is not connected")
+    for receptor, branch, root in triples:
+        if host is not None and not host.has_vertex(receptor):
+            raise UnknownVertex(f"receptor {receptor!r} is not a host vertex")
+        if not branch.has_vertex(root):
+            raise UnknownVertex(f"root {root!r} is not a branch vertex")
+        if not is_connected(branch):
+            raise DisconnectedGraph("branch graph is not connected")
+
+
 @dataclass(frozen=True)
 class GraftProduct:
     """Built product graph plus combined weight and provenance maps."""
@@ -83,15 +103,7 @@ def graft(spec: GraftSpec) -> GraftProduct:
     identified vertex (accumulating when receptors repeat).
     """
     host = spec.host
-    if not is_connected(host):
-        raise DisconnectedGraph("host graph is not connected")
-    for att in spec.attachments:
-        if not host.has_vertex(att.receptor):
-            raise UnknownVertex(f"receptor {att.receptor!r} is not a host vertex")
-        if not att.branch.has_vertex(att.root):
-            raise UnknownVertex(f"root {att.root!r} is not a branch vertex")
-        if not is_connected(att.branch):
-            raise DisconnectedGraph("branch graph is not connected")
+    _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
 
     host_map = {v: i for i, v in enumerate(host.vertices)}
     next_id = host.order

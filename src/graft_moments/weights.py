@@ -24,8 +24,6 @@ from .graph import Graph
 
 Rational = Fraction
 
-RationalLike = "Fraction | int | str"
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into an exact rational."""
@@ -74,24 +72,6 @@ class WeightFunction:
         return f"{type(self).__name__}()"
 
 
-class UnitWeight(WeightFunction):
-    """Every vertex weighs 1; moments become the Wiener-type distance sum."""
-
-    def value(self, g: Graph, v: int) -> Fraction:
-        if v not in g:
-            raise UnknownVertex(f"vertex {v!r} is not in the graph")
-        return Fraction(1)
-
-
-class HalfWeight(WeightFunction):
-    """Every vertex weighs 1/2; the moment is the Wiener index."""
-
-    def value(self, g: Graph, v: int) -> Fraction:
-        if v not in g:
-            raise UnknownVertex(f"vertex {v!r} is not in the graph")
-        return Fraction(1, 2)
-
-
 class DegreeWeight(WeightFunction):
     """Weight = vertex degree; the moment is the degree distance."""
 
@@ -100,7 +80,11 @@ class DegreeWeight(WeightFunction):
 
 
 class ConstantWeight(WeightFunction):
-    """Every vertex weighs the same nonnegative rational."""
+    """Every vertex weighs the same nonnegative rational.
+
+    UNIT (weight 1) gives the Wiener-type distance sum; HALF (weight 1/2)
+    gives the Wiener index.
+    """
 
     __slots__ = ("constant",)
 
@@ -163,8 +147,8 @@ class AffineWeight(WeightFunction):
         return f"AffineWeight({self.scale}, {self.base!r}, {self.shift})"
 
 
-UNIT = UnitWeight()
-HALF = HalfWeight()
+UNIT = ConstantWeight(1)
+HALF = ConstantWeight(Fraction(1, 2))
 DEGREE = DegreeWeight()
 
 
@@ -254,9 +238,9 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
 
 def describe_weight(w: WeightFunction) -> object:
     """JSON-friendly description of a weight function, for diagnostics."""
-    if isinstance(w, UnitWeight):
+    if w is UNIT:
         return "unit"
-    if isinstance(w, HalfWeight):
+    if w is HALF:
         return "half"
     if isinstance(w, DegreeWeight):
         return "degree"

@@ -48,6 +48,8 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
+from graft_moments.verify import _build_cycle_product
+from graft_moments.verify import _comparison_oracle as comparison_oracle
 
 DIAMOND = diamond_graph()
 P4 = path_graph(4)
@@ -252,11 +254,7 @@ def test_criterion_07_unicyclic_suite():
 
 
 def cycle_graft_oracle(host_order: int, branch_orders) -> Fraction:
-    host = cycle_graph(host_order)
-    attachments = tuple(
-        Attachment(x, cycle_graph(r), 0) for x, r in enumerate(branch_orders)
-    )
-    return moment(graft(GraftSpec(host, attachments)).graph, DEGREE)
+    return moment(_build_cycle_product(host_order, list(branch_orders)), DEGREE)
 
 
 def test_criterion_08_extended_and_proper_cycles():
@@ -291,24 +289,6 @@ def test_criterion_08_extended_and_proper_cycles():
         failures,
         "100 extended + 100 proper instances == oracle; 360 and 784 fixtures",
     )
-
-
-def comparison_oracle(host, alpha, x, receptors, branch, root, beta) -> Fraction:
-    spread = graft(
-        GraftSpec(
-            host,
-            tuple(Attachment(r, branch, root, beta) for r in receptors),
-            alpha,
-        )
-    )
-    stacked = graft(
-        GraftSpec(
-            host,
-            tuple(Attachment(x, branch, root, beta) for _ in receptors),
-            alpha,
-        )
-    )
-    return moment(stacked.graph, stacked.gamma) - moment(spread.graph, spread.gamma)
 
 
 def test_criterion_09_branch_concentration():

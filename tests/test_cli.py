@@ -253,6 +253,17 @@ def test_isomoment_order_mismatch(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_isomoment_sampled_count_must_be_positive(tmp_path, capsys, count):
+    # order 9 is past the full-enumeration cap, so --count is the sample size
+    host = graph_file(tmp_path, path_graph(9), "host.json")
+    branch = graph_file(tmp_path, path_graph(9), "branch.json")
+    code, out, err = run_cli(capsys, "isomoment", host, branch, "--count", count)
+    assert code == 2
+    assert out == ""
+    assert "--count" in err
+
+
 # -- theta ----------------------------------------------------------------------
 
 

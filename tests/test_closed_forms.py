@@ -12,6 +12,7 @@ from graft_moments import (
     Attachment,
     ConstantWeight,
     DEGREE,
+    DisconnectedGraph,
     ExplicitWeight,
     Graph,
     GraphFormatError,
@@ -55,6 +56,8 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
+from graft_moments.verify import _build_cycle_product
+from graft_moments.verify import _comparison_oracle as comparison_oracle
 
 
 def oracle_moment(spec: GraftSpec) -> Fraction:
@@ -147,6 +150,56 @@ def test_host_vectors_bookkeeping(p3, k2, p4):
     assert cyc.attached_totals == (6, 0, 2)
     assert cyc.branch_row_sums == (2, 0, 1)
     assert cyc.branch_degrees == (2, 0, 1)
+
+
+# -- shared factor validation ------------------------------------------------
+
+# Each builder glues one branch: (host, receptor, branch, root) -> result.
+GRAFT_BUILDERS = {
+    "graft": lambda h, x, b, r: graft(GraftSpec(h, (Attachment(x, b, r),))),
+    "graft_moment_formula": lambda h, x, b, r: graft_moment_formula(
+        GraftSpec(h, (Attachment(x, b, r),))
+    ),
+    "family_graft_moment_formula": lambda h, x, b, r: family_graft_moment_formula(
+        h, UNIT, {x: [(b, r, UNIT)]}
+    ),
+    "flower_moment_formula": lambda h, x, b, r: flower_moment_formula(0, [(b, r, UNIT)]),
+    "unicyclic_degree_distance": lambda h, x, b, r: unicyclic_degree_distance(
+        h.order, {x: [(b, r)]}
+    ),
+}
+BAD_FACTORS = {
+    "disconnected-host": (
+        Graph([0, 1, 2], [(0, 1)]), 0, path_graph(2), 0, DisconnectedGraph
+    ),
+    "disconnected-branch": (
+        cycle_graph(3), 0, Graph([0, 1, 2], [(0, 1)]), 0, DisconnectedGraph
+    ),
+    "unknown-receptor": (cycle_graph(3), 9, path_graph(2), 0, UnknownVertex),
+    "unknown-root": (cycle_graph(3), 0, path_graph(2), 9, UnknownVertex),
+}
+# The flower has no host graph; the unicyclic host is always a cycle.
+NO_HOST_INPUT = {
+    ("flower_moment_formula", "disconnected-host"),
+    ("flower_moment_formula", "unknown-receptor"),
+    ("unicyclic_degree_distance", "disconnected-host"),
+}
+
+
+@pytest.mark.parametrize(
+    "builder, case",
+    [
+        (builder, case)
+        for builder in GRAFT_BUILDERS
+        for case in BAD_FACTORS
+        if (builder, case) not in NO_HOST_INPUT
+    ],
+)
+def test_bad_factors_raise_the_same_error_as_graft(builder, case):
+    host, receptor, branch, root, expected = BAD_FACTORS[case]
+    with pytest.raises(expected) as caught:
+        GRAFT_BUILDERS[builder](host, receptor, branch, root)
+    assert caught.type is expected
 
 
 # -- flowers ------------------------------------------------------------------
@@ -264,27 +317,6 @@ def test_sigma_rejects_order_mismatch(diamond, k2):
 # -- concentrating branches on one receptor -----------------------------------
 
 
-def comparison_oracle(host, alpha, x, receptors, branch, root, beta):
-    """Oracle: moment with everything stacked at x minus spread moment."""
-    spread = graft(
-        GraftSpec(
-            host,
-            tuple(Attachment(r, branch, root, beta) for r in receptors),
-            alpha,
-        )
-    )
-    stacked = graft(
-        GraftSpec(
-            host,
-            tuple(Attachment(x, branch, root, beta) for _ in receptors),
-            alpha,
-        )
-    )
-    return moment(stacked.graph, stacked.gamma) - moment(
-        spread.graph, spread.gamma
-    )
-
-
 def test_comparison_path_fixture(p3, k2):
     got = concentration_difference_formula(p3, UNIT, 1, [0, 2], 2, 2)
     assert got == -14
@@ -399,12 +431,7 @@ def test_unicyclic_rejects_bad_input(c3, k2):
 
 
 def cycle_graft_oracle(host_order, branch_orders):
-    host = cycle_graph(host_order)
-    attachments = tuple(
-        Attachment(x, cycle_graph(r), 0) for x, r in enumerate(branch_orders)
-    )
-    product = graft(GraftSpec(host, attachments))
-    return moment(product.graph, DEGREE)
+    return moment(_build_cycle_product(host_order, list(branch_orders)), DEGREE)
 
 
 def test_extended_cycle_edge_counts():

@@ -45,6 +45,8 @@ def test_construction_is_symmetric_and_counts_edges():
         ([0, 1], [(0, 0)]),             # self-loop
         ([0, 1], [(0, 1), (1, 0)]),     # duplicate edge
         ([0, 1], [(0, 2)]),             # unknown endpoint
+        ([0, 1], [(True, 0)]),          # bool endpoint equal to vertex 1
+        ([0, 1], [(0, 1.0)]),           # float endpoint equal to vertex 1
     ],
 )
 def test_construction_rejects_non_simple_input(vertices, edges):
@@ -191,6 +193,7 @@ def test_json_round_trip(diamond):
         {"vertices": [0, 1], "edges": [[0, 0]]},
         {"vertices": [0, 1], "edges": [[0, 1]], "extra": 1},
         {"vertices": "xy", "edges": []},
+        {"vertices": [0, 1], "edges": [[True, 0]]},
     ],
 )
 def test_json_rejects_malformed(obj):

@@ -23,6 +23,7 @@ from graft_moments import (
     ProvenanceMismatch,
     UnknownVertex,
     combine_gamma,
+    describe_weight,
     format_rational,
     graft,
     parse_rational,
@@ -168,6 +169,14 @@ def test_parse_weight_spec_presets():
     assert parse_weight_spec("degree") is DEGREE
     w = parse_weight_spec("const:7/3")
     assert isinstance(w, ConstantWeight) and w.constant == Fraction(7, 3)
+
+
+def test_describe_weight_names_only_the_presets():
+    assert describe_weight(UNIT) == "unit"
+    assert describe_weight(HALF) == "half"
+    assert describe_weight(ConstantWeight(1)) == "const:1/1"
+    assert describe_weight(ConstantWeight(Fraction(1, 2))) == "const:1/2"
+    assert describe_weight(AffineWeight(2, UNIT, 1))["affine"]["base"] == "unit"
 
 
 def test_parse_weight_spec_file(tmp_path, p4):
