@@ -33,6 +33,7 @@ from .graph import (
     cycle_graph,
     diamond_graph,
     distance_matrix,
+    distance_row_sums,
     graph_from_json_dict,
     graph_to_json_dict,
     is_connected,

@@ -4,7 +4,9 @@ Each function evaluates a published formula symbol by symbol from its
 inputs -- factor moments, branch orders, total weights, host distances
 -- without building the product graph.  Each factor graph gets one
 distance pass; point moments of affine weights follow by linearity,
-M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Every
+M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  The
+permutation forms need no point moments, so their pass is
+`distance_row_sums` and keeps no distance matrix.  Every
 formula is certified against the brute-force oracle (build the product,
 run BFS, sum) by the verify module and the test suite; agreement is
 exact, never approximate.
@@ -26,9 +28,14 @@ from .errors import (
     OrderMismatch,
     UnknownVertex,
 )
-from .graph import DistanceMatrix, Graph, cycle_graph, distance_matrix
-from .moments import moment
-from .weights import DEGREE, UNIT, WeightFunction
+from .graph import (
+    DistanceMatrix,
+    Graph,
+    cycle_graph,
+    distance_matrix,
+    distance_row_sums,
+)
+from .weights import DEGREE, WeightFunction
 from .products import GraftSpec, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
@@ -81,25 +88,34 @@ class HostVectors:
         return sum(self.block_orders)
 
     @classmethod
-    def from_family(cls, host: Graph, family: Family) -> "HostVectors":
+    def from_family(
+        cls,
+        host: Graph,
+        family: Family,
+        attached: Mapping[int, Fraction] | None = None,
+    ) -> "HostVectors":
+        """Vectors of a family; attached maps a receptor to its glued weight.
+
+        Without attached, each branch's weight total is evaluated here.
+        """
         for x in family:
             if not host.has_vertex(x):
                 raise UnknownVertex(f"family receptor {x!r} is not a host vertex")
-        block_orders = []
-        attached_totals = []
-        for x in host.vertices:
-            n_x = 1
-            w_x = Fraction(0)
-            for branch, root, weights in family.get(x, ()):
-                n_x += branch.order - 1
-                w_x += weights.total(branch)
-            block_orders.append(n_x)
-            attached_totals.append(w_x)
+        if attached is None:
+            attached = {
+                x: sum((w.total(b) for b, _, w in bs), Fraction(0))
+                for x, bs in family.items()
+            }
         return cls(
             host=host,
             distances=distance_matrix(host),
-            block_orders=tuple(block_orders),
-            attached_totals=tuple(attached_totals),
+            block_orders=tuple(
+                1 + sum(b.order - 1 for b, _, _ in family.get(x, ()))
+                for x in host.vertices
+            ),
+            attached_totals=tuple(
+                attached.get(x, Fraction(0)) for x in host.vertices
+            ),
         )
 
     @classmethod
@@ -196,7 +212,12 @@ def family_graft_moment_formula(
     _validate_factors(
         host, ((x, b, root) for x, bs in family.items() for b, root, _ in bs)
     )
-    vectors = HostVectors.from_family(host, family)
+    factors = {x: [_Factor(b, beta) for b, _, beta in bs] for x, bs in family.items()}
+    vectors = HostVectors.from_family(
+        host,
+        family,
+        {x: sum((f.total for f in fs), Fraction(0)) for x, fs in factors.items()},
+    )
     h = _Factor(host, alpha, vectors.distances)
     product_order = vectors.product_order
     grand_total = h.total + sum(vectors.attached_totals, Fraction(0))
@@ -207,8 +228,7 @@ def family_graft_moment_formula(
     ):
         result += h.point_moment(x, n_x - 1, w_x)
     for x, branches in family.items():
-        for branch, root, beta in branches:
-            f = _Factor(branch, beta)
+        for (branch, root, _), f in zip(branches, factors[x]):
             result += f.moment
             result += f.point_moment(
                 root, product_order - branch.order, grand_total - f.total
@@ -258,6 +278,17 @@ def _equal_orders(host: Graph, branch: Graph) -> int:
     return host.order
 
 
+def _row_sum_pass(g: Graph, weights: WeightFunction) -> tuple[Fraction, Fraction, int]:
+    """(total weight, M^w, M^1) of g from one row-sum pass; M^1 is sum s(v)."""
+    values = [weights.value(g, v) for v in g.vertices]
+    row_sums = distance_row_sums(g)
+    return (
+        sum(values, Fraction(0)),
+        sum(map(mul, values, row_sums), Fraction(0)),
+        sum(row_sums),
+    )
+
+
 def permutation_moment_formula(
     host: Graph,
     alpha: WeightFunction,
@@ -271,27 +302,29 @@ def permutation_moment_formula(
     families.
     """
     r = _equal_orders(host, branch)
-    a_total = alpha.total(host)
-    b_total = beta.total(branch)
+    a_total, host_moment, host_unit = _row_sum_pass(host, alpha)
+    b_total, branch_moment, branch_unit = _row_sum_pass(branch, beta)
     return (
-        r * moment(host, alpha)
-        + r * r * moment(branch, beta)
-        + r * b_total * moment(host, UNIT)
-        + (a_total + (r - 1) * b_total) * moment(branch, UNIT)
+        r * host_moment
+        + r * r * branch_moment
+        + r * b_total * host_unit
+        + (a_total + (r - 1) * b_total) * branch_unit
     )
 
 
 def permutation_unit_moment(host: Graph, branch: Graph) -> Fraction:
     """Unit-weight specialization: r^2*M_H^1 + r(2r-1)*M_K^1."""
     r = _equal_orders(host, branch)
-    return r * r * moment(host, UNIT) + r * (2 * r - 1) * moment(branch, UNIT)
+    host_unit = sum(distance_row_sums(host))
+    branch_unit = sum(distance_row_sums(branch))
+    return Fraction(r * r * host_unit + r * (2 * r - 1) * branch_unit)
 
 
 def permutation_mean_distance(host: Graph, branch: Graph) -> Fraction:
     """Mean distance of the permutation product: d(H) + (2 - 1/r) d(K)."""
     r = _equal_orders(host, branch)
-    d_host = moment(host, UNIT) / (r * r)
-    d_branch = moment(branch, UNIT) / (r * r)
+    d_host = Fraction(sum(distance_row_sums(host)), r * r)
+    d_branch = Fraction(sum(distance_row_sums(branch)), r * r)
     return d_host + (2 - Fraction(1, r)) * d_branch
 
 
@@ -303,11 +336,13 @@ def permutation_degree_distance(host: Graph, branch: Graph) -> Fraction:
     r = _equal_orders(host, branch)
     m_host = host.edge_count
     m_branch = branch.edge_count
+    _, host_moment, host_unit = _row_sum_pass(host, DEGREE)
+    _, branch_moment, branch_unit = _row_sum_pass(branch, DEGREE)
     return (
-        r * moment(host, DEGREE)
-        + r * r * moment(branch, DEGREE)
-        + 2 * r * m_branch * moment(host, UNIT)
-        + 2 * (m_host + (r - 1) * m_branch) * moment(branch, UNIT)
+        r * host_moment
+        + r * r * branch_moment
+        + 2 * r * m_branch * host_unit
+        + 2 * (m_host + (r - 1) * m_branch) * branch_unit
     )
 
 

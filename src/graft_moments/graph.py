@@ -22,7 +22,10 @@ from .errors import (
     UnknownVertex,
 )
 
-# All-pairs distance storage is O(n^2); keep orders sane.
+# Caps every graph's order.  moment and indices keep O(n) row sums plus
+# at most three lists of n-bit ints (about 37 MB at n = 10,000); the
+# closed forms, the verify oracle and theta still build the O(n^2)
+# distance matrix (about 800 MB of tuples at n = 10,000).
 MAX_ORDER = 10_000
 
 
@@ -216,6 +219,112 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
             )
         rows.append(tuple(dist[v] for v in order))
     return DistanceMatrix(order, tuple(rows))
+
+
+# -- row sums without the matrix ------------------------------------------
+
+
+def distance_row_sums(g: Graph) -> tuple[int, ...]:
+    """Distance row sums s(v) in vertex order, keeping no n x n matrix.
+
+    Vertices are renumbered 0..n-1 once.  A BFS from the first vertex
+    checks connectivity (same errors and messages as distance_matrix)
+    and gives its eccentricity e0; the diameter D lies in [e0, 2*e0].
+
+    Fixed rule: if e0 * (n + 1200) <= 600 * n, every source is searched
+    at once by the bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD
+    2013), D passes over n-bit sets; otherwise each source gets its own
+    level-synchronous BFS.  The bound is e0 <= n/2.5 at n = 300, n/3.7
+    at n = 1,000 and n/19 at n = 10,000.  Measured with CPython 3.11 on
+    paths, cycles, grids, random trees and random graphs of order 40 to
+    10,000, the bit-parallel time over the per-source time is about
+    (D/n) * (1 + n/1200): 0.02 to 0.17 on random graphs and trees, 0.96
+    on a 10 x 1000 grid (D = 1,008), 1.3 on C_3000 (D = 1,500).  The
+    bound is where that ratio reaches 1 for D = 2*e0, so the bit-parallel
+    branch is not picked where it is predicted slower; when D = e0 the
+    per-source branch it falls back to takes at most about twice as long.
+    """
+    n = g.order
+    if n == 0:
+        raise EmptyGraph("distance matrix of the empty graph")
+    adjacency = _int_adjacency(g)
+    reached, eccentricity, _ = _level_bfs(adjacency, 0)
+    if reached != n:
+        raise DisconnectedGraph(
+            f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
+        )
+    if eccentricity * (n + 1200) <= 600 * n:
+        return _row_sums_bit_parallel(adjacency)
+    return _row_sums_per_source(adjacency)
+
+
+def _int_adjacency(g: Graph) -> list[list[int]]:
+    """Neighbour positions of each vertex, positions in vertex order."""
+    position = {v: i for i, v in enumerate(g._vertices)}
+    return [[position[w] for w in g._adjacency[v]] for v in g._vertices]
+
+
+def _level_bfs(adjacency: list[list[int]], source: int) -> tuple[int, int, int]:
+    """(vertices reached, eccentricity, distance sum) of one source."""
+    seen = bytearray(len(adjacency))
+    seen[source] = 1
+    frontier = [source]
+    reached = 1
+    level = 0
+    total = 0
+    while True:
+        grown = []
+        for u in frontier:
+            for w in adjacency[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    grown.append(w)
+        if not grown:
+            return reached, level, total
+        level += 1
+        reached += len(grown)
+        total += level * len(grown)
+        frontier = grown
+
+
+def _row_sums_per_source(adjacency: list[list[int]]) -> tuple[int, ...]:
+    """One level-synchronous BFS per source: O(n*m) steps, O(n) memory."""
+    return tuple(_level_bfs(adjacency, s)[2] for s in range(len(adjacency)))
+
+
+def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
+    """All sources at once: bit j of reach[i] is set once source j reached i.
+
+    At each level a vertex ORs its neighbours' frontiers (the sources they
+    first reached one level earlier); the bits it had not yet seen are the
+    sources at exactly that distance.  A vertex reached by every source is
+    dropped from the scan.  Three lists of n-bit ints; diameter passes.
+    """
+    n = len(adjacency)
+    everyone = (1 << n) - 1
+    frontier = [1 << i for i in range(n)]
+    reach = frontier[:]
+    sums = [0] * n
+    active = range(n)
+    level = 0
+    while active:
+        level += 1
+        grown = [0] * n
+        still = []
+        for i in active:
+            known = reach[i]
+            seen = known
+            for j in adjacency[i]:
+                seen |= frontier[j]
+            new = seen ^ known
+            reach[i] = seen
+            sums[i] += level * new.bit_count()
+            grown[i] = new
+            if seen != everyone:
+                still.append(i)
+        frontier = grown
+        active = still
+    return tuple(sums)
 
 
 # -- isomorphism --------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, bfs_distances, distance_matrix
+from .graph import Graph, bfs_distances, distance_row_sums
 from .weights import UNIT, WeightFunction, format_rational
 
 
@@ -27,9 +27,8 @@ def moment_at(g: Graph, weights: WeightFunction, u: int) -> Fraction:
 
 def moment(g: Graph, weights: WeightFunction) -> Fraction:
     """Total moment sum_u sum_v w(v) * dist(v, u), via row sums."""
-    dm = distance_matrix(g)
     result = Fraction(0)
-    for v, s in zip(dm.vertices, dm.row_sums):
+    for v, s in zip(g.vertices, distance_row_sums(g)):
         result += weights.value(g, v) * s
     return result
 
@@ -64,18 +63,17 @@ class MomentReport:
 
 
 def indices(g: Graph, weights: WeightFunction = UNIT) -> MomentReport:
-    """One distance-matrix pass; every index exact.
+    """One row-sum pass; every index exact.
 
     hyper_wiener_paper is deliberately W/2 + M1/2 (Wiener plus first
     Zagreb, halved) -- a historical variant, not the modern hyper-Wiener
     index -- hence the flagged name.
     """
-    dm = distance_matrix(g)
-    row_sums = dm.row_sums
+    row_sums = distance_row_sums(g)
     unit_moment = Fraction(sum(row_sums))
     weighted = Fraction(0)
     degree_dist = Fraction(0)
-    for v, s in zip(dm.vertices, row_sums):
+    for v, s in zip(g.vertices, row_sums):
         weighted += weights.value(g, v) * s
         degree_dist += Fraction(g.degree(v)) * s
     zagreb = zagreb_m1(g)

@@ -1,7 +1,11 @@
 """Formula-vs-oracle verification over seeded random instances.
 
-The oracle is always the same: build the product graph, run all-pairs
-BFS, and sum weighted distances directly.  A verifier draws random
+The oracle is always the same: build the product graph, run the plain
+all-pairs BFS of `distance_matrix`, and sum weight times row sum.  It
+shares no code with `moments.moment`, `moments.indices` or the
+permutation forms, which take their row sums from the separate
+`distance_row_sums` kernel, so a fault in either distance path shows up
+as a mismatch instead of cancelling out.  A verifier draws random
 instances, evaluates the closed form and the oracle, and records every
 disagreement (there should be none) in a report.  Some verifiers chain
 extra checks onto each instance -- the comparison formula must also be
@@ -29,8 +33,7 @@ from .closed_forms import (
     unicyclic_degree_distance,
 )
 from .errors import GraphFormatError
-from .graph import Graph, cycle_graph, graph_to_json_dict
-from .moments import moment
+from .graph import Graph, cycle_graph, distance_matrix, graph_to_json_dict
 from .products import Attachment, GraftSpec, flower, graft, permutation_graph
 from .randgen import (
     random_comparison_instance,
@@ -43,9 +46,23 @@ from .randgen import (
     random_rational,
     random_unicyclic_instance,
 )
-from .weights import DEGREE, ConstantWeight, describe_weight, format_rational
+from .weights import (
+    DEGREE,
+    ConstantWeight,
+    WeightFunction,
+    describe_weight,
+    format_rational,
+)
 
 Check = tuple[Fraction, Fraction, dict]
+
+
+def _oracle_moment(g: Graph, weights: WeightFunction) -> Fraction:
+    """sum_v w(v) * s(v), with s the row sums of the reference distance matrix."""
+    result = Fraction(0)
+    for v, s in zip(g.vertices, distance_matrix(g).row_sums):
+        result += weights.value(g, v) * s
+    return result
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,7 @@ def _check_theorem1(rng: random.Random, max_size: int | None) -> list[Check]:
         max_branch_order=_cap(8, max_size),
     )
     product = graft(spec)
-    oracle = moment(product.graph, product.gamma)
+    oracle = _oracle_moment(product.graph, product.gamma)
     got = graft_moment_formula(spec)
     return [(oracle, got, _spec_instance(spec))]
 
@@ -126,7 +143,7 @@ def _check_theorem41(rng: random.Random, max_size: int | None) -> list[Check]:
         allow_repeated_receptors=True,
     )
     product = graft(spec)
-    oracle = moment(product.graph, product.gamma)
+    oracle = _oracle_moment(product.graph, product.gamma)
     got = family_graft_moment_formula(
         spec.host, spec.host_weights, attachments_by_receptor(spec)
     )
@@ -140,7 +157,7 @@ def _check_sigma(rng: random.Random, max_size: int | None) -> list[Check]:
     product = permutation_graph(
         host, branch, sigma, host_weights=alpha, branch_weights=beta
     )
-    oracle = moment(product.graph, product.gamma)
+    oracle = _oracle_moment(product.graph, product.gamma)
     got = permutation_moment_formula(host, alpha, branch, beta)
     instance = {
         "host": graph_to_json_dict(host),
@@ -156,7 +173,7 @@ def _check_flower(rng: random.Random, max_size: int | None) -> list[Check]:
     center = random_rational(rng)
     branches = random_flower_branches(rng, max_branch_order=_cap(6, max_size))
     product = flower(center, branches)
-    oracle = moment(product.graph, product.gamma)
+    oracle = _oracle_moment(product.graph, product.gamma)
     got = flower_moment_formula(center, branches)
     instance = {
         "center": format_rational(center),
@@ -195,7 +212,9 @@ def _comparison_oracle(
             alpha,
         )
     )
-    return moment(stacked.graph, stacked.gamma) - moment(spread.graph, spread.gamma)
+    return _oracle_moment(stacked.graph, stacked.gamma) - _oracle_moment(
+        spread.graph, spread.gamma
+    )
 
 
 def _check_comparison(rng: random.Random, max_size: int | None) -> list[Check]:
@@ -248,7 +267,7 @@ def _check_unicyclic(rng: random.Random, max_size: int | None) -> list[Check]:
         for tree, root in forest[x]
     )
     product = graft(GraftSpec(cycle_graph(cycle_order), attachments))
-    oracle = moment(product.graph, DEGREE)
+    oracle = _oracle_moment(product.graph, DEGREE)
     got = unicyclic_degree_distance(cycle_order, forest)
     instance = {
         "cycle_order": cycle_order,
@@ -275,7 +294,7 @@ def _check_extcycles(rng: random.Random, max_size: int | None) -> list[Check]:
         rng, max_host=_cap(8, max_size), max_branch_order=_cap(8, max_size)
     )
     product = _build_cycle_product(host_order, [r for r, _ in pairs])
-    oracle = moment(product, DEGREE)
+    oracle = _oracle_moment(product, DEGREE)
     got = extended_cycle_degree_distance(host_order, pairs)
     instance = {"host_order": host_order, "pairs": [list(p) for p in pairs]}
     return [(oracle, got, instance)]
@@ -286,7 +305,7 @@ def _check_propercycles(rng: random.Random, max_size: int | None) -> list[Check]
         rng, max_host=_cap(8, max_size, floor=3), max_branch_order=_cap(8, max_size, floor=3)
     )
     product = _build_cycle_product(host_order, branch_orders)
-    oracle = moment(product, DEGREE)
+    oracle = _oracle_moment(product, DEGREE)
     got = proper_cycle_degree_distance(host_order, branch_orders)
     instance = {"host_order": host_order, "branch_orders": list(branch_orders)}
     checks = [(oracle, got, dict(instance, check="formula"))]

@@ -20,13 +20,19 @@ from graft_moments import (
     cycle_graph,
     diamond_graph,
     distance_matrix,
+    distance_row_sums,
     graph_from_json_dict,
     graph_to_json_dict,
     is_connected,
     path_graph,
     star_graph,
 )
-from graft_moments.randgen import random_connected_graph
+from graft_moments.graph import (
+    _int_adjacency,
+    _row_sums_bit_parallel,
+    _row_sums_per_source,
+)
+from graft_moments.randgen import random_connected_graph, random_tree
 
 
 def test_construction_is_symmetric_and_counts_edges():
@@ -199,3 +205,85 @@ def test_json_round_trip(diamond):
 def test_json_rejects_malformed(obj):
     with pytest.raises(GraphFormatError):
         graph_from_json_dict(obj)
+
+
+# -- row-sum kernel -------------------------------------------------------
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    """Same graph with shuffled vertex order and scattered integer ids."""
+    ids = rng.sample(range(-500, 500), g.order)
+    label = dict(zip(g.vertices, ids))
+    order = list(g.vertices)
+    rng.shuffle(order)
+    return Graph([label[v] for v in order], [(label[u], label[v]) for u, v in g.edges()])
+
+
+def _kernel_cases() -> list[tuple[str, Graph]]:
+    rng = random.Random(2024)
+    cases = [
+        ("k1", Graph([0], [])),
+        ("k2", path_graph(2)),
+        ("p3", path_graph(3)),
+        ("c3", cycle_graph(3)),
+        ("diamond", diamond_graph()),
+    ]
+    for n in (4, 9, 40, 120):
+        cases += [
+            (f"path-{n}", path_graph(n)),
+            (f"cycle-{n}", cycle_graph(n)),
+            (f"star-{n}", star_graph(n - 1)),
+        ]
+    cases += [(f"complete-{n}", complete_graph(n)) for n in (4, 12, 30)]
+    cases += [(f"tree-{n}", random_tree(rng, n)) for n in (5, 17, 64, 200, 300)]
+    cases += [(f"rand-{n}", random_connected_graph(rng, n)) for n in (6, 23, 80, 150, 300)]
+    cases += [
+        (f"relabeled-{name}", _relabeled(g, rng))
+        for name, g in list(cases)
+        if name in ("p3", "diamond", "path-40", "tree-64", "rand-80")
+    ]
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.mark.parametrize("name,g", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_distance_row_sums_match_the_matrix(name, g):
+    expected = distance_matrix(g).row_sums
+    assert distance_row_sums(g) == expected
+    adjacency = _int_adjacency(g)
+    assert _row_sums_bit_parallel(adjacency) == expected
+    assert _row_sums_per_source(adjacency) == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph([0, 1], []), Graph([0, 1, 2, 3], [(0, 1), (2, 3)]), Graph([5, 3, 4], [(3, 4)])],
+)
+def test_distance_row_sums_raise_like_the_matrix_when_disconnected(g):
+    with pytest.raises(DisconnectedGraph) as expected:
+        distance_matrix(g)
+    with pytest.raises(DisconnectedGraph) as got:
+        distance_row_sums(g)
+    assert str(got.value) == str(expected.value)
+
+
+def test_distance_row_sums_raise_like_the_matrix_when_empty():
+    with pytest.raises(EmptyGraph) as expected:
+        distance_matrix(Graph([], []))
+    with pytest.raises(EmptyGraph) as got:
+        distance_row_sums(Graph([], []))
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name,g", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_distance_row_sums_agree_with_networkx(name, g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges())
+    row_sums = distance_row_sums(g)
+    assert nx.wiener_index(h) == sum(row_sums) / 2
+    for v, s in zip(g.vertices, row_sums):
+        assert sum(nx.single_source_shortest_path_length(h, v).values()) == s
