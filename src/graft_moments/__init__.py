@@ -37,6 +37,7 @@ from .graph import (
     graph_from_json_dict,
     graph_to_json_dict,
     is_connected,
+    isomorphism_classes,
     path_graph,
     star_graph,
 )

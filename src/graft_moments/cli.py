@@ -27,12 +27,11 @@ from typing import Sequence
 from .closed_forms import cycle_distance_row_sum
 from .errors import GraftMomentsError, GraphFormatError, OrderMismatch
 from .graph import (
-    Graph,
-    are_isomorphic,
     cycle_graph,
     distance_matrix,
     graph_from_json_dict,
     graph_to_json_dict,
+    isomorphism_classes,
 )
 from .moments import indices, moment
 from .products import graft, graft_product_to_json_dict, graft_spec_from_json_dict, permutation_graph
@@ -101,21 +100,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _isomorphism_classes(
-    products: Sequence[tuple[tuple[int, ...], Graph]], cap: int
-) -> list[dict]:
-    """Bucket (sigma, graph) pairs by graph isomorphism."""
-    classes: list[dict] = []
-    for sigma, graph in products:
-        for cls in classes:
-            if are_isomorphic(cls["graph"], graph, cap=cap):
-                cls["size"] += 1
-                break
-        else:
-            classes.append({"sigma": list(sigma), "graph": graph, "size": 1})
-    return classes
-
-
 def cmd_isomoment(args: argparse.Namespace) -> int:
     host = graph_from_json_dict(_load_json_file(args.host))
     branch = graph_from_json_dict(_load_json_file(args.branch))
@@ -144,21 +128,26 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    products = [
-        (sigma, permutation_graph(host, branch, sigma).graph) for sigma in sigmas
-    ]
-    cap = max(16, r * r)
-    classes = _isomorphism_classes(products, cap)
+    values: dict[str, set] = {spec_name: set() for spec_name in weight_functions}
+
+    def products():
+        """Each product once: its moments are recorded as it is built."""
+        for sigma in sigmas:
+            graph = permutation_graph(host, branch, sigma).graph
+            for spec_name, weights in weight_functions.items():
+                values[spec_name].add(moment(graph, weights))
+            yield graph
+
+    classes = isomorphism_classes(products(), cap=max(16, r * r))
 
     all_equal = True
     moments_out: dict[str, str] = {}
-    for spec_name, weights in weight_functions.items():
-        values = {moment(graph, weights) for _, graph in products}
-        if len(values) != 1:
+    for spec_name, seen in values.items():
+        if len(seen) != 1:
             all_equal = False
-            moments_out[spec_name] = sorted(format_rational(v) for v in values)
+            moments_out[spec_name] = sorted(format_rational(v) for v in seen)
         else:
-            moments_out[spec_name] = format_rational(values.pop())
+            moments_out[spec_name] = format_rational(seen.pop())
 
     _emit_json(
         {
@@ -167,11 +156,11 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
             "permutations": len(sigmas),
             "classes": [
                 {
-                    "sigma": cls["sigma"],
-                    "size": cls["size"],
-                    "graph": graph_to_json_dict(cls["graph"]),
+                    "sigma": list(sigmas[members[0]]),
+                    "size": len(members),
+                    "graph": graph_to_json_dict(graph),
                 }
-                for cls in classes
+                for graph, members in classes
             ],
             "moments": moments_out,
             "all_equal": all_equal,

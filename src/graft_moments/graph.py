@@ -12,7 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from operator import mul
+from typing import Iterable, Iterator
 
 from .errors import (
     DisconnectedGraph,
@@ -248,7 +249,8 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
     if n == 0:
         raise EmptyGraph("distance matrix of the empty graph")
     adjacency = _int_adjacency(g)
-    reached, eccentricity, _ = _level_bfs(adjacency, 0)
+    sizes = _level_sizes(adjacency, 0)
+    reached, eccentricity = sum(sizes), len(sizes) - 1
     if reached != n:
         raise DisconnectedGraph(
             f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
@@ -264,14 +266,15 @@ def _int_adjacency(g: Graph) -> list[list[int]]:
     return [[position[w] for w in g._adjacency[v]] for v in g._vertices]
 
 
-def _level_bfs(adjacency: list[list[int]], source: int) -> tuple[int, int, int]:
-    """(vertices reached, eccentricity, distance sum) of one source."""
+def _level_sizes(adjacency: list[list[int]], source: int) -> list[int]:
+    """How many vertices lie at distance 0, 1, 2, ... from source.
+
+    Only source's component is counted; the list ends at its eccentricity.
+    """
     seen = bytearray(len(adjacency))
     seen[source] = 1
     frontier = [source]
-    reached = 1
-    level = 0
-    total = 0
+    sizes = [1]
     while True:
         grown = []
         for u in frontier:
@@ -280,16 +283,15 @@ def _level_bfs(adjacency: list[list[int]], source: int) -> tuple[int, int, int]:
                     seen[w] = 1
                     grown.append(w)
         if not grown:
-            return reached, level, total
-        level += 1
-        reached += len(grown)
-        total += level * len(grown)
+            return sizes
+        sizes.append(len(grown))
         frontier = grown
 
 
 def _row_sums_per_source(adjacency: list[list[int]]) -> tuple[int, ...]:
     """One level-synchronous BFS per source: O(n*m) steps, O(n) memory."""
-    return tuple(_level_bfs(adjacency, s)[2] for s in range(len(adjacency)))
+    levels = range(len(adjacency))
+    return tuple(sum(map(mul, levels, _level_sizes(adjacency, s))) for s in levels)
 
 
 def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
@@ -331,35 +333,137 @@ def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
 
 DEFAULT_ISO_CAP = 16
 
+_Signature = tuple[int, ...]
+# One step per vertex: its signature, and the earlier steps that placed
+# its neighbours.
+_SearchOrder = list[tuple[_Signature, tuple[int, ...]]]
 
-def _vertex_signature(g: Graph, v: int) -> tuple[int, tuple[int, ...]]:
-    """Relabeling-invariant fingerprint: degree plus sorted reachable distances."""
-    reached = _bfs_reached(g, v)
-    return (g.degree(v), tuple(sorted(reached.values())))
+
+class _Invariants:
+    """A graph's relabeling-invariant data, computed once.
+
+    A vertex's signature is the number of vertices at each BFS distance
+    from it: its sorted distances, run-length coded, and so also its
+    degree.  Isomorphic graphs have the same sorted signature multiset,
+    `key`.  Vertices are positions in vertex order; `masks[i]` is the
+    bitset of i's neighbours.
+    """
+
+    __slots__ = ("adjacency", "signatures", "key", "masks", "by_signature")
+
+    def __init__(self, g: Graph):
+        self.adjacency = _int_adjacency(g)
+        self.signatures = [
+            tuple(_level_sizes(self.adjacency, i)) for i in range(len(self.adjacency))
+        ]
+        self.key = tuple(sorted(self.signatures))
+        self.masks = [sum(1 << j for j in nbrs) for nbrs in self.adjacency]
+        self.by_signature: dict[_Signature, list[int]] = {}
+        for i, signature in enumerate(self.signatures):
+            self.by_signature.setdefault(signature, []).append(i)
 
 
-def _search_order(g: Graph, rarity: Mapping[int, int]) -> list[int]:
+def _search_order(rep: _Invariants) -> _SearchOrder:
     """Visit rare signatures first, preferring vertices tied to placed ones."""
-    placed: list[int] = []
-    placed_set: set[int] = set()
-    remaining = set(g.vertices)
+    placed = 0
+    step_of: dict[int, int] = {}
+    order = []
+    remaining = set(range(len(rep.signatures)))
     while remaining:
         best = min(
             remaining,
-            key=lambda v: (
-                -sum(1 for w in g.neighbors(v) if w in placed_set),
-                rarity[v],
-                v,
+            key=lambda i: (
+                -(rep.masks[i] & placed).bit_count(),
+                len(rep.by_signature[rep.signatures[i]]),
+                i,
             ),
         )
-        placed.append(best)
-        placed_set.add(best)
+        order.append(
+            (
+                rep.signatures[best],
+                tuple(step_of[j] for j in rep.adjacency[best] if j in step_of),
+            )
+        )
+        step_of[best] = len(step_of)
+        placed |= 1 << best
         remaining.remove(best)
-    return placed
+    return order
+
+
+def _maps_onto(order: _SearchOrder, other: _Invariants) -> bool:
+    """Backtrack for an isomorphism placing the representative in `order`.
+
+    `other` must have the representative's key.  Step k sends its vertex
+    to an unused vertex u of the same signature whose neighbours among
+    the images so far are exactly the images of its placed neighbours.
+    """
+    n = len(order)
+    if n == 0:
+        return True
+    images = [0] * n  # bit of each step's image
+    expected = [0] * n
+    candidates: list[Iterator[int]] = [iter(())] * n
+    candidates[0] = iter(other.by_signature[order[0][0]])
+    used = 0
+    k = 0
+    while True:
+        for u in candidates[k]:
+            bit = 1 << u
+            if not used & bit and other.masks[u] & used == expected[k]:
+                break
+        else:
+            k -= 1
+            if k < 0:
+                return False
+            used ^= images[k]
+            continue
+        images[k] = bit
+        used |= bit
+        k += 1
+        if k == n:
+            return True
+        signature, earlier = order[k]
+        mask = 0
+        for j in earlier:
+            mask |= images[j]
+        expected[k] = mask
+        candidates[k] = iter(other.by_signature[signature])
+
+
+def isomorphism_classes(
+    graphs: Iterable[Graph], *, cap: int = DEFAULT_ISO_CAP
+) -> list[tuple[Graph, list[int]]]:
+    """Partition graphs into isomorphism classes in one pass.
+
+    Returns one (representative, member positions) pair per class, in
+    the order classes first appear; the representative is the first
+    member.  Each graph's signatures are computed once and key a bucket;
+    a graph is tested by exact backtracking only against the earlier
+    representatives in its bucket, so it joins at most one class.  The
+    cap bounds every graph's order (search is exponential in the worst
+    case).  Only the representatives are kept, so `graphs` may be a
+    generator.
+    """
+    classes: list[tuple[Graph, list[int]]] = []
+    buckets: dict[tuple[_Signature, ...], list[tuple[_SearchOrder, list[int]]]] = {}
+    for position, g in enumerate(graphs):
+        if g.order > cap:
+            raise TooLarge(f"isomorphism test capped at order {cap}; got {g.order}")
+        invariants = _Invariants(g)
+        bucket = buckets.setdefault(invariants.key, [])
+        for order, members in bucket:
+            if _maps_onto(order, invariants):
+                members.append(position)
+                break
+        else:
+            members = [position]
+            bucket.append((_search_order(invariants), members))
+            classes.append((g, members))
+    return classes
 
 
 def are_isomorphic(g1: Graph, g2: Graph, *, cap: int = DEFAULT_ISO_CAP) -> bool:
-    """Exact isomorphism test by signature-pruned backtracking.
+    """Exact isomorphism test: do g1 and g2 fall into one class?
 
     The cap bounds the order of either input; raise it explicitly for
     larger graphs (search is exponential in the worst case).
@@ -369,44 +473,7 @@ def are_isomorphic(g1: Graph, g2: Graph, *, cap: int = DEFAULT_ISO_CAP) -> bool:
             f"isomorphism test capped at order {cap}; "
             f"got {g1.order} and {g2.order}"
         )
-    if g1.order != g2.order or g1.edge_count != g2.edge_count:
-        return False
-    if g1.order == 0:
-        return True
-    sig1 = {v: _vertex_signature(g1, v) for v in g1.vertices}
-    sig2 = {v: _vertex_signature(g2, v) for v in g2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for s in sig1.values():
-        counts[s] = counts.get(s, 0) + 1
-    rarity = {v: counts[sig1[v]] for v in g1.vertices}
-    order = _search_order(g1, rarity)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        want = sig1[v]
-        for u in g2.vertices:
-            if u in used or sig2[u] != want:
-                continue
-            if all(
-                g1.has_edge(v, a) == g2.has_edge(u, b) for a, b in mapping.items()
-            ):
-                mapping[v] = u
-                used.add(u)
-                if extend(k + 1):
-                    return True
-                del mapping[v]
-                used.remove(u)
-        return False
-
-    return extend(0)
+    return len(isomorphism_classes((g1, g2), cap=cap)) == 1
 
 
 # -- small named builders ------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -251,6 +252,50 @@ def test_isomoment_order_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "isomoment", host, branch)
     assert code == 3
     assert "error:" in err
+
+
+# sha256 of the stdout printed before isomorphism classes were bucketed by
+# vertex signatures; class order, sigmas, sizes and graphs must not move
+ISOMOMENT_GOLDEN = [
+    (
+        graph_to_json_dict(diamond_graph()),
+        graph_to_json_dict(path_graph(4)),
+        3,
+        "ea56a561bbdb51dc225ec23008d4603035d483dca673ce4b1254e7e29e150f88",
+    ),
+    (
+        {"vertices": [42, 7, 19, 3, 88], "edges": [[7, 42], [19, 7], [3, 19], [88, 3], [42, 19]]},
+        {"vertices": [61, 5, 30, 12, 9], "edges": [[5, 61], [30, 5], [12, 5], [9, 12]]},
+        33,
+        "403d3a98843ccb5bd8034cd9f5a7de906264f64aacae25586ea562e8ddce9231",
+    ),
+]
+
+
+@pytest.mark.parametrize("host,branch,classes,digest", ISOMOMENT_GOLDEN)
+def test_isomoment_stdout_is_golden(tmp_path, capsys, host, branch, classes, digest):
+    host_path = write_json(tmp_path / "host.json", host)
+    branch_path = write_json(tmp_path / "branch.json", branch)
+    code, out, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
+    )
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == classes
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("weights", ["unit,file:{}", "degree,file:{},unit"])
+def test_isomoment_weight_file_missing_a_product_vertex(tmp_path, capsys, weights):
+    host = graph_file(tmp_path, diamond_graph(), "host.json")
+    branch = graph_file(tmp_path, path_graph(4), "branch.json")
+    # the product has vertices 0..15; the file covers only 0..2
+    w = write_json(tmp_path / "w.json", {"0": "1", "1": "2/3", "2": "1"})
+    code, out, err = run_cli(
+        capsys, "isomoment", host, branch, "--weights", weights.format(w)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: weight map has no entry for vertex 3\n"
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -24,14 +24,17 @@ from graft_moments import (
     graph_from_json_dict,
     graph_to_json_dict,
     is_connected,
+    isomorphism_classes,
     path_graph,
     star_graph,
 )
 from graft_moments.graph import (
     _int_adjacency,
+    _Invariants,
     _row_sums_bit_parallel,
     _row_sums_per_source,
 )
+from graft_moments.products import permutation_graph
 from graft_moments.randgen import random_connected_graph, random_tree
 
 
@@ -287,3 +290,103 @@ def test_distance_row_sums_agree_with_networkx(name, g):
     assert nx.wiener_index(h) == sum(row_sums) / 2
     for v, s in zip(g.vertices, row_sums):
         assert sum(nx.single_source_shortest_path_length(h, v).values()) == s
+
+
+# -- isomorphism classes ---------------------------------------------------
+
+
+def _pairwise_classes(graphs: list[Graph]) -> list[tuple[Graph, list[int]]]:
+    """Reference: test each graph against every earlier class by brute force."""
+    classes: list[tuple[Graph, list[int]]] = []
+    for position, g in enumerate(graphs):
+        for representative, members in classes:
+            if _brute_force_isomorphic(representative, g):
+                members.append(position)
+                break
+        else:
+            classes.append((g, [position]))
+    return classes
+
+
+def _graph_lists() -> list[list[Graph]]:
+    rng = random.Random(404)
+    lists = []
+    for _ in range(40):
+        graphs = [random_connected_graph(rng, rng.randint(1, 6)) for _ in range(6)]
+        graphs += [_relabeled(graphs[0], rng) for _ in range(3)]
+        graphs += [_relabeled(rng.choice(graphs), rng) for _ in range(2)]
+        rng.shuffle(graphs)
+        lists.append(graphs)
+    return lists
+
+
+def test_isomorphism_classes_match_a_pairwise_scan():
+    for graphs in _graph_lists():
+        expected = _pairwise_classes(graphs)
+        got = isomorphism_classes(iter(graphs))
+        assert [members for _, members in got] == [members for _, members in expected]
+        assert all(rep is graphs[members[0]] for rep, members in got)
+
+
+def _k33() -> Graph:
+    return Graph(range(6), [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+def _prism() -> Graph:
+    """C3 x K2: triangles 0-1-2 and 3-4-5 joined by a perfect matching."""
+    return Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+def test_isomorphism_classes_split_a_bucket_collision():
+    # both 3-regular of diameter 2: every vertex has 1, 3 and 2 vertices at
+    # distances 0, 1 and 2, so the two share a bucket
+    rng = random.Random(9)
+    k33, prism = _k33(), _prism()
+    assert _Invariants(k33).key == _Invariants(prism).key
+    graphs = [k33, prism, _relabeled(prism, rng), _relabeled(k33, rng)]
+    classes = isomorphism_classes(graphs)
+    assert [members for _, members in classes] == [[0, 3], [1, 2]]
+    assert not are_isomorphic(k33, prism)
+
+
+def test_isomorphism_classes_cap():
+    with pytest.raises(TooLarge):
+        isomorphism_classes([path_graph(3), path_graph(17)])
+    classes = isomorphism_classes([path_graph(17), path_graph(17)], cap=17)
+    assert [members for _, members in classes] == [[0, 1]]
+    assert isomorphism_classes([]) == []
+
+
+def _permutation_products(host: Graph, branch: Graph) -> list[Graph]:
+    return [
+        permutation_graph(host, branch, sigma).graph
+        for sigma in itertools.permutations(range(1, host.order + 1))
+    ]
+
+
+def test_isomorphism_classes_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    c4_with_tail = Graph(range(5), [(0, 1), (1, 2), (1, 4), (2, 3), (3, 4)])
+    pairs = [
+        (diamond_graph(), path_graph(4)),  # 3 classes
+        (path_graph(4), path_graph(4)),  # 4
+        (_relabeled(c4_with_tail, rng), _relabeled(path_graph(5), rng)),  # 18
+        (  # 33
+            _relabeled(c4_with_tail, rng),
+            _relabeled(Graph(range(5), [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (3, 4)]), rng),
+        ),
+    ]
+    for host, branch in pairs:
+        products = _permutation_products(host, branch)
+        buckets: dict[tuple[int, ...], list] = {}
+        count = 0
+        for g in products:
+            h = nx.Graph()
+            h.add_nodes_from(g.vertices)
+            h.add_edges_from(g.edges())
+            bucket = buckets.setdefault(tuple(sorted(d for _, d in h.degree())), [])
+            if not any(nx.is_isomorphic(rep, h) for rep in bucket):
+                bucket.append(h)
+                count += 1
+        assert len(isomorphism_classes(products, cap=25)) == count
