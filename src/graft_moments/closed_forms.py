@@ -2,13 +2,15 @@
 
 Each function evaluates a published formula symbol by symbol from its
 inputs -- factor moments, branch orders, total weights, host distances
--- without building the product graph.  Each factor graph gets one
-distance pass; point moments of affine weights follow by linearity,
-M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  The
-permutation forms need no point moments, so their pass is
-`distance_row_sums` and keeps no distance matrix.  Every
-formula is certified against the brute-force oracle (build the product,
-run BFS, sum) by the verify module and the test suite; agreement is
+-- without building the product graph.  No form builds a distance
+matrix: each factor graph gets one `distance_row_sums` pass for its
+moment, and a point moment costs one BFS from its vertex
+(`bfs_distances`), whose row gives it by linearity,
+M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Host
+distances between receptors come from those same rows, and distances on
+a cycle host from min(|i - j|, r - |i - j|).  Every formula is certified
+against the brute-force oracle (build the product, run BFS from every
+vertex, sum) by the verify module and the test suite; agreement is
 exact, never approximate.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -26,16 +28,11 @@ from .errors import (
     NegativeWeight,
     NotATree,
     OrderMismatch,
+    TooLarge,
     UnknownVertex,
 )
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    cycle_graph,
-    distance_matrix,
-    distance_row_sums,
-)
-from .weights import DEGREE, WeightFunction
+from .graph import MAX_ORDER, Graph, bfs_distances, cycle_graph, distance_row_sums
+from .weights import DEGREE, UNIT, WeightFunction
 from .products import GraftSpec, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
@@ -69,19 +66,12 @@ class HostVectors:
 
     block_orders[i] is the order of the product block sitting over the
     i-th host vertex (1 plus the non-root sizes of its branches);
-    attached_totals[i] is the total branch weight glued there.  The
-    cycle-specific vectors (branch order, edges, row sum, degree) are
-    filled only by from_cycle_pairs.
+    attached_totals[i] is the total branch weight glued there.
     """
 
     host: Graph
-    distances: DistanceMatrix
     block_orders: tuple[int, ...]
     attached_totals: tuple[Fraction, ...]
-    branch_orders: tuple[int, ...] | None = None
-    branch_edge_counts: tuple[int, ...] | None = None
-    branch_row_sums: tuple[int, ...] | None = None
-    branch_degrees: tuple[int, ...] | None = None
 
     @property
     def product_order(self) -> int:
@@ -108,7 +98,6 @@ class HostVectors:
             }
         return cls(
             host=host,
-            distances=distance_matrix(host),
             block_orders=tuple(
                 1 + sum(b.order - 1 for b, _, _ in family.get(x, ()))
                 for x in host.vertices
@@ -118,53 +107,29 @@ class HostVectors:
             ),
         )
 
-    @classmethod
-    def from_cycle_pairs(
-        cls, host_order: int, pairs: Sequence[tuple[int, int]]
-    ) -> "HostVectors":
-        """Vectors for a cycle host with one extended-cycle branch per vertex."""
-        host = cycle_graph(host_order)
-        orders = []
-        edge_counts = []
-        row_sums = []
-        degrees = []
-        for r_x, m_x in pairs:
-            _check_extended_pair(r_x, m_x)
-            orders.append(r_x)
-            edge_counts.append(m_x)
-            row_sums.append(cycle_distance_row_sum(r_x))
-            degrees.append(_extended_degree(r_x))
-        return cls(
-            host=host,
-            distances=distance_matrix(host),
-            block_orders=tuple(r for r in orders),
-            attached_totals=tuple(Fraction(2 * m) for m in edge_counts),
-            branch_orders=tuple(orders),
-            branch_edge_counts=tuple(edge_counts),
-            branch_row_sums=tuple(row_sums),
-            branch_degrees=tuple(degrees),
-        )
 
-
-# -- one distance pass per factor ---------------------------------------------
+# -- one row-sum pass per factor, one BFS per point moment --------------------
 
 
 class _Factor:
-    """Distances and weights of one factor graph, from a single pass."""
+    """Weights and distance row sums of one factor graph, in vertex order."""
 
-    __slots__ = ("distances", "values", "total", "moment")
+    __slots__ = ("graph", "values", "row_sums", "total", "moment")
 
-    def __init__(
-        self, g: Graph, weights: WeightFunction, distances: DistanceMatrix | None = None
-    ):
-        self.distances = distance_matrix(g) if distances is None else distances
+    def __init__(self, g: Graph, weights: WeightFunction):
+        self.graph = g
         self.values = [weights.value(g, v) for v in g.vertices]
+        self.row_sums = distance_row_sums(g)
         self.total = sum(self.values, Fraction(0))
-        self.moment = sum(map(mul, self.values, self.distances.row_sums), Fraction(0))
+        self.moment = sum(map(mul, self.values, self.row_sums), Fraction(0))
 
-    def point_moment(self, y: int, scale, shift) -> Fraction:
-        """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y)."""
-        row = self.distances.row(y)
+    def row(self, y: int) -> list[int]:
+        """dist(y, v) for every vertex v, in vertex order: one BFS."""
+        dist = bfs_distances(self.graph, y)
+        return [dist[v] for v in self.graph.vertices]
+
+    def point_moment(self, row: list[int], scale, shift) -> Fraction:
+        """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
         return scale * sum(map(mul, self.values, row), Fraction(0)) + shift * sum(row)
 
 
@@ -178,6 +143,9 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     + sum_{i,j} (|V_i|-1) * dist(x_i, x_j) * B_j, where
     xi_i = (|V_i|-1)*a + B_i and eta_i = (|V|-|V_i|)*b_i + (W - B_i).
     The sums run over the attachment list, so repeated receptors are fine.
+    The cross term is summed as sum_i (|V_i|-1) * <row(x_i), A>, with A
+    the branch weight glued at each host vertex: one host BFS per
+    receptor, one branch BFS per root.
     """
     host = spec.host
     _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
@@ -185,18 +153,21 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     factors = [_Factor(a.branch, a.weights) for a in spec.attachments]
     grand_total = h.total + sum((f.total for f in factors), Fraction(0))
     product_order = spec.product_order
+    attached = dict.fromkeys(host.vertices, Fraction(0))
+    for att, f in zip(spec.attachments, factors):
+        attached[att.receptor] += f.total
+    rows = {x: h.row(x) for x in dict.fromkeys(a.receptor for a in spec.attachments)}
 
     result = h.moment
     for att, f in zip(spec.attachments, factors):
         grown = att.branch.order - 1
+        row = rows[att.receptor]
         result += f.moment
-        result += h.point_moment(att.receptor, grown, f.total)
+        result += h.point_moment(row, grown, f.total)
         result += f.point_moment(
-            att.root, product_order - att.branch.order, grand_total - f.total
+            f.row(att.root), product_order - att.branch.order, grand_total - f.total
         )
-        for other, other_f in zip(spec.attachments, factors):
-            dist = h.distances.entry(att.receptor, other.receptor)
-            result += grown * dist * other_f.total
+        result += grown * sum(map(mul, row, attached.values()), Fraction(0))
     return result
 
 
@@ -207,7 +178,10 @@ def family_graft_moment_formula(
 
     Same value as graft_moment_formula; the cross term becomes
     (n - 1)^T D w over host vertices, with n the block orders and w the
-    attached weight totals.
+    attached weight totals.  Together with the host point moments it is
+    M_H^(xi_x)(x) + (n_x - 1) * <row(x), w> = (n_x - 1) * <row(x), a + w>
+    + w_x * s(x), so only vertices with n_x > 1 take a host BFS; the
+    rest need just the row sums.
     """
     _validate_factors(
         host, ((x, b, root) for x, bs in family.items() for b, root, _ in bs)
@@ -218,27 +192,22 @@ def family_graft_moment_formula(
         family,
         {x: sum((f.total for f in fs), Fraction(0)) for x, fs in factors.items()},
     )
-    h = _Factor(host, alpha, vectors.distances)
+    h = _Factor(host, alpha)
     product_order = vectors.product_order
-    grand_total = h.total + sum(vectors.attached_totals, Fraction(0))
+    attached = vectors.attached_totals
+    grand_total = h.total + sum(attached, Fraction(0))
 
-    result = h.moment
-    for x, n_x, w_x in zip(
-        host.vertices, vectors.block_orders, vectors.attached_totals
-    ):
-        result += h.point_moment(x, n_x - 1, w_x)
+    result = h.moment + sum(map(mul, attached, h.row_sums), Fraction(0))
+    grown_weights = list(map(add, h.values, attached))
+    for x, n_x in zip(host.vertices, vectors.block_orders):
+        if n_x > 1:
+            result += (n_x - 1) * sum(map(mul, grown_weights, h.row(x)), Fraction(0))
     for x, branches in family.items():
         for (branch, root, _), f in zip(branches, factors[x]):
             result += f.moment
             result += f.point_moment(
-                root, product_order - branch.order, grand_total - f.total
+                f.row(root), product_order - branch.order, grand_total - f.total
             )
-    dm = vectors.distances
-    for x, n_x in zip(host.vertices, vectors.block_orders):
-        if n_x == 1:
-            continue
-        for y, w_y in zip(host.vertices, vectors.attached_totals):
-            result += (n_x - 1) * dm.entry(x, y) * w_y
     return result
 
 
@@ -262,7 +231,7 @@ def flower_moment_formula(
     for (branch, root, _), f in zip(branches, factors):
         result += f.moment
         result += f.point_moment(
-            root, order_sum - branch.order - r + 1, center + total_sum - f.total
+            f.row(root), order_sum - branch.order - r + 1, center + total_sum - f.total
         )
     return result
 
@@ -278,17 +247,6 @@ def _equal_orders(host: Graph, branch: Graph) -> int:
     return host.order
 
 
-def _row_sum_pass(g: Graph, weights: WeightFunction) -> tuple[Fraction, Fraction, int]:
-    """(total weight, M^w, M^1) of g from one row-sum pass; M^1 is sum s(v)."""
-    values = [weights.value(g, v) for v in g.vertices]
-    row_sums = distance_row_sums(g)
-    return (
-        sum(values, Fraction(0)),
-        sum(map(mul, values, row_sums), Fraction(0)),
-        sum(row_sums),
-    )
-
-
 def permutation_moment_formula(
     host: Graph,
     alpha: WeightFunction,
@@ -302,29 +260,29 @@ def permutation_moment_formula(
     families.
     """
     r = _equal_orders(host, branch)
-    a_total, host_moment, host_unit = _row_sum_pass(host, alpha)
-    b_total, branch_moment, branch_unit = _row_sum_pass(branch, beta)
+    h = _Factor(host, alpha)
+    k = _Factor(branch, beta)
     return (
-        r * host_moment
-        + r * r * branch_moment
-        + r * b_total * host_unit
-        + (a_total + (r - 1) * b_total) * branch_unit
+        r * h.moment
+        + r * r * k.moment
+        + r * k.total * sum(h.row_sums)
+        + (h.total + (r - 1) * k.total) * sum(k.row_sums)
     )
 
 
 def permutation_unit_moment(host: Graph, branch: Graph) -> Fraction:
     """Unit-weight specialization: r^2*M_H^1 + r(2r-1)*M_K^1."""
     r = _equal_orders(host, branch)
-    host_unit = sum(distance_row_sums(host))
-    branch_unit = sum(distance_row_sums(branch))
-    return Fraction(r * r * host_unit + r * (2 * r - 1) * branch_unit)
+    host_unit = _Factor(host, UNIT).moment
+    branch_unit = _Factor(branch, UNIT).moment
+    return r * r * host_unit + r * (2 * r - 1) * branch_unit
 
 
 def permutation_mean_distance(host: Graph, branch: Graph) -> Fraction:
     """Mean distance of the permutation product: d(H) + (2 - 1/r) d(K)."""
     r = _equal_orders(host, branch)
-    d_host = Fraction(sum(distance_row_sums(host)), r * r)
-    d_branch = Fraction(sum(distance_row_sums(branch)), r * r)
+    d_host = _Factor(host, UNIT).moment / (r * r)
+    d_branch = _Factor(branch, UNIT).moment / (r * r)
     return d_host + (2 - Fraction(1, r)) * d_branch
 
 
@@ -336,13 +294,13 @@ def permutation_degree_distance(host: Graph, branch: Graph) -> Fraction:
     r = _equal_orders(host, branch)
     m_host = host.edge_count
     m_branch = branch.edge_count
-    _, host_moment, host_unit = _row_sum_pass(host, DEGREE)
-    _, branch_moment, branch_unit = _row_sum_pass(branch, DEGREE)
+    h = _Factor(host, DEGREE)
+    k = _Factor(branch, DEGREE)
     return (
-        r * host_moment
-        + r * r * branch_moment
-        + 2 * r * m_branch * host_unit
-        + 2 * (m_host + (r - 1) * m_branch) * branch_unit
+        r * h.moment
+        + r * r * k.moment
+        + 2 * r * m_branch * sum(h.row_sums)
+        + 2 * (m_host + (r - 1) * m_branch) * sum(k.row_sums)
     )
 
 
@@ -377,13 +335,17 @@ def concentration_difference_formula(
             raise UnknownVertex(f"receptor {receptor!r} is not a host vertex")
     h = _Factor(host, alpha)
     grown = branch_order - 1
-    at_x = h.point_moment(x, grown, total)
-    result = Fraction(0)
+    at_x = h.point_moment(h.row(x), grown, total)
+    copies = dict.fromkeys(host.vertices, 0)
     for receptor in receptors:
-        result += at_x - h.point_moment(receptor, grown, total)
-    pair_sum = sum(
-        h.distances.entry(a, b) for a in receptors for b in receptors
-    )
+        copies[receptor] += 1
+    result = Fraction(0)
+    pair_sum = 0
+    for receptor, c in copies.items():
+        if c:
+            row = h.row(receptor)
+            result += c * (at_x - h.point_moment(row, grown, total))
+            pair_sum += c * sum(map(mul, row, copies.values()))
     return result - total * grown * pair_sum
 
 
@@ -425,12 +387,26 @@ def unicyclic_degree_distance(
     for _, tree, root in flattened:
         f = _Factor(tree, DEGREE)
         outside = product_order - tree.order
-        result += f.moment + f.point_moment(root, outside, 2 * outside + 2)
-    dm = distance_matrix(host)
-    for x in host.vertices:
-        for y in host.vertices:
-            result += 2 * block_orders[x] * dm.entry(x, y) * block_orders[y]
-    return result
+        result += f.moment + f.point_moment(f.row(root), outside, 2 * outside + 2)
+    n = list(block_orders.values())
+    return result + 2 * _cycle_quadratic(n, n)
+
+
+def _cycle_quadratic(u: Sequence[int], v: Sequence[int]) -> int:
+    """u^T D v for D the distance matrix of C_r, r = len(u).
+
+    dist(i, j) = min(|i - j|, r - |i - j|), so the pairs (i, i + k mod r)
+    share the distance min(k, r - k); this holds for r = 1 and r = 2 too.
+    """
+    r = len(u)
+    v = list(v)
+    return sum(min(k, r - k) * sum(map(mul, u, v[k:] + v[:k])) for k in range(1, r))
+
+
+def _check_cycle_cap(r: int) -> None:
+    """The cap cycle_graph(r) enforces, for forms that do not build C_r."""
+    if r > MAX_ORDER:
+        raise TooLarge(f"graph order {r} exceeds cap {MAX_ORDER}")
 
 
 def _extended_degree(r: int) -> int:
@@ -477,11 +453,13 @@ def extended_cycle_degree_distance(
         raise ArityMismatch(
             f"need one branch per host vertex: {host_order} != {len(pairs)}"
         )
-    vectors = HostVectors.from_cycle_pairs(host_order, pairs)
-    r_vec = vectors.branch_orders
-    m_vec = vectors.branch_edge_counts
-    theta_vec = vectors.branch_row_sums
-    delta_vec = vectors.branch_degrees
+    _check_cycle_cap(host_order)
+    for r_x, m_x in pairs:
+        _check_extended_pair(r_x, m_x)
+    r_vec = [r for r, _ in pairs]
+    m_vec = [m for _, m in pairs]
+    theta_vec = [cycle_distance_row_sum(r) for r in r_vec]
+    delta_vec = [_extended_degree(r) for r in r_vec]
     host_edges = extended_cycle_edge_count(host_order)
     host_degree = _extended_degree(host_order)
     host_theta = cycle_distance_row_sum(host_order)
@@ -491,16 +469,10 @@ def extended_cycle_degree_distance(
     sum_theta = sum(theta_vec)
     m_dot_theta = sum(m * t for m, t in zip(m_vec, theta_vec))
     delta_dot_theta = sum(d * t for d, t in zip(delta_vec, theta_vec))
-    dm = vectors.distances
-    cross = sum(
-        r_vec[i] * dm.entries[i][j] * m_vec[j]
-        for i in range(host_order)
-        for j in range(host_order)
-    )
     return Fraction(
         2 * (host_edges * sum_theta + sum_m * sum_theta - m_dot_theta)
         + (host_degree * host_theta + delta_dot_theta) * sum_r
-        + 2 * cross
+        + 2 * _cycle_quadratic(r_vec, m_vec)
     )
 
 
@@ -523,19 +495,14 @@ def proper_cycle_degree_distance(
     for r in branch_orders:
         if r < 3:
             raise InvalidExtendedCycle(f"proper cycle branch needs order >= 3, got {r}")
+    _check_cycle_cap(host_order)
     theta_vec = [cycle_distance_row_sum(r) for r in branch_orders]
     host_theta = cycle_distance_row_sum(host_order)
     sum_r = sum(branch_orders)
     sum_theta = sum(theta_vec)
     r_dot_theta = sum(r * t for r, t in zip(branch_orders, theta_vec))
-    dm = distance_matrix(cycle_graph(host_order))
-    cross = sum(
-        branch_orders[i] * dm.entries[i][j] * branch_orders[j]
-        for i in range(host_order)
-        for j in range(host_order)
-    )
     return Fraction(
         4 * sum_r * sum_theta
         + 2 * (host_theta * sum_r + host_order * sum_theta - r_dot_theta)
-        + 2 * cross
+        + 2 * _cycle_quadratic(branch_orders, branch_orders)
     )

@@ -23,9 +23,9 @@ from .errors import (
     UnknownVertex,
 )
 
-# Caps every graph's order.  moment and indices keep O(n) row sums plus
-# at most three lists of n-bit ints (about 37 MB at n = 10,000); the
-# closed forms, the verify oracle and theta still build the O(n^2)
+# Caps every graph's order.  moment, indices and the closed forms keep
+# O(n) row sums plus at most three lists of n-bit ints (about 37 MB at
+# n = 10,000); only the verify oracle and theta still build the O(n^2)
 # distance matrix (about 800 MB of tuples at n = 10,000).
 MAX_ORDER = 10_000
 

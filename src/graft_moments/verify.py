@@ -1,11 +1,13 @@
 """Formula-vs-oracle verification over seeded random instances.
 
 The oracle is always the same: build the product graph, run the plain
-all-pairs BFS of `distance_matrix`, and sum weight times row sum.  It
-shares no code with `moments.moment`, `moments.indices` or the
-permutation forms, which take their row sums from the separate
-`distance_row_sums` kernel, so a fault in either distance path shows up
-as a mismatch instead of cancelling out.  A verifier draws random
+all-pairs BFS of `distance_matrix`, and sum weight times row sum.
+`moments.moment`, `moments.indices` and the closed forms take their
+row sums from the separate `distance_row_sums` kernel, so a fault in
+either row-sum path shows up as a mismatch instead of cancelling out.
+The closed forms' point moments use `bfs_distances`, which shares its
+single-source loop `_bfs_reached` with `distance_matrix`; that loop is
+the one piece of distance code on both sides.  A verifier draws random
 instances, evaluates the closed form and the oracle, and records every
 disagreement (there should be none) in a report.  Some verifiers chain
 extra checks onto each instance -- the comparison formula must also be

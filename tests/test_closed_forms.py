@@ -21,6 +21,7 @@ from graft_moments import (
     InvalidExtendedCycle,
     NotATree,
     OrderMismatch,
+    TooLarge,
     UNIT,
     UnknownVertex,
     attachments_by_receptor,
@@ -56,6 +57,8 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
+from graft_moments import graph, verify
+from graft_moments.closed_forms import _cycle_quadratic
 from graft_moments.verify import _build_cycle_product
 from graft_moments.verify import _comparison_oracle as comparison_oracle
 
@@ -145,11 +148,9 @@ def test_host_vectors_bookkeeping(p3, k2, p4):
     bare = HostVectors.from_family(p3, {})
     assert bare.block_orders == (1, 1, 1)
 
-    cyc = HostVectors.from_cycle_pairs(3, [(3, 3), (1, 0), (2, 1)])
-    assert cyc.block_orders == (3, 1, 2)
-    assert cyc.attached_totals == (6, 0, 2)
-    assert cyc.branch_row_sums == (2, 0, 1)
-    assert cyc.branch_degrees == (2, 0, 1)
+    assert extended_cycle_degree_distance(3, [(3, 3), (1, 0), (2, 1)]) == (
+        verify._oracle_moment(verify._build_cycle_product(3, [3, 1, 2]), DEGREE)
+    ) == 108
 
 
 # -- shared factor validation ------------------------------------------------
@@ -497,3 +498,134 @@ def test_proper_cycles_reject_bad_input():
         proper_cycle_degree_distance(3, [3, 3, 2])
     with pytest.raises(ArityMismatch):
         proper_cycle_degree_distance(3, [3, 3])
+
+
+def test_cycle_forms_keep_the_order_cap():
+    message = r"^graph order 10001 exceeds cap 10000$"
+    with pytest.raises(TooLarge, match=message):
+        proper_cycle_degree_distance(10_001, [3] * 10_001)
+    with pytest.raises(TooLarge, match=message):
+        extended_cycle_degree_distance(10_001, [(1, 0)] * 10_001)
+
+
+def test_cycle_quadratic_matches_distance_matrix():
+    rng = random.Random(111)
+    for r in range(1, 13):
+        entries = distance_matrix(cycle_graph(r)).entries
+        u = [rng.randint(-4, 9) for _ in range(r)]
+        v = [rng.randint(-4, 9) for _ in range(r)]
+        expected = sum(
+            u[i] * entries[i][j] * v[j] for i in range(r) for j in range(r)
+        )
+        assert _cycle_quadratic(u, v) == expected
+
+
+# -- independence from the oracle's distance matrix -----------------------------
+
+
+def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamond):
+    oracle = verify._oracle_moment
+    spec = GraftSpec(
+        diamond,
+        (
+            Attachment(0, p4, 1, DEGREE),
+            Attachment(0, k2, 0, ConstantWeight(3)),
+            Attachment(2, c3, 0, UNIT),
+        ),
+        DEGREE,
+    )
+    spec_product = graft(spec)
+    branches = [(p4, 2, DEGREE), (c3, 0, ConstantWeight(Fraction(1, 3)))]
+    flower_product = flower(Fraction(1, 2), branches)
+    sigma = (2, 4, 1, 3)
+    sigma_product = permutation_graph(
+        diamond, p4, sigma, host_weights=DEGREE, branch_weights=ConstantWeight(2)
+    )
+    forest = {0: [(p3, 1)], 2: [(k2, 0)]}
+    unicyclic_product = graft(
+        GraftSpec(cycle_graph(4), (Attachment(0, p3, 1), Attachment(2, k2, 0)))
+    )
+    expected = {
+        "graft": oracle(spec_product.graph, spec_product.gamma),
+        "flower": oracle(flower_product.graph, flower_product.gamma),
+        "concentration": verify._comparison_oracle(
+            p4, DEGREE, 0, [1, 3, 3], c3, 0, UNIT
+        ),
+        "sigma": oracle(sigma_product.graph, sigma_product.gamma),
+        "sigma-unit": oracle(sigma_product.graph, UNIT),
+        "sigma-degree": oracle(sigma_product.graph, DEGREE),
+        "unicyclic": oracle(unicyclic_product.graph, DEGREE),
+        "extended": oracle(_build_cycle_product(3, [3, 1, 2]), DEGREE),
+        "proper": oracle(_build_cycle_product(4, [3, 4, 3, 5]), DEGREE),
+    }
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a closed form built a distance matrix")
+
+    monkeypatch.setattr(graph.DistanceMatrix, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        distance_matrix(k2)
+
+    assert graft_moment_formula(spec) == expected["graft"]
+    assert family_graft_moment_formula(
+        diamond, DEGREE, attachments_by_receptor(spec)
+    ) == expected["graft"]
+    assert flower_moment_formula(Fraction(1, 2), branches) == expected["flower"]
+    assert concentration_difference_formula(
+        p4, DEGREE, 0, [1, 3, 3], c3.order, 3
+    ) == expected["concentration"]
+    assert permutation_moment_formula(
+        diamond, DEGREE, p4, ConstantWeight(2)
+    ) == expected["sigma"]
+    assert permutation_unit_moment(diamond, p4) == expected["sigma-unit"]
+    assert permutation_mean_distance(diamond, p4) == expected["sigma-unit"] / 16**2
+    assert permutation_degree_distance(diamond, p4) == expected["sigma-degree"]
+    assert unicyclic_degree_distance(4, forest) == expected["unicyclic"]
+    assert extended_cycle_degree_distance(
+        3, [(3, 3), (1, 0), (2, 1)]
+    ) == expected["extended"]
+    assert proper_cycle_degree_distance(4, [3, 4, 3, 5]) == expected["proper"]
+
+
+# -- cross-check against networkx distances --------------------------------------
+
+
+def networkx_moment(product) -> Fraction:
+    """sum_v gamma(v) * s(v), with s from networkx's single-source BFS."""
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(product.graph.vertices)
+    g.add_edges_from(product.graph.edges())
+    return sum(
+        (
+            product.gamma.value(product.graph, v)
+            * sum(nx.single_source_shortest_path_length(g, v).values())
+            for v in product.graph.vertices
+        ),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_graft_forms_agree_with_networkx(repeated):
+    pytest.importorskip("networkx")
+    rng = random.Random(112 + repeated)
+    for _ in range(15):
+        spec = random_graft_spec(
+            rng, max_host=8, max_branch_order=6, allow_repeated_receptors=repeated
+        )
+        expected = networkx_moment(graft(spec))
+        assert graft_moment_formula(spec) == expected
+        assert family_graft_moment_formula(
+            spec.host, spec.host_weights, attachments_by_receptor(spec)
+        ) == expected
+
+
+def test_flower_form_agrees_with_networkx():
+    pytest.importorskip("networkx")
+    rng = random.Random(114)
+    for _ in range(15):
+        center = Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        branches = random_flower_branches(rng, max_branch_order=6)
+        expected = networkx_moment(flower(center, branches))
+        assert flower_moment_formula(center, branches) == expected
