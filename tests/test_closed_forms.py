@@ -608,7 +608,6 @@ def networkx_moment(product) -> Fraction:
 
 @pytest.mark.parametrize("repeated", [False, True])
 def test_graft_forms_agree_with_networkx(repeated):
-    pytest.importorskip("networkx")
     rng = random.Random(112 + repeated)
     for _ in range(15):
         spec = random_graft_spec(
@@ -622,7 +621,6 @@ def test_graft_forms_agree_with_networkx(repeated):
 
 
 def test_flower_form_agrees_with_networkx():
-    pytest.importorskip("networkx")
     rng = random.Random(114)
     for _ in range(15):
         center = Fraction(rng.randint(0, 6), rng.randint(1, 4))
