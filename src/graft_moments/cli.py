@@ -7,6 +7,13 @@ Subcommands:
   isomoment  enumerate permutation products, bucket by isomorphism, compare moments
   theta      tabulate cycle distance-matrix row sums against the closed form
 
+isomoment makes one pass per permutation product: the product's int
+adjacency is built straight from the factors' (graft's vertex numbering),
+one bit-parallel BFS of all sources gives every vertex's level sizes, and
+those give both the isomorphism signatures and the row sums that every
+weight's moment is summed from, in ints over one denominator.  Only each
+class's representative becomes a Graph, to be printed.
+
 Standard output is deterministic for fixed inputs and seed (timings go
 to stderr), so runs can be diffed byte for byte.  Exit codes: 0 success,
 1 verification failure, 2 unreadable/malformed input, 3 domain error
@@ -22,21 +29,31 @@ import json
 import os
 import random
 import sys
-from typing import Sequence
+from fractions import Fraction
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .closed_forms import cycle_distance_row_sum
 from .errors import GraftMomentsError, GraphFormatError, OrderMismatch
 from .graph import (
+    Graph,
+    _Classes,
+    _Invariants,
+    _level_signatures,
     cycle_graph,
     distance_matrix,
     graph_from_json_dict,
     graph_to_json_dict,
-    isomorphism_classes,
 )
-from .moments import indices, moment
-from .products import graft, graft_product_to_json_dict, graft_spec_from_json_dict, permutation_graph
+from .moments import _weighted_sum, indices
+from .products import (
+    _permutation_adjacencies,
+    graft,
+    graft_product_to_json_dict,
+    graft_spec_from_json_dict,
+)
 from .verify import FORMULAS, run_verification
-from .weights import format_rational, parse_weight_spec
+from .weights import WeightFunction, format_rational, parse_weight_spec
 
 SEED_ENV_VAR = "GRAFT_MOMENTS_SEED"
 FULL_ENUMERATION_MAX = 8
@@ -100,6 +117,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _product_passes(
+    host: Graph,
+    branch: Graph,
+    sigmas: Sequence[Sequence[int]],
+    weight_functions: Iterable[WeightFunction],
+) -> Iterator[tuple[list[list[int]], list[tuple[int, ...]], list[Fraction]]]:
+    """One pass per permutation product: (adjacency, signatures, moments).
+
+    The product's int adjacency comes straight from the factors; one
+    bit-parallel pass gives every vertex's level sizes, which are its
+    isomorphism signature and give its row sum; each weight's moment is
+    then an int dot product with those row sums.  No Graph is built.
+    """
+    weight_functions = list(weight_functions)
+    vertices = range(host.order * host.order)
+    for adjacency in _permutation_adjacencies(host, branch, sigmas):
+        signatures = _level_signatures(adjacency)
+        row_sums = [sum(map(mul, sizes, range(len(sizes)))) for sizes in signatures]
+        degrees = [len(nbrs) for nbrs in adjacency]
+        yield adjacency, signatures, [
+            _weighted_sum(weights, vertices, degrees, row_sums)
+            for weights in weight_functions
+        ]
+
+
+def _adjacency_graph(adjacency: list[list[int]]) -> Graph:
+    """The Graph on positions 0..n-1 with these neighbour lists."""
+    return Graph(
+        range(len(adjacency)),
+        [(u, w) for u, nbrs in enumerate(adjacency) for w in nbrs if u < w],
+    )
+
+
 def cmd_isomoment(args: argparse.Namespace) -> int:
     host = graph_from_json_dict(_load_json_file(args.host))
     branch = graph_from_json_dict(_load_json_file(args.branch))
@@ -129,16 +179,15 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
         )
 
     values: dict[str, set] = {spec_name: set() for spec_name in weight_functions}
-
-    def products():
-        """Each product once: its moments are recorded as it is built."""
-        for sigma in sigmas:
-            graph = permutation_graph(host, branch, sigma).graph
-            for spec_name, weights in weight_functions.items():
-                values[spec_name].add(moment(graph, weights))
-            yield graph
-
-    classes = isomorphism_classes(products(), cap=max(16, r * r))
+    classes = _Classes()
+    representatives = []
+    for adjacency, signatures, moments in _product_passes(
+        host, branch, sigmas, weight_functions.values()
+    ):
+        for seen, value in zip(values.values(), moments):
+            seen.add(value)
+        if classes.add(_Invariants.of(adjacency, signatures)):
+            representatives.append(adjacency)
 
     all_equal = True
     moments_out: dict[str, str] = {}
@@ -158,9 +207,9 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
                 {
                     "sigma": list(sigmas[members[0]]),
                     "size": len(members),
-                    "graph": graph_to_json_dict(graph),
+                    "graph": graph_to_json_dict(_adjacency_graph(adjacency)),
                 }
-                for graph, members in classes
+                for adjacency, members in zip(representatives, classes.members)
             ],
             "moments": moments_out,
             "all_equal": all_equal,

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add, mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -116,10 +117,12 @@ class _Factor:
 
     __slots__ = ("graph", "values", "row_sums", "total", "moment")
 
-    def __init__(self, g: Graph, weights: WeightFunction):
+    def __init__(
+        self, g: Graph, weights: WeightFunction, row_sums: Sequence[int] | None = None
+    ):
         self.graph = g
         self.values = [weights.value(g, v) for v in g.vertices]
-        self.row_sums = distance_row_sums(g)
+        self.row_sums = distance_row_sums(g) if row_sums is None else row_sums
         self.total = sum(self.values, Fraction(0))
         self.moment = sum(map(mul, self.values, self.row_sums), Fraction(0))
 
@@ -131,6 +134,30 @@ class _Factor:
     def point_moment(self, row: list[int], scale, shift) -> Fraction:
         """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
         return scale * sum(map(mul, self.values, row), Fraction(0)) + shift * sum(row)
+
+
+def _rooted_factors(
+    branches: Iterable[tuple[Graph, int, WeightFunction]],
+) -> list[tuple[_Factor, list[int]]]:
+    """Each branch's _Factor and its root's row, in order.
+
+    Within one call the row sums are computed once per distinct branch
+    graph (Graph equality is structural) and the root row once per
+    distinct (branch, root); the weights are evaluated for every branch.
+    """
+    row_sums: dict[Graph, tuple[int, ...]] = {}
+    root_rows: dict[tuple[Graph, int], list[int]] = {}
+    out = []
+    for branch, root, weights in branches:
+        sums = row_sums.get(branch)
+        if sums is None:
+            sums = row_sums[branch] = distance_row_sums(branch)
+        f = _Factor(branch, weights, sums)
+        row = root_rows.get((branch, root))
+        if row is None:
+            row = root_rows[(branch, root)] = f.row(root)
+        out.append((f, row))
+    return out
 
 
 # -- general graft products -------------------------------------------------
@@ -150,22 +177,22 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     host = spec.host
     _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
     h = _Factor(host, spec.host_weights)
-    factors = [_Factor(a.branch, a.weights) for a in spec.attachments]
-    grand_total = h.total + sum((f.total for f in factors), Fraction(0))
+    factors = _rooted_factors((a.branch, a.root, a.weights) for a in spec.attachments)
+    grand_total = h.total + sum((f.total for f, _ in factors), Fraction(0))
     product_order = spec.product_order
     attached = dict.fromkeys(host.vertices, Fraction(0))
-    for att, f in zip(spec.attachments, factors):
+    for att, (f, _) in zip(spec.attachments, factors):
         attached[att.receptor] += f.total
     rows = {x: h.row(x) for x in dict.fromkeys(a.receptor for a in spec.attachments)}
 
     result = h.moment
-    for att, f in zip(spec.attachments, factors):
+    for att, (f, root_row) in zip(spec.attachments, factors):
         grown = att.branch.order - 1
         row = rows[att.receptor]
         result += f.moment
         result += h.point_moment(row, grown, f.total)
         result += f.point_moment(
-            f.row(att.root), product_order - att.branch.order, grand_total - f.total
+            root_row, product_order - att.branch.order, grand_total - f.total
         )
         result += grown * sum(map(mul, row, attached.values()), Fraction(0))
     return result
@@ -186,11 +213,12 @@ def family_graft_moment_formula(
     _validate_factors(
         host, ((x, b, root) for x, bs in family.items() for b, root, _ in bs)
     )
-    factors = {x: [_Factor(b, beta) for b, _, beta in bs] for x, bs in family.items()}
+    factors = _rooted_factors(branch for bs in family.values() for branch in bs)
+    totals = (f.total for f, _ in factors)
     vectors = HostVectors.from_family(
         host,
         family,
-        {x: sum((f.total for f in fs), Fraction(0)) for x, fs in factors.items()},
+        {x: sum(islice(totals, len(bs)), Fraction(0)) for x, bs in family.items()},
     )
     h = _Factor(host, alpha)
     product_order = vectors.product_order
@@ -202,12 +230,11 @@ def family_graft_moment_formula(
     for x, n_x in zip(host.vertices, vectors.block_orders):
         if n_x > 1:
             result += (n_x - 1) * sum(map(mul, grown_weights, h.row(x)), Fraction(0))
-    for x, branches in family.items():
-        for (branch, root, _), f in zip(branches, factors[x]):
-            result += f.moment
-            result += f.point_moment(
-                f.row(root), product_order - branch.order, grand_total - f.total
-            )
+    for f, root_row in factors:
+        result += f.moment
+        result += f.point_moment(
+            root_row, product_order - f.graph.order, grand_total - f.total
+        )
     return result
 
 
@@ -224,14 +251,14 @@ def flower_moment_formula(
         raise NegativeWeight(f"center weight {center} is negative")
     _validate_factors(None, ((None, branch, root) for branch, root, _ in branches))
     r = len(branches)
-    factors = [_Factor(branch, beta) for branch, _, beta in branches]
+    factors = _rooted_factors(branches)
     order_sum = sum(branch.order for branch, _, _ in branches)
-    total_sum = sum((f.total for f in factors), Fraction(0))
+    total_sum = sum((f.total for f, _ in factors), Fraction(0))
     result = Fraction(0)
-    for (branch, root, _), f in zip(branches, factors):
+    for f, root_row in factors:
         result += f.moment
         result += f.point_moment(
-            f.row(root), order_sum - branch.order - r + 1, center + total_sum - f.total
+            root_row, order_sum - f.graph.order - r + 1, center + total_sum - f.total
         )
     return result
 
@@ -393,14 +420,31 @@ def unicyclic_degree_distance(
 
 
 def _cycle_quadratic(u: Sequence[int], v: Sequence[int]) -> int:
-    """u^T D v for D the distance matrix of C_r, r = len(u).
+    """u^T D v for D the distance matrix of C_r, r = len(u), in O(r).
 
-    dist(i, j) = min(|i - j|, r - |i - j|), so the pairs (i, i + k mod r)
-    share the distance min(k, r - k); this holds for r = 1 and r = 2 too.
+    dist(i, j) = min(k, r - k) for k = (j - i) mod r; this holds for r = 1
+    and r = 2 too.  (Dv)_i is slid from i to i + 1: vertex i + k comes one
+    step nearer for 1 <= k <= floor(r/2), goes one step farther for k = 0
+    (unless r = 1) and for k > ceil(r/2), and stays put for k = (r + 1)/2
+    when r is odd.  The window sums come from prefix sums of v twice over.
     """
     r = len(u)
     v = list(v)
-    return sum(min(k, r - k) * sum(map(mul, u, v[k:] + v[:k])) for k in range(1, r))
+    prefix = [0]
+    for x in v + v:
+        prefix.append(prefix[-1] + x)
+    near, far = r // 2, (r + 1) // 2 + 1
+    grow_here = min(1, r - 1)
+    dv = sum(min(k, r - k) * x for k, x in enumerate(v))
+    total = 0
+    for i, x in enumerate(u):
+        total += x * dv
+        dv += (
+            grow_here * v[i]
+            - (prefix[i + near + 1] - prefix[i + 1])
+            + (prefix[i + r] - prefix[i + far])
+        )
+    return total
 
 
 def _check_cycle_cap(r: int) -> None:

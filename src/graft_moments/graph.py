@@ -98,6 +98,11 @@ class Graph:
         self._require(v)
         return len(self._adjacency[v])
 
+    @property
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, in vertex order."""
+        return [len(nbrs) for nbrs in self._adjacency.values()]
+
     def has_edge(self, u: int, v: int) -> bool:
         self._require(u)
         self._require(v)
@@ -329,6 +334,42 @@ def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _level_signatures(adjacency: list[list[int]]) -> list[tuple[int, ...]]:
+    """_level_sizes from every source, in one bit-parallel pass.
+
+    The loop of _row_sums_bit_parallel, keeping each vertex's count of new
+    sources per level: the sources at distance d from i are the vertices
+    at distance d from i.  A vertex leaves the scan once every source has
+    reached it or a level brings none (its component is done), so
+    disconnected graphs work too.  The row sum of i is
+    sum(d * size for d, size in enumerate(signature)).
+    """
+    n = len(adjacency)
+    everyone = (1 << n) - 1
+    frontier = [1 << i for i in range(n)]
+    reach = frontier[:]
+    sizes = [[1] for _ in range(n)]
+    active = range(n)
+    while active:
+        grown = [0] * n
+        still = []
+        for i in active:
+            known = reach[i]
+            seen = known
+            for j in adjacency[i]:
+                seen |= frontier[j]
+            new = seen ^ known
+            if new:
+                reach[i] = seen
+                sizes[i].append(new.bit_count())
+                grown[i] = new
+                if seen != everyone:
+                    still.append(i)
+        frontier = grown
+        active = still
+    return [tuple(row) for row in sizes]
+
+
 # -- isomorphism --------------------------------------------------------
 
 DEFAULT_ISO_CAP = 16
@@ -352,41 +393,55 @@ class _Invariants:
     __slots__ = ("adjacency", "signatures", "key", "masks", "by_signature")
 
     def __init__(self, g: Graph):
-        self.adjacency = _int_adjacency(g)
-        self.signatures = [
-            tuple(_level_sizes(self.adjacency, i)) for i in range(len(self.adjacency))
-        ]
-        self.key = tuple(sorted(self.signatures))
-        self.masks = [sum(1 << j for j in nbrs) for nbrs in self.adjacency]
+        adjacency = _int_adjacency(g)
+        self._fill(adjacency, _level_signatures(adjacency))
+
+    @classmethod
+    def of(cls, adjacency: list[list[int]], signatures: list[_Signature]) -> "_Invariants":
+        """Invariants of an int adjacency whose _level_signatures are known."""
+        invariants = cls.__new__(cls)
+        invariants._fill(adjacency, signatures)
+        return invariants
+
+    def _fill(self, adjacency: list[list[int]], signatures: list[_Signature]) -> None:
+        self.adjacency = adjacency
+        self.signatures = signatures
+        self.key = tuple(sorted(signatures))
+        self.masks = [sum(1 << j for j in nbrs) for nbrs in adjacency]
         self.by_signature: dict[_Signature, list[int]] = {}
-        for i, signature in enumerate(self.signatures):
+        for i, signature in enumerate(signatures):
             self.by_signature.setdefault(signature, []).append(i)
 
 
 def _search_order(rep: _Invariants) -> _SearchOrder:
-    """Visit rare signatures first, preferring vertices tied to placed ones."""
-    placed = 0
+    """Visit vertices tied to the most placed ones first, then rare signatures.
+
+    The next vertex minimises (-placed neighbours, vertices sharing its
+    signature, position), kept as one int rank per vertex: placing a
+    vertex lowers each neighbour's rank by one tie step.
+    """
+    n = len(rep.signatures)
+    tie = (n + 1) * n
+    rank = [
+        (n * (n + 1) + len(rep.by_signature[signature])) * n + i
+        for i, signature in enumerate(rep.signatures)
+    ]
     step_of: dict[int, int] = {}
     order = []
-    remaining = set(range(len(rep.signatures)))
+    remaining = set(range(n))
     while remaining:
-        best = min(
-            remaining,
-            key=lambda i: (
-                -(rep.masks[i] & placed).bit_count(),
-                len(rep.by_signature[rep.signatures[i]]),
-                i,
-            ),
-        )
+        best = min(remaining, key=rank.__getitem__)
+        neighbours = rep.adjacency[best]
         order.append(
             (
                 rep.signatures[best],
-                tuple(step_of[j] for j in rep.adjacency[best] if j in step_of),
+                tuple(step_of[j] for j in neighbours if j in step_of),
             )
         )
         step_of[best] = len(step_of)
-        placed |= 1 << best
         remaining.remove(best)
+        for j in neighbours:
+            rank[j] -= tie
     return order
 
 
@@ -430,6 +485,37 @@ def _maps_onto(order: _SearchOrder, other: _Invariants) -> bool:
         candidates[k] = iter(other.by_signature[signature])
 
 
+class _Classes:
+    """Isomorphism classes of a stream of graphs, fed as their invariants.
+
+    `members` lists each class's positions in the stream, classes in the
+    order they first appear.  A graph's key picks a bucket, and the graph
+    is tested by exact backtracking only against the earlier class
+    representatives in that bucket, so it joins at most one class.
+    """
+
+    __slots__ = ("members", "_buckets", "_count")
+
+    def __init__(self) -> None:
+        self.members: list[list[int]] = []
+        self._buckets: dict[tuple[_Signature, ...], list[tuple[_SearchOrder, list[int]]]] = {}
+        self._count = 0
+
+    def add(self, invariants: _Invariants) -> bool:
+        """File the next graph; True when it starts a new class."""
+        position = self._count
+        self._count += 1
+        bucket = self._buckets.setdefault(invariants.key, [])
+        for order, members in bucket:
+            if _maps_onto(order, invariants):
+                members.append(position)
+                return False
+        members = [position]
+        bucket.append((_search_order(invariants), members))
+        self.members.append(members)
+        return True
+
+
 def isomorphism_classes(
     graphs: Iterable[Graph], *, cap: int = DEFAULT_ISO_CAP
 ) -> list[tuple[Graph, list[int]]]:
@@ -437,29 +523,19 @@ def isomorphism_classes(
 
     Returns one (representative, member positions) pair per class, in
     the order classes first appear; the representative is the first
-    member.  Each graph's signatures are computed once and key a bucket;
-    a graph is tested by exact backtracking only against the earlier
-    representatives in its bucket, so it joins at most one class.  The
-    cap bounds every graph's order (search is exponential in the worst
-    case).  Only the representatives are kept, so `graphs` may be a
-    generator.
+    member.  Each graph's signatures are computed once (see _Classes).
+    The cap bounds every graph's order (search is exponential in the
+    worst case).  Only the representatives are kept, so `graphs` may be
+    a generator.
     """
-    classes: list[tuple[Graph, list[int]]] = []
-    buckets: dict[tuple[_Signature, ...], list[tuple[_SearchOrder, list[int]]]] = {}
-    for position, g in enumerate(graphs):
+    classes = _Classes()
+    representatives = []
+    for g in graphs:
         if g.order > cap:
             raise TooLarge(f"isomorphism test capped at order {cap}; got {g.order}")
-        invariants = _Invariants(g)
-        bucket = buckets.setdefault(invariants.key, [])
-        for order, members in bucket:
-            if _maps_onto(order, invariants):
-                members.append(position)
-                break
-        else:
-            members = [position]
-            bucket.append((_search_order(invariants), members))
-            classes.append((g, members))
-    return classes
+        if classes.add(_Invariants(g)):
+            representatives.append(g)
+    return list(zip(representatives, classes.members))
 
 
 def are_isomorphic(g1: Graph, g2: Graph, *, cap: int = DEFAULT_ISO_CAP) -> bool:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
 from .graph import Graph, bfs_distances, distance_row_sums
 from .weights import UNIT, WeightFunction, format_rational
@@ -27,10 +29,18 @@ def moment_at(g: Graph, weights: WeightFunction, u: int) -> Fraction:
 
 def moment(g: Graph, weights: WeightFunction) -> Fraction:
     """Total moment sum_u sum_v w(v) * dist(v, u), via row sums."""
-    result = Fraction(0)
-    for v, s in zip(g.vertices, distance_row_sums(g)):
-        result += weights.value(g, v) * s
-    return result
+    return _weighted_sum(weights, g.vertices, g.degrees, distance_row_sums(g))
+
+
+def _weighted_sum(
+    weights: WeightFunction,
+    vertices: Sequence[int],
+    degrees: Sequence[int],
+    row_sums: Sequence[int],
+) -> Fraction:
+    """sum_v w(v) * s(v): the weight vector's numerators, one division."""
+    numerators, denominator = weights.vector(vertices, degrees)
+    return Fraction(sum(map(mul, numerators, row_sums)), denominator)
 
 
 def zagreb_m1(g: Graph) -> Fraction:
@@ -70,17 +80,14 @@ def indices(g: Graph, weights: WeightFunction = UNIT) -> MomentReport:
     index -- hence the flagged name.
     """
     row_sums = distance_row_sums(g)
-    unit_moment = Fraction(sum(row_sums))
-    weighted = Fraction(0)
-    degree_dist = Fraction(0)
-    for v, s in zip(g.vertices, row_sums):
-        weighted += weights.value(g, v) * s
-        degree_dist += Fraction(g.degree(v)) * s
+    degrees = g.degrees
+    unit_moment = sum(row_sums)
+    degree_dist = Fraction(sum(map(mul, degrees, row_sums)))
     zagreb = zagreb_m1(g)
-    wiener = unit_moment / 2
+    wiener = Fraction(unit_moment, 2)
     return MomentReport(
-        moment=weighted,
-        mean_distance=unit_moment / (g.order**2),
+        moment=_weighted_sum(weights, g.vertices, degrees, row_sums),
+        mean_distance=Fraction(unit_moment, g.order**2),
         wiener=wiener,
         degree_distance=degree_dist,
         zagreb1=zagreb,

@@ -16,7 +16,7 @@ spec therefore yields byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -24,9 +24,17 @@ from .errors import (
     DuplicateReceptor,
     GraphFormatError,
     OrderMismatch,
+    TooLarge,
     UnknownVertex,
 )
-from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_connected
+from .graph import (
+    MAX_ORDER,
+    Graph,
+    _int_adjacency,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    is_connected,
+)
 from .weights import (
     UNIT,
     ConstantWeight,
@@ -228,6 +236,56 @@ def permutation_graph(
         for x, s in zip(host.vertices, sigma)
     )
     return graft(GraftSpec(host, attachments, host_weights))
+
+
+def _permutation_adjacencies(
+    host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]
+) -> Iterator[list[list[int]]]:
+    """Int adjacency of each sigma's permutation product, without a Graph.
+
+    Position v of the result is product vertex v of permutation_graph's
+    numbering (host positions 0..r-1, then copy i's non-root vertices in
+    branch order from r + i*(r-1)), and neighbour lists are sorted, so it
+    equals _int_adjacency(permutation_graph(host, branch, sigma).graph).
+    The factors are checked as graft checks them, then the product order
+    r*r against MAX_ORDER, before the first product is built.  Orders must
+    be equal and each sigma a permutation of 1..r.
+    """
+    r = host.order
+    # every copy is the same branch, so one (receptor, branch, root) covers them
+    _validate_factors(host, [(x, branch, branch.vertices[0]) for x in host.vertices[:1]])
+    if r * r > MAX_ORDER:
+        raise TooLarge(f"graph order {r * r} exceeds cap {MAX_ORDER}")
+    host_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(host)]
+    branch_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(branch)]
+    # per root position: the copy offsets of the root's neighbours, and for
+    # each non-root vertex whether it touches the root plus its other
+    # neighbours' offsets (a non-root vertex p sits at offset p or p - 1)
+    layouts = []
+    for root, root_nbrs in enumerate(branch_adjacency):
+        offsets = [p - (p > root) for p in range(r)]
+        layouts.append(
+            (
+                [offsets[q] for q in root_nbrs],
+                [
+                    (root in nbrs, [offsets[q] for q in nbrs if q != root])
+                    for p, nbrs in enumerate(branch_adjacency)
+                    if p != root
+                ],
+            )
+        )
+    for sigma in sigmas:
+        adjacency = []
+        copies = []
+        for i, s in enumerate(sigma):
+            root_offsets, rest = layouts[s - 1]
+            base = r + i * (r - 1)
+            adjacency.append(host_adjacency[i] + [base + o for o in root_offsets])
+            for touches_root, others in rest:
+                row = [base + o for o in others]
+                copies.append([i, *row] if touches_root else row)
+        adjacency += copies
+        yield adjacency
 
 
 def hierarchical_product(

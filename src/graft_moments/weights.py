@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
     EmptyGraph,
+    GraftMomentsError,
     GraphFormatError,
     NegativeWeight,
     ProvenanceMismatch,
@@ -53,10 +55,28 @@ def _as_rational(value) -> Fraction:
         raise GraphFormatError(f"bad rational value {value!r}: {exc}") from None
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator (1 for no values)."""
+    den = lcm(*{w.denominator for w in values})
+    return [w.numerator * (den // w.denominator) for w in values], den
+
+
 class WeightFunction:
-    """Base class; subclasses define value(graph, vertex)."""
+    """Base class; subclasses define value(graph, vertex) and vector."""
 
     def value(self, g: Graph, v: int) -> Fraction:
+        raise NotImplementedError
+
+    def vector(
+        self, vertices: Sequence[int], degrees: Sequence[int]
+    ) -> tuple[list[int], int]:
+        """(numerators, denominator): the weights as ints over one denominator.
+
+        numerators[i] / denominator == value(g, vertices[i]) when
+        degrees[i] is that vertex's degree in g; moments then sum in ints
+        and divide once.  A bad vertex raises what value raises, at the
+        first one in vertex order.
+        """
         raise NotImplementedError
 
     def total(self, g: Graph) -> Fraction:
@@ -78,6 +98,9 @@ class DegreeWeight(WeightFunction):
     def value(self, g: Graph, v: int) -> Fraction:
         return Fraction(g.degree(v))
 
+    def vector(self, vertices, degrees):
+        return list(degrees), 1
+
 
 class ConstantWeight(WeightFunction):
     """Every vertex weighs the same nonnegative rational.
@@ -98,6 +121,10 @@ class ConstantWeight(WeightFunction):
         if v not in g:
             raise UnknownVertex(f"vertex {v!r} is not in the graph")
         return self.constant
+
+    def vector(self, vertices, degrees):
+        c = self.constant
+        return [c.numerator] * len(vertices), c.denominator
 
     def __repr__(self) -> str:
         return f"ConstantWeight({self.constant})"
@@ -121,6 +148,17 @@ class ExplicitWeight(WeightFunction):
             raise NegativeWeight(f"weight {w} at vertex {v!r} is negative")
         return w
 
+    def vector(self, vertices, degrees):
+        values = []
+        for v in vertices:
+            w = self.values.get(v)
+            if w is None:
+                raise UnknownVertex(f"weight map has no entry for vertex {v!r}")
+            if w < 0:
+                raise NegativeWeight(f"weight {w} at vertex {v!r} is negative")
+            values.append(w)
+        return _over_common_denominator(values)
+
     def __repr__(self) -> str:
         return f"ExplicitWeight({self.values})"
 
@@ -142,6 +180,28 @@ class AffineWeight(WeightFunction):
                 f"affine weight {w} at vertex {v!r} is negative"
             )
         return w
+
+    def vector(self, vertices, degrees):
+        try:
+            base, base_den = self.base.vector(vertices, degrees)
+        except GraftMomentsError:
+            # value checks each vertex's base and affine weight in turn, so
+            # a negative affine weight before the base's bad vertex wins
+            if len(vertices) > 1:
+                for v, d in zip(vertices, degrees):
+                    self.vector((v,), (d,))
+            raise
+        scale, shift = self.scale, self.shift
+        den = lcm(scale.denominator * base_den, shift.denominator)
+        a = scale.numerator * (den // (scale.denominator * base_den))
+        c = shift.numerator * (den // shift.denominator)
+        numerators = [a * x + c for x in base]
+        for v, x in zip(vertices, numerators):
+            if x < 0:
+                raise NegativeWeight(
+                    f"affine weight {Fraction(x, den)} at vertex {v!r} is negative"
+                )
+        return numerators, den
 
     def __repr__(self) -> str:
         return f"AffineWeight({self.scale}, {self.base!r}, {self.shift})"

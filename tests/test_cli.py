@@ -3,13 +3,33 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
-from graft_moments import graph_to_json_dict
+from graft_moments import cli
+from graft_moments import graph as graph_module
+from graft_moments import moments as moments_module
+from graft_moments import products as products_module
+from graft_moments import (
+    Graph,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    moment,
+    parse_weight_spec,
+    permutation_graph,
+)
 from graft_moments.cli import SEED_ENV_VAR, main
-from graft_moments.graph import cycle_graph, diamond_graph, path_graph
+from graft_moments.graph import (
+    _int_adjacency,
+    _level_sizes,
+    cycle_graph,
+    diamond_graph,
+    path_graph,
+)
+from graft_moments.randgen import random_connected_graph
 
 
 def write_json(path, obj) -> str:
@@ -282,6 +302,116 @@ def test_isomoment_stdout_is_golden(tmp_path, capsys, host, branch, classes, dig
     assert code == 0
     assert len(json.loads(out)["classes"]) == classes
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# r = 6, 720 products in 180 classes; sha256 of the stdout printed while
+# every product was still built as a Graph and its moments taken by moment()
+ISOMOMENT_R6_HOST = {
+    "vertices": [84, 97, 65, 30, 91, 60],
+    "edges": [[97, 84], [30, 84], [65, 84], [84, 91], [65, 97], [91, 97], [97, 60],
+              [91, 30], [65, 60], [91, 60]],
+}
+ISOMOMENT_R6_BRANCH = {
+    "vertices": [75, 56, 67, 96, 33, 81],
+    "edges": [[75, 56], [96, 75], [75, 81], [67, 56], [96, 33], [67, 81]],
+}
+
+
+def test_isomoment_r6_stdout_is_golden(tmp_path, capsys):
+    host_path = write_json(tmp_path / "host.json", ISOMOMENT_R6_HOST)
+    branch_path = write_json(tmp_path / "branch.json", ISOMOMENT_R6_BRANCH)
+    code, out, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path,
+        "--weights", "unit,half,degree,const:7/3",
+    )
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == 180
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f896168fb1683d1c9cd41ccc0fdbe7645c1a8449f83bd5f9322f2eb4c5bc356e"
+    )
+
+
+def _random_pairs(count: int) -> list[tuple[Graph, Graph]]:
+    rng = random.Random(606)
+    pairs = []
+    for _ in range(count):
+        r = rng.randint(1, 5)
+        host, branch = (_relabeled(random_connected_graph(rng, r), rng) for _ in range(2))
+        pairs.append((host, branch))
+    return pairs
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    ids = rng.sample(range(100), g.order)
+    order = list(range(g.order))
+    rng.shuffle(order)
+    return Graph([ids[i] for i in order], [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+ISOMOMENT_PAIRS = [
+    (graph_from_json_dict(host), graph_from_json_dict(branch))
+    for host, branch, _, _ in ISOMOMENT_GOLDEN
+] + _random_pairs(20)
+
+
+@pytest.mark.parametrize("host,branch", ISOMOMENT_PAIRS)
+def test_isomoment_product_passes_match_built_products(tmp_path, host, branch):
+    r = host.order
+    rng = random.Random(r * 1000 + branch.edge_count)
+    file_weights = write_json(
+        tmp_path / "w.json",
+        {str(v): f"{rng.randint(0, 20)}/{rng.randint(1, 5)}" for v in range(r * r)},
+    )
+    specs = ["unit", "half", "degree", "const:7/3", f"file:{file_weights}"]
+    weight_functions = [parse_weight_spec(spec) for spec in specs]
+    sigmas = list(itertools.permutations(range(1, r + 1)))
+    passes = cli._product_passes(host, branch, sigmas, weight_functions)
+    for sigma, (adjacency, signatures, moments) in zip(sigmas, passes, strict=True):
+        product = permutation_graph(host, branch, sigma).graph
+        assert adjacency == _int_adjacency(product)
+        assert signatures == [tuple(_level_sizes(adjacency, i)) for i in range(r * r)]
+        assert moments == [moment(product, w) for w in weight_functions]
+
+
+def test_isomoment_builds_a_graph_only_per_class(tmp_path, capsys, monkeypatch):
+    host, branch, classes, _ = ISOMOMENT_GOLDEN[1]
+    host_path = write_json(tmp_path / "host.json", host)
+    branch_path = write_json(tmp_path / "branch.json", branch)
+    built = []
+    init = graph_module.Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomoment built a product the slow way")
+
+    monkeypatch.setattr(graph_module.Graph, "__init__", counting_init)
+    for module, name in [
+        (products_module, "permutation_graph"),
+        (moments_module, "moment"),
+        (graph_module, "distance_row_sums"),
+        (graph_module, "isomorphism_classes"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(cli, name, refuse, raising=False)
+    code, out, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
+    )
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == classes
+    assert len(built) <= 2 + classes
+
+
+def test_isomoment_keeps_the_product_order_cap(tmp_path, capsys):
+    # order-101 factors give products of order 10,201
+    host = graph_file(tmp_path, path_graph(101), "host.json")
+    branch = graph_file(tmp_path, cycle_graph(101), "branch.json")
+    code, out, err = run_cli(capsys, "isomoment", host, branch, "--count", "3")
+    assert code == 3
+    assert out == ""
+    assert err.endswith("error: graph order 10201 exceeds cap 10000\n")
 
 
 @pytest.mark.parametrize("weights", ["unit,file:{}", "degree,file:{},unit"])

@@ -57,7 +57,7 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
-from graft_moments import graph, verify
+from graft_moments import closed_forms, graph, verify
 from graft_moments.closed_forms import _cycle_quadratic
 from graft_moments.verify import _build_cycle_product
 from graft_moments.verify import _comparison_oracle as comparison_oracle
@@ -518,6 +518,64 @@ def test_cycle_quadratic_matches_distance_matrix():
             u[i] * entries[i][j] * v[j] for i in range(r) for j in range(r)
         )
         assert _cycle_quadratic(u, v) == expected
+
+
+def test_cycle_quadratic_is_linear_time_and_exact_at_the_cap():
+    # 1^T D 1 = r * theta(r); the O(r^2) double loop took seconds here
+    r = 10_000
+    assert _cycle_quadratic([1] * r, [1] * r) == r * cycle_distance_row_sum(r)
+    rng = random.Random(115)
+    for r in (13, 20, 31, 64):
+        u = [rng.randint(-4, 9) for _ in range(r)]
+        v = [rng.randint(-4, 9) for _ in range(r)]
+        expected = sum(
+            u[i] * min(abs(i - j), r - abs(i - j)) * v[j]
+            for i in range(r)
+            for j in range(r)
+        )
+        assert _cycle_quadratic(u, v) == expected
+
+
+def test_graft_forms_run_each_distinct_branch_pass_once(monkeypatch, p3, p4, c3, diamond):
+    # equal but distinct Graph objects count as one branch
+    p4_again = Graph(list(p4.vertices), list(p4.edges()))
+    spec = GraftSpec(
+        diamond,
+        (
+            Attachment(0, p4, 1, DEGREE),
+            Attachment(1, p4_again, 1, ConstantWeight(3)),
+            Attachment(1, p4, 0, UNIT),
+            Attachment(2, c3, 0, UNIT),
+            Attachment(3, c3, 0, DEGREE),
+            Attachment(3, p3, 2, ConstantWeight(Fraction(1, 2))),
+        ),
+        DEGREE,
+    )
+    expected = oracle_moment(spec)
+    row_sum_graphs, bfs_sources = [], []
+    row_sums, bfs = closed_forms.distance_row_sums, closed_forms.bfs_distances
+
+    def counting_row_sums(g):
+        row_sum_graphs.append(g)
+        return row_sums(g)
+
+    def counting_bfs(g, source):
+        bfs_sources.append((g, source))
+        return bfs(g, source)
+
+    monkeypatch.setattr(closed_forms, "distance_row_sums", counting_row_sums)
+    monkeypatch.setattr(closed_forms, "bfs_distances", counting_bfs)
+    family = attachments_by_receptor(spec)
+    for form in (
+        lambda: graft_moment_formula(spec),
+        lambda: family_graft_moment_formula(diamond, DEGREE, family),
+    ):
+        assert form() == expected
+        assert sorted(map(id, row_sum_graphs)) == sorted(map(id, [diamond, p4, c3, p3]))
+        branch_roots = [(g, y) for g, y in bfs_sources if g is not diamond]
+        assert branch_roots == [(p4, 1), (p4, 0), (c3, 0), (p3, 2)]
+        row_sum_graphs.clear()
+        bfs_sources.clear()
 
 
 # -- independence from the oracle's distance matrix -----------------------------

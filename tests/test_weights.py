@@ -30,7 +30,11 @@ from graft_moments import (
     parse_weight_spec,
     path_graph,
 )
-from graft_moments.randgen import random_connected_graph, random_weight_function
+from graft_moments.randgen import (
+    random_connected_graph,
+    random_rational,
+    random_weight_function,
+)
 
 
 def test_parse_rational():
@@ -198,3 +202,69 @@ def test_parse_weight_spec_rejects_garbage(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(GraphFormatError):
         parse_weight_spec(f"file:{path}")
+
+
+# -- integer weight vectors ------------------------------------------------------
+
+
+def _vector_values(w, g: Graph) -> list[Fraction]:
+    numerators, denominator = w.vector(g.vertices, g.degrees)
+    assert isinstance(denominator, int) and denominator > 0
+    assert all(isinstance(x, int) for x in numerators)
+    return [Fraction(x, denominator) for x in numerators]
+
+
+def test_vector_agrees_with_value_for_every_kind():
+    rng = random.Random(14)
+    mixed = [Fraction(1, 2), Fraction(2, 3), Fraction(5), Fraction(0), Fraction(7, 10)]
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(1, 9))
+        explicit = ExplicitWeight(
+            {v: mixed[v] if v < len(mixed) else random_rational(rng) for v in g.vertices}
+        )
+        kinds = [
+            UNIT, HALF, DEGREE, ConstantWeight(Fraction(7, 3)), ConstantWeight(0),
+            explicit, random_weight_function(rng, g),
+            AffineWeight(Fraction(3, 4), explicit, Fraction(5, 6)),
+            AffineWeight(2, AffineWeight(Fraction(1, 3), DEGREE, Fraction(1, 2)), Fraction(1, 5)),
+            AffineWeight(-1, UNIT, 1),  # zero everywhere
+        ]
+        for w in kinds:
+            assert _vector_values(w, g) == [w.value(g, v) for v in g.vertices]
+
+
+def test_vector_of_no_vertices_is_empty():
+    for w in [UNIT, HALF, DEGREE, ExplicitWeight({}), AffineWeight(2, HALF, Fraction(1, 3))]:
+        numerators, denominator = w.vector((), ())
+        assert numerators == [] and denominator > 0
+
+
+def _first_value_error(w, g: Graph) -> tuple[type, str] | None:
+    for v in g.vertices:
+        try:
+            w.value(g, v)
+        except (UnknownVertex, NegativeWeight) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        ExplicitWeight({0: 1, 1: 2, 3: 1}),  # 2 missing
+        ExplicitWeight({0: 1, 1: Fraction(-1, 2), 3: 1}),  # negative before missing
+        ExplicitWeight({0: 1, 2: -3, 3: 1, 1: 4}),
+        AffineWeight(1, ExplicitWeight({0: 1, 1: 2, 3: 1}), 0),  # base missing at 2
+        # affine negative at 1 before the base's missing vertex 2
+        AffineWeight(-1, ExplicitWeight({0: 0, 1: 2, 3: 1}), 1),
+        AffineWeight(1, ExplicitWeight({0: 0, 1: 2, 2: -1, 3: 1}), Fraction(1, 2)),  # affine at 2
+        AffineWeight(-1, DEGREE, Fraction(3, 2)),  # negative at the degree-2 vertices 1 and 2
+        AffineWeight(2, AffineWeight(-1, UNIT, 0), 1),  # inner affine negative at 0
+    ],
+)
+def test_vector_raises_like_value_at_the_first_bad_vertex(p4, w):
+    expected = _first_value_error(w, p4)
+    assert expected is not None
+    with pytest.raises(expected[0]) as got:
+        w.vector(p4.vertices, p4.degrees)
+    assert str(got.value) == expected[1]
