@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -117,12 +116,10 @@ class _Factor:
 
     __slots__ = ("graph", "values", "row_sums", "total", "moment")
 
-    def __init__(
-        self, g: Graph, weights: WeightFunction, row_sums: Sequence[int] | None = None
-    ):
+    def __init__(self, g: Graph, weights: WeightFunction):
         self.graph = g
         self.values = [weights.value(g, v) for v in g.vertices]
-        self.row_sums = distance_row_sums(g) if row_sums is None else row_sums
+        self.row_sums = distance_row_sums(g)
         self.total = sum(self.values, Fraction(0))
         self.moment = sum(map(mul, self.values, self.row_sums), Fraction(0))
 
@@ -134,30 +131,6 @@ class _Factor:
     def point_moment(self, row: list[int], scale, shift) -> Fraction:
         """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
         return scale * sum(map(mul, self.values, row), Fraction(0)) + shift * sum(row)
-
-
-def _rooted_factors(
-    branches: Iterable[tuple[Graph, int, WeightFunction]],
-) -> list[tuple[_Factor, list[int]]]:
-    """Each branch's _Factor and its root's row, in order.
-
-    Within one call the row sums are computed once per distinct branch
-    graph (Graph equality is structural) and the root row once per
-    distinct (branch, root); the weights are evaluated for every branch.
-    """
-    row_sums: dict[Graph, tuple[int, ...]] = {}
-    root_rows: dict[tuple[Graph, int], list[int]] = {}
-    out = []
-    for branch, root, weights in branches:
-        sums = row_sums.get(branch)
-        if sums is None:
-            sums = row_sums[branch] = distance_row_sums(branch)
-        f = _Factor(branch, weights, sums)
-        row = root_rows.get((branch, root))
-        if row is None:
-            row = root_rows[(branch, root)] = f.row(root)
-        out.append((f, row))
-    return out
 
 
 # -- general graft products -------------------------------------------------
@@ -177,22 +150,22 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     host = spec.host
     _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
     h = _Factor(host, spec.host_weights)
-    factors = _rooted_factors((a.branch, a.root, a.weights) for a in spec.attachments)
-    grand_total = h.total + sum((f.total for f, _ in factors), Fraction(0))
+    factors = [_Factor(a.branch, a.weights) for a in spec.attachments]
+    grand_total = h.total + sum((f.total for f in factors), Fraction(0))
     product_order = spec.product_order
     attached = dict.fromkeys(host.vertices, Fraction(0))
-    for att, (f, _) in zip(spec.attachments, factors):
+    for att, f in zip(spec.attachments, factors):
         attached[att.receptor] += f.total
     rows = {x: h.row(x) for x in dict.fromkeys(a.receptor for a in spec.attachments)}
 
     result = h.moment
-    for att, (f, root_row) in zip(spec.attachments, factors):
+    for att, f in zip(spec.attachments, factors):
         grown = att.branch.order - 1
         row = rows[att.receptor]
         result += f.moment
         result += h.point_moment(row, grown, f.total)
         result += f.point_moment(
-            root_row, product_order - att.branch.order, grand_total - f.total
+            f.row(att.root), product_order - att.branch.order, grand_total - f.total
         )
         result += grown * sum(map(mul, row, attached.values()), Fraction(0))
     return result
@@ -213,12 +186,11 @@ def family_graft_moment_formula(
     _validate_factors(
         host, ((x, b, root) for x, bs in family.items() for b, root, _ in bs)
     )
-    factors = _rooted_factors(branch for bs in family.values() for branch in bs)
-    totals = (f.total for f, _ in factors)
+    factors = {x: [_Factor(b, beta) for b, _, beta in bs] for x, bs in family.items()}
     vectors = HostVectors.from_family(
         host,
         family,
-        {x: sum(islice(totals, len(bs)), Fraction(0)) for x, bs in family.items()},
+        {x: sum((f.total for f in fs), Fraction(0)) for x, fs in factors.items()},
     )
     h = _Factor(host, alpha)
     product_order = vectors.product_order
@@ -230,11 +202,12 @@ def family_graft_moment_formula(
     for x, n_x in zip(host.vertices, vectors.block_orders):
         if n_x > 1:
             result += (n_x - 1) * sum(map(mul, grown_weights, h.row(x)), Fraction(0))
-    for f, root_row in factors:
-        result += f.moment
-        result += f.point_moment(
-            root_row, product_order - f.graph.order, grand_total - f.total
-        )
+    for x, branches in family.items():
+        for (branch, root, _), f in zip(branches, factors[x]):
+            result += f.moment
+            result += f.point_moment(
+                f.row(root), product_order - branch.order, grand_total - f.total
+            )
     return result
 
 
@@ -251,14 +224,14 @@ def flower_moment_formula(
         raise NegativeWeight(f"center weight {center} is negative")
     _validate_factors(None, ((None, branch, root) for branch, root, _ in branches))
     r = len(branches)
-    factors = _rooted_factors(branches)
+    factors = [_Factor(branch, beta) for branch, _, beta in branches]
     order_sum = sum(branch.order for branch, _, _ in branches)
-    total_sum = sum((f.total for f, _ in factors), Fraction(0))
+    total_sum = sum((f.total for f in factors), Fraction(0))
     result = Fraction(0)
-    for f, root_row in factors:
+    for (branch, root, _), f in zip(branches, factors):
         result += f.moment
         result += f.point_moment(
-            root_row, order_sum - f.graph.order - r + 1, center + total_sum - f.total
+            f.row(root), order_sum - branch.order - r + 1, center + total_sum - f.total
         )
     return result
 

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 
 from .errors import (
     EmptyGraph,
-    GraftMomentsError,
     GraphFormatError,
     NegativeWeight,
     ProvenanceMismatch,
@@ -62,9 +61,13 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int
 
 
 class WeightFunction:
-    """Base class; subclasses define value(graph, vertex) and vector."""
+    """Base class; subclasses define _at(vertex, degree)."""
 
     def value(self, g: Graph, v: int) -> Fraction:
+        return self._at(v, g.degree(v))
+
+    def _at(self, v: int, degree: int) -> Fraction:
+        """The weight of vertex v, whose degree is given; raises on a bad one."""
         raise NotImplementedError
 
     def vector(
@@ -77,7 +80,7 @@ class WeightFunction:
         and divide once.  A bad vertex raises what value raises, at the
         first one in vertex order.
         """
-        raise NotImplementedError
+        return _over_common_denominator(list(map(self._at, vertices, degrees)))
 
     def total(self, g: Graph) -> Fraction:
         """Sum of the weight over all vertices of g."""
@@ -95,8 +98,8 @@ class WeightFunction:
 class DegreeWeight(WeightFunction):
     """Weight = vertex degree; the moment is the degree distance."""
 
-    def value(self, g: Graph, v: int) -> Fraction:
-        return Fraction(g.degree(v))
+    def _at(self, v: int, degree: int) -> Fraction:
+        return Fraction(degree)
 
     def vector(self, vertices, degrees):
         return list(degrees), 1
@@ -117,9 +120,7 @@ class ConstantWeight(WeightFunction):
             raise NegativeWeight(f"constant weight {c} is negative")
         self.constant = c
 
-    def value(self, g: Graph, v: int) -> Fraction:
-        if v not in g:
-            raise UnknownVertex(f"vertex {v!r} is not in the graph")
+    def _at(self, v: int, degree: int) -> Fraction:
         return self.constant
 
     def vector(self, vertices, degrees):
@@ -138,26 +139,13 @@ class ExplicitWeight(WeightFunction):
     def __init__(self, values: Mapping[int, object]):
         self.values = {v: _as_rational(w) for v, w in values.items()}
 
-    def value(self, g: Graph, v: int) -> Fraction:
-        if v not in g:
-            raise UnknownVertex(f"vertex {v!r} is not in the graph")
+    def _at(self, v: int, degree: int) -> Fraction:
         if v not in self.values:
             raise UnknownVertex(f"weight map has no entry for vertex {v!r}")
         w = self.values[v]
         if w < 0:
             raise NegativeWeight(f"weight {w} at vertex {v!r} is negative")
         return w
-
-    def vector(self, vertices, degrees):
-        values = []
-        for v in vertices:
-            w = self.values.get(v)
-            if w is None:
-                raise UnknownVertex(f"weight map has no entry for vertex {v!r}")
-            if w < 0:
-                raise NegativeWeight(f"weight {w} at vertex {v!r} is negative")
-            values.append(w)
-        return _over_common_denominator(values)
 
     def __repr__(self) -> str:
         return f"ExplicitWeight({self.values})"
@@ -173,35 +161,13 @@ class AffineWeight(WeightFunction):
         self.base = base
         self.shift = _as_rational(shift)
 
-    def value(self, g: Graph, v: int) -> Fraction:
-        w = self.scale * self.base.value(g, v) + self.shift
+    def _at(self, v: int, degree: int) -> Fraction:
+        w = self.scale * self.base._at(v, degree) + self.shift
         if w < 0:
             raise NegativeWeight(
                 f"affine weight {w} at vertex {v!r} is negative"
             )
         return w
-
-    def vector(self, vertices, degrees):
-        try:
-            base, base_den = self.base.vector(vertices, degrees)
-        except GraftMomentsError:
-            # value checks each vertex's base and affine weight in turn, so
-            # a negative affine weight before the base's bad vertex wins
-            if len(vertices) > 1:
-                for v, d in zip(vertices, degrees):
-                    self.vector((v,), (d,))
-            raise
-        scale, shift = self.scale, self.shift
-        den = lcm(scale.denominator * base_den, shift.denominator)
-        a = scale.numerator * (den // (scale.denominator * base_den))
-        c = shift.numerator * (den // shift.denominator)
-        numerators = [a * x + c for x in base]
-        for v, x in zip(vertices, numerators):
-            if x < 0:
-                raise NegativeWeight(
-                    f"affine weight {Fraction(x, den)} at vertex {v!r} is negative"
-                )
-        return numerators, den
 
     def __repr__(self) -> str:
         return f"AffineWeight({self.scale}, {self.base!r}, {self.shift})"

@@ -57,7 +57,7 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
-from graft_moments import closed_forms, graph, verify
+from graft_moments import graph, verify
 from graft_moments.closed_forms import _cycle_quadratic
 from graft_moments.verify import _build_cycle_product
 from graft_moments.verify import _comparison_oracle as comparison_oracle
@@ -536,46 +536,30 @@ def test_cycle_quadratic_is_linear_time_and_exact_at_the_cap():
         assert _cycle_quadratic(u, v) == expected
 
 
-def test_graft_forms_run_each_distinct_branch_pass_once(monkeypatch, p3, p4, c3, diamond):
-    # equal but distinct Graph objects count as one branch
-    p4_again = Graph(list(p4.vertices), list(p4.edges()))
+def test_graft_forms_with_equal_branches_in_different_vertex_orders(p3, diamond):
+    # Graph equality ignores vertex order; each branch's rows must follow its own
+    p3_reordered = Graph([1, 0, 2], list(p3.edges()))
+    assert p3_reordered == p3 and p3_reordered.vertices != p3.vertices
+    uneven = ExplicitWeight({0: 3, 1: Fraction(1, 2), 2: 0})
+    branches = [
+        (p3, 0, DEGREE),
+        (p3_reordered, 0, DEGREE),
+        (p3, 1, uneven),
+        (p3_reordered, 1, uneven),
+    ]
     spec = GraftSpec(
         diamond,
-        (
-            Attachment(0, p4, 1, DEGREE),
-            Attachment(1, p4_again, 1, ConstantWeight(3)),
-            Attachment(1, p4, 0, UNIT),
-            Attachment(2, c3, 0, UNIT),
-            Attachment(3, c3, 0, DEGREE),
-            Attachment(3, p3, 2, ConstantWeight(Fraction(1, 2))),
-        ),
+        tuple(Attachment(x, b, y, w) for x, (b, y, w) in zip([0, 0, 2, 3], branches)),
         DEGREE,
     )
     expected = oracle_moment(spec)
-    row_sum_graphs, bfs_sources = [], []
-    row_sums, bfs = closed_forms.distance_row_sums, closed_forms.bfs_distances
-
-    def counting_row_sums(g):
-        row_sum_graphs.append(g)
-        return row_sums(g)
-
-    def counting_bfs(g, source):
-        bfs_sources.append((g, source))
-        return bfs(g, source)
-
-    monkeypatch.setattr(closed_forms, "distance_row_sums", counting_row_sums)
-    monkeypatch.setattr(closed_forms, "bfs_distances", counting_bfs)
-    family = attachments_by_receptor(spec)
-    for form in (
-        lambda: graft_moment_formula(spec),
-        lambda: family_graft_moment_formula(diamond, DEGREE, family),
-    ):
-        assert form() == expected
-        assert sorted(map(id, row_sum_graphs)) == sorted(map(id, [diamond, p4, c3, p3]))
-        branch_roots = [(g, y) for g, y in bfs_sources if g is not diamond]
-        assert branch_roots == [(p4, 1), (p4, 0), (c3, 0), (p3, 2)]
-        row_sum_graphs.clear()
-        bfs_sources.clear()
+    assert graft_moment_formula(spec) == expected
+    assert family_graft_moment_formula(diamond, DEGREE, attachments_by_receptor(spec)) == (
+        expected
+    )
+    center = Fraction(1, 3)
+    product = flower(center, branches)
+    assert flower_moment_formula(center, branches) == moment(product.graph, product.gamma)
 
 
 # -- independence from the oracle's distance matrix -----------------------------
