@@ -6,19 +6,21 @@ inputs -- factor moments, branch orders, total weights, host distances
 matrix: each factor graph gets one `distance_row_sums` pass for its
 moment, and a point moment costs one BFS from its vertex
 (`bfs_distances`), whose row gives it by linearity,
-M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Host
-distances between receptors come from those same rows, and distances on
-a cycle host from min(|i - j|, r - |i - j|).  Every formula is certified
-against the brute-force oracle (build the product, run BFS from every
-vertex, sum) by the verify module and the test suite; agreement is
-exact, never approximate.
+M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Weights
+enter as int numerators over one denominator (`WeightFunction.vector`),
+so totals, moments and point moments are int dot products divided once.
+Host distances between receptors come from those same rows, and
+distances on a cycle host from min(|i - j|, r - |i - j|).  Every formula
+is certified against the brute-force oracle (build the product, run BFS
+from every vertex, sum) by the verify module and the test suite;
+agreement is exact, never approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import MAX_ORDER, Graph, bfs_distances, cycle_graph, distance_row_sums
-from .weights import DEGREE, UNIT, WeightFunction
+from .weights import DEGREE, UNIT, WeightFunction, _over_common_denominator
 from .products import GraftSpec, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
@@ -112,16 +114,25 @@ class HostVectors:
 
 
 class _Factor:
-    """Weights and distance row sums of one factor graph, in vertex order."""
+    """Weights and distance row sums of one factor graph, in vertex order.
 
-    __slots__ = ("graph", "values", "row_sums", "total", "moment")
+    The weights are int numerators over one denominator
+    (WeightFunction.vector), so the total, the moment and each point
+    moment are int dot products with one division each.
+    """
+
+    __slots__ = ("graph", "numerators", "denominator", "row_sums", "total", "moment")
 
     def __init__(self, g: Graph, weights: WeightFunction):
         self.graph = g
-        self.values = [weights.value(g, v) for v in g.vertices]
+        self.numerators, self.denominator = weights.vector(g.vertices, g.degrees)
         self.row_sums = distance_row_sums(g)
-        self.total = sum(self.values, Fraction(0))
-        self.moment = sum(map(mul, self.values, self.row_sums), Fraction(0))
+        self.total = Fraction(sum(self.numerators), self.denominator)
+        self.moment = self.weighted(self.row_sums)
+
+    def weighted(self, column: Sequence[int]) -> Fraction:
+        """sum_v w(v) * column[v], over vertices in vertex order."""
+        return Fraction(sum(map(mul, self.numerators, column)), self.denominator)
 
     def row(self, y: int) -> list[int]:
         """dist(y, v) for every vertex v, in vertex order: one BFS."""
@@ -130,7 +141,7 @@ class _Factor:
 
     def point_moment(self, row: list[int], scale, shift) -> Fraction:
         """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
-        return scale * sum(map(mul, self.values, row), Fraction(0)) + shift * sum(row)
+        return scale * self.weighted(row) + shift * sum(row)
 
 
 # -- general graft products -------------------------------------------------
@@ -144,8 +155,8 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     xi_i = (|V_i|-1)*a + B_i and eta_i = (|V|-|V_i|)*b_i + (W - B_i).
     The sums run over the attachment list, so repeated receptors are fine.
     The cross term is summed as sum_i (|V_i|-1) * <row(x_i), A>, with A
-    the branch weight glued at each host vertex: one host BFS per
-    receptor, one branch BFS per root.
+    the branch weight glued at each host vertex (ints over A's common
+    denominator): one host BFS per receptor, one branch BFS per root.
     """
     host = spec.host
     _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
@@ -156,9 +167,13 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     attached = dict.fromkeys(host.vertices, Fraction(0))
     for att, f in zip(spec.attachments, factors):
         attached[att.receptor] += f.total
+    attached_numerators, attached_denominator = _over_common_denominator(
+        list(attached.values())
+    )
     rows = {x: h.row(x) for x in dict.fromkeys(a.receptor for a in spec.attachments)}
 
     result = h.moment
+    cross = 0
     for att, f in zip(spec.attachments, factors):
         grown = att.branch.order - 1
         row = rows[att.receptor]
@@ -167,8 +182,8 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
         result += f.point_moment(
             f.row(att.root), product_order - att.branch.order, grand_total - f.total
         )
-        result += grown * sum(map(mul, row, attached.values()), Fraction(0))
-    return result
+        cross += grown * sum(map(mul, row, attached_numerators))
+    return result + Fraction(cross, attached_denominator)
 
 
 def family_graft_moment_formula(
@@ -197,11 +212,19 @@ def family_graft_moment_formula(
     attached = vectors.attached_totals
     grand_total = h.total + sum(attached, Fraction(0))
 
-    result = h.moment + sum(map(mul, attached, h.row_sums), Fraction(0))
-    grown_weights = list(map(add, h.values, attached))
+    attached_numerators, attached_denominator = _over_common_denominator(attached)
+    host_cross = 0
+    attached_cross = sum(map(mul, attached_numerators, h.row_sums))
     for x, n_x in zip(host.vertices, vectors.block_orders):
         if n_x > 1:
-            result += (n_x - 1) * sum(map(mul, grown_weights, h.row(x)), Fraction(0))
+            row = h.row(x)
+            host_cross += (n_x - 1) * sum(map(mul, h.numerators, row))
+            attached_cross += (n_x - 1) * sum(map(mul, attached_numerators, row))
+    result = (
+        h.moment
+        + Fraction(host_cross, h.denominator)
+        + Fraction(attached_cross, attached_denominator)
+    )
     for x, branches in family.items():
         for (branch, root, _), f in zip(branches, factors[x]):
             result += f.moment

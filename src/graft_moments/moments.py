@@ -21,10 +21,7 @@ from .weights import UNIT, WeightFunction, format_rational
 def moment_at(g: Graph, weights: WeightFunction, u: int) -> Fraction:
     """sum_v w(v) * dist(v, u), by one BFS from u."""
     dist = bfs_distances(g, u)
-    result = Fraction(0)
-    for v in g.vertices:
-        result += weights.value(g, v) * dist[v]
-    return result
+    return _weighted_sum(weights, g.vertices, g.degrees, [dist[v] for v in g.vertices])
 
 
 def moment(g: Graph, weights: WeightFunction) -> Fraction:
@@ -36,11 +33,11 @@ def _weighted_sum(
     weights: WeightFunction,
     vertices: Sequence[int],
     degrees: Sequence[int],
-    row_sums: Sequence[int],
+    column: Sequence[int],
 ) -> Fraction:
-    """sum_v w(v) * s(v): the weight vector's numerators, one division."""
+    """sum_v w(v) * c(v) for a column c: the weight vector's numerators, one division."""
     numerators, denominator = weights.vector(vertices, degrees)
-    return Fraction(sum(map(mul, numerators, row_sums)), denominator)
+    return Fraction(sum(map(mul, numerators, column)), denominator)
 
 
 def zagreb_m1(g: Graph) -> Fraction:

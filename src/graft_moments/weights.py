@@ -86,10 +86,8 @@ class WeightFunction:
         """Sum of the weight over all vertices of g."""
         if g.order == 0:
             raise EmptyGraph("total weight of the empty graph")
-        result = Fraction(0)
-        for v in g.vertices:
-            result += self.value(g, v)
-        return result
+        numerators, denominator = self.vector(g.vertices, g.degrees)
+        return Fraction(sum(numerators), denominator)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -229,7 +227,9 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
     """Parse "unit" | "half" | "degree" | "const:p/q" | "file:PATH".
 
     A weight file is a JSON object mapping vertex ids to "p/q" strings;
-    relative paths resolve against base_dir (default: the process cwd).
+    each key is an id as str(int) writes it, and no key repeats, so no
+    vertex is named twice.  Relative paths resolve against base_dir
+    (default: the process cwd).
     """
     if not isinstance(spec, str):
         raise GraphFormatError(f"weight spec must be a string, got {spec!r}")
@@ -245,19 +245,33 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
         path = spec[len("file:"):]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
+
+        def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+            obj = dict(pairs)
+            if len(obj) != len(pairs):
+                raise GraphFormatError(f"weight file {path} repeats a key")
+            return obj
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise GraphFormatError(f"bad weight file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise GraphFormatError(f"weight file {path} must hold an object")
-        try:
-            values = {int(k): parse_rational(v) for k, v in raw.items()}
-        except ValueError:
-            raise GraphFormatError(
-                f"weight file {path} keys must be integer vertex ids"
-            ) from None
+        values = {}
+        for key, text in raw.items():
+            try:
+                vertex = int(key)
+            except ValueError:
+                vertex = None
+            # "01", "+1", " 1" and "1_0" would alias (or invent) a vertex id
+            if str(vertex) != key:
+                raise GraphFormatError(
+                    f"weight file {path} keys must be integer vertex ids "
+                    f"written plainly, got {key!r}"
+                )
+            values[vertex] = parse_rational(text)
         return ExplicitWeight(values)
     raise GraphFormatError(f"unknown weight spec {spec!r}")
 

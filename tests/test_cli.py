@@ -110,6 +110,31 @@ def test_indices_bad_weight_spec_is_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # "01" is vertex 1 again; read as a map, the last value would win
+        '{"0": "1/1", "1": "5/1", "01": "0/1", "2": "1/1"}',
+        '{"0": "1/1", "1": "5/1", "1": "0/1", "2": "1/1"}',
+        '{"0": "1/1", "+1": "5/1", "2": "1/1"}',
+        '{"0": "1/1", " 1": "5/1", "2": "1/1"}',
+        '{"0": "1/1", "1": "5/1", "2": "1/1", "1_0": "1/1"}',
+        '{"0": "1/1", "1": "5/1", "-0": "1/1", "2": "1/1"}',
+    ],
+    ids=["leading-zero", "repeated", "plus-sign", "space", "underscore", "minus-zero"],
+)
+def test_indices_weight_file_names_each_vertex_once_plainly(tmp_path, capsys, text):
+    path = graph_file(tmp_path, path_graph(3))
+    (tmp_path / "w.json").write_text(text)
+    code, out, err = run_cli(capsys, "indices", path, "--weights", f"file:{tmp_path / 'w.json'}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "w.json" in err
+    (tmp_path / "w.json").write_text('{"0": "1/1", "1": "0/1", "2": "1/1", "-3": "1/1"}')
+    code, out, _ = run_cli(capsys, "indices", path, "--weights", f"file:{tmp_path / 'w.json'}")
+    assert code == 0
+    assert json.loads(out)["moment"] == "6/1"
+
+
 # -- graft ---------------------------------------------------------------------
 
 

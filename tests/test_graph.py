@@ -28,13 +28,17 @@ from graft_moments import (
     path_graph,
     star_graph,
 )
+from graft_moments import graph as graph_module
 from graft_moments.graph import (
+    MAX_ORDER,
     _int_adjacency,
     _Invariants,
+    _level_sizes,
     _row_sums_bit_parallel,
+    _row_sums_by_blocks,
     _row_sums_per_source,
 )
-from graft_moments.products import permutation_graph
+from graft_moments.products import Attachment, GraftSpec, graft, permutation_graph
 from graft_moments.randgen import random_connected_graph, random_tree
 
 
@@ -213,9 +217,9 @@ def test_json_rejects_malformed(obj):
 # -- row-sum kernel -------------------------------------------------------
 
 
-def _relabeled(g: Graph, rng: random.Random) -> Graph:
+def _relabeled(g: Graph, rng: random.Random, spread: int = 500) -> Graph:
     """Same graph with shuffled vertex order and scattered integer ids."""
-    ids = rng.sample(range(-500, 500), g.order)
+    ids = rng.sample(range(-spread, spread), g.order)
     label = dict(zip(g.vertices, ids))
     order = list(g.vertices)
     rng.shuffle(order)
@@ -248,16 +252,174 @@ def _kernel_cases() -> list[tuple[str, Graph]]:
     return cases
 
 
+def _grown(rng: random.Random, pieces: int, piece) -> Graph:
+    """Glue `pieces` graphs, one at a time, at random vertices of what is built.
+
+    piece(rng) gives the order k and the edges of a small graph on
+    0..k-1; its vertex 0 lands on the chosen vertex.
+    """
+    order, edges = 1, []
+    for _ in range(pieces):
+        at = rng.randrange(order)
+        k, piece_edges = piece(rng)
+        label = [at] + list(range(order, order + k - 1))
+        edges += [(label[u], label[v]) for u, v in piece_edges]
+        order += k - 1
+    return Graph(range(order), edges)
+
+
+def _cactus(rng: random.Random, pieces: int) -> Graph:
+    """Cycles of order 3, 4, 5 or 7 and pendant edges: every block is a cycle or a bridge."""
+
+    def piece(rng):
+        k = rng.choice([2, 3, 4, 5, 7])
+        return k, [(i, i + 1) for i in range(k - 1)] + ([(k - 1, 0)] if k > 2 else [])
+
+    return _grown(rng, pieces, piece)
+
+
+def _block_graph(rng: random.Random, pieces: int) -> Graph:
+    """Cliques of order 2 to 5 glued at cut vertices."""
+
+    def piece(rng):
+        k = rng.randint(2, 5)
+        return k, list(itertools.combinations(range(k), 2))
+
+    return _grown(rng, pieces, piece)
+
+
+def _caterpillar(rng: random.Random, spine: int) -> Graph:
+    """A path with 0 to 3 leaves on each spine vertex."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    order = spine
+    for i in range(spine):
+        for _ in range(rng.randint(0, 3)):
+            edges.append((i, order))
+            order += 1
+    return Graph(range(order), edges)
+
+
+def _graft_like(rng: random.Random) -> Graph:
+    """A small dense host with path, cycle and tree branches, receptors repeated."""
+    host = random_connected_graph(rng, rng.randint(6, 12))
+    branches = []
+    for _ in range(rng.randint(3, 6)):
+        k = rng.randint(5, 30)
+        kind = rng.choice(["path", "cycle", "tree"])
+        b = path_graph(k) if kind == "path" else cycle_graph(k) if kind == "cycle" else random_tree(rng, k)
+        branches.append((b, rng.randrange(k)))
+    attachments = [
+        Attachment(rng.choice(host.vertices), *rng.choice(branches)) for _ in range(12)
+    ]
+    return graft(GraftSpec(host, attachments)).graph
+
+
+def _block_with_tails(rng: random.Random, order: int, tails: int, length: int) -> Graph:
+    """A random connected graph with long paths hanging from random vertices."""
+    g = random_connected_graph(rng, order)
+    edges = list(g.edges())
+    n = order
+    for _ in range(tails):
+        previous = rng.randrange(order)
+        for _ in range(length):
+            edges.append((previous, n))
+            previous, n = n, n + 1
+    return Graph(range(n), edges)
+
+
+def _block_cases() -> list[tuple[str, Graph]]:
+    rng = random.Random(77)
+    cases = [(f"cactus-{k}", _cactus(rng, k)) for k in (1, 6, 40, 90)]
+    cases += [(f"block-graph-{k}", _block_graph(rng, k)) for k in (3, 20, 70)]
+    cases += [(f"caterpillar-{k}", _caterpillar(rng, k)) for k in (3, 25, 120)]
+    cases += [(f"graft-like-{i}", _graft_like(rng)) for i in range(4)]
+    cases += [("block-with-tails", _block_with_tails(rng, 120, 3, 60))]
+    cases += [
+        (f"relabeled-{name}", _relabeled(g, rng))
+        for name, g in list(cases)
+        if name in ("cactus-40", "block-graph-20", "caterpillar-25", "graft-like-0", "block-with-tails")
+    ]
+    return cases
+
+
 KERNEL_CASES = _kernel_cases()
+BLOCK_CASES = _block_cases()
+ROW_SUM_CASES = KERNEL_CASES + BLOCK_CASES
 
 
-@pytest.mark.parametrize("name,g", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def _eccentricity(adjacency: list[list[int]]) -> int:
+    return len(_level_sizes(adjacency, 0)) - 1
+
+
+@pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
 def test_distance_row_sums_match_the_matrix(name, g):
     expected = distance_matrix(g).row_sums
     assert distance_row_sums(g) == expected
     adjacency = _int_adjacency(g)
     assert _row_sums_bit_parallel(adjacency) == expected
     assert _row_sums_per_source(adjacency) == expected
+    assert _row_sums_by_blocks(adjacency, _eccentricity(adjacency)) == expected
+
+
+def test_the_route_rule_splits_the_kernel_cases():
+    # the block route is certified above on graphs from both sides of the rule
+    sides = {
+        name: _eccentricity(_int_adjacency(g)) > g.order.bit_length() for name, g in ROW_SUM_CASES
+    }
+    assert not sides["rand-300"] and not sides["complete-30"] and not sides["star-120"]
+    assert sides["path-120"] and sides["tree-300"] and sides["cycle-120"]
+    assert all(sides[name] for name, _ in BLOCK_CASES if name.startswith(("graft-like", "block-with")))
+
+
+@pytest.mark.parametrize("g", [path_graph(500), _caterpillar(random.Random(3), 200)], ids=["path", "caterpillar"])
+def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
+    expected = distance_matrix(g).row_sums
+
+    def refuse(*args):
+        raise AssertionError("a whole-graph kernel ran")
+
+    for kernel in ("_row_sums_kernel", "_row_sums_bit_parallel", "_row_sums_per_source"):
+        monkeypatch.setattr(graph_module, kernel, refuse)
+    assert distance_row_sums(g) == expected
+
+
+def _edge_split_wiener(tree: Graph) -> int:
+    """sum over edges of n_a * n_b, the orders of the two sides (Wiener 1947)."""
+    root = tree.vertices[0]
+    parent, order = {root: None}, [root]
+    for u in order:
+        for w in tree.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    size = dict.fromkeys(order, 1)
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    n = tree.order
+    return sum(size[u] * (n - size[u]) for u in order[1:])
+
+
+def test_tree_identities_hold_on_random_trees():
+    rng = random.Random(12)
+    for n in (2, 3, 10, 57, 400, 1000, 2000):
+        for tree in (random_tree(rng, n), _relabeled(random_tree(rng, n), random.Random(n), spread=2 * n)):
+            row_sums = distance_row_sums(tree)
+            wiener = sum(row_sums) // 2
+            assert wiener == _edge_split_wiener(tree)
+            degree_distance = sum(map(lambda d, s: d * s, tree.degrees, row_sums))
+            assert degree_distance == 4 * wiener - n * (n - 1)
+
+
+def test_row_sums_at_max_order_do_not_recurse():
+    n = MAX_ORDER
+    assert distance_row_sums(path_graph(n)) == tuple(
+        (i * (i + 1) + (n - 1 - i) * (n - i)) // 2 for i in range(n)
+    )
+    tree = random_tree(random.Random(8), n)
+    assert _eccentricity(_int_adjacency(tree)) > n.bit_length()
+    row_sums = distance_row_sums(tree)
+    assert sum(row_sums) == 2 * _edge_split_wiener(tree)
+    assert sum(map(lambda d, s: d * s, tree.degrees, row_sums)) == 2 * sum(row_sums) - n * (n - 1)
 
 
 @pytest.mark.parametrize(
@@ -280,7 +442,7 @@ def test_distance_row_sums_raise_like_the_matrix_when_empty():
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("name,g", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+@pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
 def test_distance_row_sums_agree_with_networkx(name, g):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
