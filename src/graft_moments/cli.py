@@ -7,12 +7,19 @@ Subcommands:
   isomoment  enumerate permutation products, bucket by isomorphism, compare moments
   theta      tabulate cycle distance-matrix row sums against the closed form
 
-isomoment makes one pass per permutation product: the product's int
-adjacency is built straight from the factors' (graft's vertex numbering),
-one bit-parallel BFS of all sources gives every vertex's level sizes, and
+isomoment makes one pass per root-orbit word.  Copy i of the branch K
+is rooted at sigma(i), and a copy rooted at u is, as a rooted graph, the
+copy rooted at any vertex of u's Aut(K) orbit; so under degree and
+constant weights two sigmas with the same word (orbit of sigma(1), ...,
+orbit of sigma(r)) give isomorphic products with the same moments.  The
+first sigma of each word gets the pass: the product's int adjacency is
+built straight from the factors' (graft's vertex numbering), one
+bit-parallel BFS of all sources gives every vertex's level sizes, and
 those give both the isomorphism signatures and the row sums that every
-weight's moment is summed from, in ints over one denominator.  Only each
-class's representative becomes a Graph, to be printed.
+weight's moment is summed from, in ints over one denominator.  Every
+later sigma with that word joins its class.  A file: weight is not
+isomorphism-invariant, so with one every sigma is its own word.  Only
+each class's representative becomes a Graph, to be printed.
 
 Standard output is deterministic for fixed inputs and seed (timings go
 to stderr), so runs can be diffed byte for byte.  Exit codes: 0 success,
@@ -24,6 +31,7 @@ the GRAFT_MOMENTS_SEED environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -36,9 +44,12 @@ from typing import Iterable, Iterator, Sequence
 from .closed_forms import cycle_distance_row_sum
 from .errors import GraftMomentsError, GraphFormatError, OrderMismatch
 from .graph import (
+    MAX_ORDER,
     Graph,
     _Classes,
     _Invariants,
+    _distances,
+    _int_adjacency,
     _level_signatures,
     cycle_graph,
     distance_matrix,
@@ -53,7 +64,13 @@ from .products import (
     graft_spec_from_json_dict,
 )
 from .verify import FORMULAS, run_verification
-from .weights import WeightFunction, format_rational, parse_weight_spec
+from .weights import (
+    ConstantWeight,
+    DegreeWeight,
+    WeightFunction,
+    format_rational,
+    parse_weight_spec,
+)
 
 SEED_ENV_VAR = "GRAFT_MOMENTS_SEED"
 FULL_ENUMERATION_MAX = 8
@@ -120,7 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _product_passes(
     host: Graph,
     branch: Graph,
-    sigmas: Sequence[Sequence[int]],
+    sigmas: Iterable[Sequence[int]],
     weight_functions: Iterable[WeightFunction],
 ) -> Iterator[tuple[list[list[int]], list[tuple[int, ...]], list[Fraction]]]:
     """One pass per permutation product: (adjacency, signatures, moments).
@@ -140,6 +157,30 @@ def _product_passes(
             _weighted_sum(weights, vertices, degrees, row_sums)
             for weights in weight_functions
         ]
+
+
+def _root_orbits(branch: Graph) -> list[int]:
+    """Each branch position's Aut(branch) orbit, numbered as first met.
+
+    Rooted at u, vertex x gets the signature (dist(x, u),) followed by
+    its level sizes; u is the only vertex at distance 0, so the
+    isomorphisms between the rooted copies at u and at v are exactly the
+    automorphisms taking u to v, and their classes are the orbits
+    (individualise, then refine, as in McKay and Piperno, J. Symb.
+    Comput. 60, 2014).
+    """
+    adjacency = _int_adjacency(branch)
+    levels = _level_signatures(adjacency)
+    classes = _Classes()
+    return [
+        classes.add(
+            _Invariants.of(
+                adjacency,
+                [(d, *sizes) for d, sizes in zip(_distances(adjacency, u), levels)],
+            )
+        )
+        for u in range(len(adjacency))
+    ]
 
 
 def _adjacency_graph(adjacency: list[list[int]]) -> Graph:
@@ -178,15 +219,31 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    # orbits only where the products can be built at all (the first pass
+    # raises on the order cap) and every weight is isomorphism-invariant
+    invariant = all(
+        isinstance(w, (ConstantWeight, DegreeWeight)) for w in weight_functions.values()
+    )
+    orbit = _root_orbits(branch) if invariant and r * r <= MAX_ORDER else range(r)
+    words = [tuple(orbit[s - 1] for s in sigma) for sigma in sigmas]
+    first_sigma: dict[tuple[int, ...], Sequence[int]] = {}
+    for word, sigma in zip(words, sigmas):
+        first_sigma.setdefault(word, sigma)
+    passes = _product_passes(host, branch, first_sigma.values(), weight_functions.values())
+
     values: dict[str, set] = {spec_name: set() for spec_name in weight_functions}
     classes = _Classes()
+    class_of: dict[tuple[int, ...], int] = {}
     representatives = []
-    for adjacency, signatures, moments in _product_passes(
-        host, branch, sigmas, weight_functions.values()
-    ):
+    for word in words:
+        if word in class_of:
+            classes.join(class_of[word])
+            continue
+        adjacency, signatures, moments = next(passes)
         for seen, value in zip(values.values(), moments):
             seen.add(value)
-        if classes.add(_Invariants.of(adjacency, signatures)):
+        class_of[word] = classes.add(_Invariants.of(adjacency, signatures))
+        if class_of[word] == len(representatives):
             representatives.append(adjacency)
 
     all_equal = True
@@ -232,7 +289,9 @@ def cmd_theta(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="graft-moments",
         description="Weighted distance moments, graft products, and exact "
@@ -249,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="unit",
         help="weight spec: unit | half | degree | const:p/q | file:PATH",
     )
-    p_indices.set_defaults(func=cmd_indices)
 
     p_graft = sub.add_parser(
         "graft", help="build the graft product of a spec JSON file"
@@ -258,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graft.add_argument(
         "--out", default=None, help="write the product JSON here instead of stdout"
     )
-    p_graft.set_defaults(func=cmd_graft)
 
     p_verify = sub.add_parser(
         "verify", help="check one closed-form formula against the oracle"
@@ -269,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-size", type=int, default=None, help="cap generated graph orders"
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_iso = sub.add_parser(
         "isomoment",
@@ -289,21 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample size when the order exceeds the full-enumeration cap",
     )
     p_iso.add_argument("--seed", type=int, default=None)
-    p_iso.set_defaults(func=cmd_isomoment)
 
     p_theta = sub.add_parser(
         "theta", help="tabulate cycle row sums against floor(r/2)*floor((r+1)/2)"
     )
     p_theta.add_argument("--max-r", type=int, default=16)
-    p_theta.set_defaults(func=cmd_theta)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on every call rather than bound into the parser, which is
+    # built once, so that a wrapper set on this module later runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

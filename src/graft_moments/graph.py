@@ -8,7 +8,6 @@ counts computed by breadth-first search; no floating point anywhere.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -28,8 +27,9 @@ from .errors import (
 # n = 10,000); the block route of distance_row_sums adds O(n + m) lists
 # and runs the kernel on one block at a time.  Its block search is
 # iterative, so a path or tree of this order takes tens of
-# milliseconds.  Only the verify oracle and theta still build the
-# O(n^2) distance matrix (about 800 MB of tuples at n = 10,000).
+# milliseconds.  The verify oracle keeps one BFS dict at a time; only
+# theta still builds the O(n^2) distance matrix (about 800 MB of tuples
+# at n = 10,000).
 MAX_ORDER = 10_000
 
 
@@ -143,16 +143,23 @@ class Graph:
 
 
 def _bfs_reached(g: Graph, source: int) -> dict[int, int]:
-    """Hop counts from source to every vertex BFS can reach."""
+    """Hop counts from source to every vertex BFS can reach, in BFS order.
+
+    Level by level over the adjacency map; source must be a vertex of g.
+    """
+    adjacency = g._adjacency
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in g.neighbors(u):
-            if v not in dist:
-                dist[v] = d
-                queue.append(v)
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        grown = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if v not in dist:
+                    dist[v] = d
+                    grown.append(v)
+        frontier = grown
     return dist
 
 
@@ -273,21 +280,25 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
 def _row_sums_kernel(adjacency: list[list[int]], eccentricity: int) -> tuple[int, ...]:
     """Row sums of a connected graph whose vertex 0 has this eccentricity.
 
-    Fixed rule: if e0 * (n + 1200) <= 600 * n, every source is searched
-    at once by the bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD
-    2013), D passes over n-bit sets; otherwise each source gets its own
-    level-synchronous BFS.  The bound is e0 <= n/2.5 at n = 300, n/3.7
-    at n = 1,000 and n/19 at n = 10,000.  Measured with CPython 3.11 on
-    paths, cycles, grids, random trees and random graphs of order 40 to
-    10,000, the bit-parallel time over the per-source time is about
-    (D/n) * (1 + n/1200): 0.02 to 0.17 on random graphs and trees, 0.96
-    on a 10 x 1000 grid (D = 1,008), 1.3 on C_3000 (D = 1,500).  The
-    bound is where that ratio reaches 1 for D = 2*e0, so the bit-parallel
-    branch is not picked where it is predicted slower; when D = e0 the
-    per-source branch it falls back to takes at most about twice as long.
+    Fixed rule: if n <= 64 or e0 * (n + 1200) <= 600 * n, every source
+    is searched at once by the bit-parallel BFS (Akiba, Iwata and
+    Yoshida, SIGMOD 2013), D passes over n-bit sets; otherwise each
+    source gets its own level-synchronous BFS.  The bound is e0 <= n/2.5
+    at n = 300, n/3.7 at n = 1,000 and n/19 at n = 10,000.  Measured with
+    CPython 3.11 on paths, cycles, grids, random trees and random graphs
+    of order 40 to 10,000, the bit-parallel time over the per-source time
+    is about (D/n) * (1 + n/1200): 0.02 to 0.17 on random graphs and
+    trees, 0.96 on a 10 x 1000 grid (D = 1,008), 1.3 on C_3000 (D =
+    1,500).  The bound is where that ratio reaches 1 for D = 2*e0, so the
+    bit-parallel branch is not picked where it is predicted slower; when
+    D = e0 the per-source branch it falls back to takes at most about
+    twice as long.  Small graphs break that model: the ratio is 0.55 to
+    0.66 on C_10 to C_64 and 0.58 on a 2 x 32 grid (D = n/2), 0.71 on
+    C_100 and 1.05 on C_128, so order 64 and below always goes
+    bit-parallel; the small cycle blocks of graft products land there.
     """
     n = len(adjacency)
-    if eccentricity * (n + 1200) <= 600 * n:
+    if n <= 64 or eccentricity * (n + 1200) <= 600 * n:
         return _row_sums_bit_parallel(adjacency)
     return _row_sums_per_source(adjacency)
 
@@ -661,22 +672,24 @@ class _Classes:
 
     def __init__(self) -> None:
         self.members: list[list[int]] = []
-        self._buckets: dict[tuple[_Signature, ...], list[tuple[_SearchOrder, list[int]]]] = {}
+        self._buckets: dict[tuple[_Signature, ...], list[tuple[_SearchOrder, int]]] = {}
         self._count = 0
 
-    def add(self, invariants: _Invariants) -> bool:
-        """File the next graph; True when it starts a new class."""
-        position = self._count
-        self._count += 1
+    def add(self, invariants: _Invariants) -> int:
+        """File the next graph; the index of its class (len(members) - 1 if new)."""
         bucket = self._buckets.setdefault(invariants.key, [])
-        for order, members in bucket:
+        for order, index in bucket:
             if _maps_onto(order, invariants):
-                members.append(position)
-                return False
-        members = [position]
-        bucket.append((_search_order(invariants), members))
-        self.members.append(members)
-        return True
+                return self.join(index)
+        bucket.append((_search_order(invariants), len(self.members)))
+        self.members.append([])
+        return self.join(len(self.members) - 1)
+
+    def join(self, index: int) -> int:
+        """File the next graph into class `index`, known to be its class."""
+        self.members[index].append(self._count)
+        self._count += 1
+        return index
 
 
 def isomorphism_classes(
@@ -696,7 +709,7 @@ def isomorphism_classes(
     for g in graphs:
         if g.order > cap:
             raise TooLarge(f"isomorphism test capped at order {cap}; got {g.order}")
-        if classes.add(_Invariants(g)):
+        if classes.add(_Invariants(g)) == len(representatives):
             representatives.append(g)
     return list(zip(representatives, classes.members))
 

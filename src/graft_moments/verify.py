@@ -1,13 +1,16 @@
 """Formula-vs-oracle verification over seeded random instances.
 
-The oracle is always the same: build the product graph, run the plain
-all-pairs BFS of `distance_matrix`, and sum weight times row sum.
+The oracle is always the same: build the product graph, run one plain
+BFS (`_bfs_reached`) from every vertex, sum each one's distances into
+that vertex's row sum as it goes, and sum weight (`value`, one
+`Fraction` per vertex) times row sum; no n x n matrix is kept.
 `moments.moment`, `moments.indices` and the closed forms take their
 row sums from the separate `distance_row_sums` kernel, so a fault in
 either row-sum path shows up as a mismatch instead of cancelling out.
 The closed forms' point moments use `bfs_distances`, which shares its
-single-source loop `_bfs_reached` with `distance_matrix`; that loop is
-the one piece of distance code on both sides.  A verifier draws random
+single-source loop `_bfs_reached` with the oracle (and with
+`distance_matrix`); that loop is the one piece of distance code on both
+sides.  A verifier draws random
 instances, evaluates the closed form and the oracle, and records every
 disagreement (there should be none) in a report.  Some verifiers chain
 extra checks onto each instance -- the comparison formula must also be
@@ -34,8 +37,8 @@ from .closed_forms import (
     proper_cycle_degree_distance,
     unicyclic_degree_distance,
 )
-from .errors import GraphFormatError
-from .graph import Graph, cycle_graph, distance_matrix, graph_to_json_dict
+from .errors import DisconnectedGraph, EmptyGraph, GraphFormatError
+from .graph import Graph, _bfs_reached, cycle_graph, graph_to_json_dict
 from .products import Attachment, GraftSpec, flower, graft, permutation_graph
 from .randgen import (
     random_comparison_instance,
@@ -60,10 +63,20 @@ Check = tuple[Fraction, Fraction, dict]
 
 
 def _oracle_moment(g: Graph, weights: WeightFunction) -> Fraction:
-    """sum_v w(v) * s(v), with s the row sums of the reference distance matrix."""
+    """sum_v w(v) * s(v), each row sum s(v) from its own plain BFS.
+
+    Raises what distance_matrix raises, with the same messages.
+    """
+    if g.order == 0:
+        raise EmptyGraph("distance matrix of the empty graph")
     result = Fraction(0)
-    for v, s in zip(g.vertices, distance_matrix(g).row_sums):
-        result += weights.value(g, v) * s
+    for v in g.vertices:
+        dist = _bfs_reached(g, v)
+        if len(dist) != g.order:
+            raise DisconnectedGraph(
+                f"only {len(dist)} of {g.order} vertices reachable from {v!r}"
+            )
+        result += weights.value(g, v) * sum(dist.values())
     return result
 
 

@@ -25,9 +25,11 @@ from graft_moments.cli import SEED_ENV_VAR, main
 from graft_moments.graph import (
     _int_adjacency,
     _level_sizes,
+    complete_graph,
     cycle_graph,
     diamond_graph,
     path_graph,
+    star_graph,
 )
 from graft_moments.randgen import random_connected_graph
 
@@ -462,6 +464,154 @@ def test_isomoment_sampled_count_must_be_positive(tmp_path, capsys, count):
     assert code == 2
     assert out == ""
     assert "--count" in err
+
+
+# -- isomoment by root orbits ---------------------------------------------------
+
+
+def _brute_force_orbits(g: Graph) -> list[int]:
+    """Aut(g) orbits of g's positions, numbered as first met, from every permutation."""
+    adjacency = _int_adjacency(g)
+    n = len(adjacency)
+    edges = {(u, w) for u, nbrs in enumerate(adjacency) for w in nbrs}
+    automorphisms = [
+        p for p in itertools.permutations(range(n))
+        if all((p[u], p[w]) in edges for u, w in edges)
+    ]
+    label = [-1] * n
+    count = 0
+    for u in range(n):
+        if label[u] < 0:
+            for p in automorphisms:
+                label[p[u]] = count
+            count += 1
+    return label
+
+
+# the host and branch of each isomoment-r5 benchmark pair
+CATALOG_EDGES = [
+    [[0, 1], [0, 2], [0, 3], [0, 4], [3, 4]],
+    [[0, 1], [0, 2], [0, 4], [1, 4], [2, 3]],
+    [[0, 1], [0, 2], [0, 3], [0, 4], [1, 3], [2, 4], [3, 4]],
+    [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [1, 4], [2, 3], [3, 4]],
+    [[0, 1], [0, 2], [0, 4], [1, 3]],
+    [[0, 1], [0, 2], [0, 4], [1, 2], [1, 3], [1, 4], [2, 3]],
+    [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [1, 4], [3, 4]],
+    [[0, 1], [0, 2], [0, 3], [0, 4], [1, 3], [2, 3], [2, 4]],
+    [[0, 1], [0, 2], [0, 3], [1, 4], [2, 3]],
+    [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4]],
+    [[0, 1], [0, 4], [1, 2], [1, 3], [2, 3], [3, 4]],
+    [[0, 1], [0, 2], [0, 4], [1, 3], [1, 4], [2, 3], [3, 4]],
+    [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3]],
+    [[0, 1], [0, 3], [1, 2], [2, 4]],
+    [[0, 1], [0, 4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4]],
+    [[0, 1], [0, 3], [0, 4], [1, 2], [1, 3]],
+]
+
+
+def _orbit_cases() -> list[Graph]:
+    rng = random.Random(808)
+    graphs = [path_graph(n) for n in range(1, 7)]
+    graphs += [cycle_graph(n) for n in range(3, 7)]
+    graphs += [star_graph(leaves) for leaves in range(1, 6)]
+    graphs += [diamond_graph(), complete_graph(5)]
+    graphs += [Graph(range(5), map(tuple, edges)) for edges in CATALOG_EDGES]
+    graphs += [host for host, _ in ISOMOMENT_PAIRS[:2]] + [b for _, b in ISOMOMENT_PAIRS[:2]]
+    graphs += [_relabeled(random_connected_graph(rng, rng.randint(1, 6)), rng) for _ in range(20)]
+    return graphs + [_relabeled(g, rng) for g in graphs[:15]]
+
+
+@pytest.mark.parametrize("g", _orbit_cases())
+def test_root_orbits_are_the_automorphism_orbits(g):
+    assert cli._root_orbits(g) == _brute_force_orbits(g)
+
+
+# sha256 of the stdout printed while every sigma still had its own pass;
+# the branches' vertex lists are out of edge order on purpose
+SYMMETRIC_GOLDEN = [
+    (
+        {"vertices": [77, 31, 8, 50, 5, 12],
+         "edges": [[31, 5], [31, 8], [5, 77], [77, 12], [12, 50], [50, 8]]},
+        1,
+        "e7a8d7122a831b865f5a83cd4d20f7e57d47ffd4e9ffc8fb3d9415b2d4a86ab1",
+    ),
+    (
+        {"vertices": [77, 31, 8, 50, 5, 12],
+         "edges": [[31, 5], [31, 77], [31, 12], [31, 50], [31, 8]]},
+        4,
+        "9414847b887ee9216db6fd4a48193c078a823e066109722abaf46149bdd69812",
+    ),
+    (
+        {"vertices": [77, 31, 8, 50, 5, 12],
+         "edges": [[31, 5], [5, 77], [77, 12], [12, 50], [50, 8]]},
+        48,
+        "3fa651d7258ac2168d1d55c1cebea027570307449bbc00d199fd1005391dbb23",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "branch,classes,digest", SYMMETRIC_GOLDEN, ids=["cycle", "star", "path"]
+)
+def test_isomoment_symmetric_branch_stdout_is_golden(tmp_path, capsys, branch, classes, digest):
+    host_path = write_json(tmp_path / "host.json", ISOMOMENT_R6_HOST)
+    branch_path = write_json(tmp_path / "branch.json", branch)
+    code, out, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path,
+        "--weights", "unit,half,degree,const:7/3",
+    )
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == classes
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _count_level_signatures(monkeypatch) -> list[int]:
+    calls = []
+    level_signatures = cli._level_signatures
+
+    def counting(adjacency):
+        calls.append(len(adjacency))
+        return level_signatures(adjacency)
+
+    monkeypatch.setattr(cli, "_level_signatures", counting)
+    return calls
+
+
+def test_isomoment_takes_one_pass_per_word(tmp_path, capsys, monkeypatch):
+    # C_8 is vertex-transitive: all 8! sigmas share one word
+    r = 8
+    host = graph_file(tmp_path, path_graph(r), "host.json")
+    branch = graph_file(tmp_path, cycle_graph(r), "branch.json")
+    calls = _count_level_signatures(monkeypatch)
+    code, out, _ = run_cli(capsys, "isomoment", host, branch, "--weights", "unit,degree")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["permutations"] == 40320
+    assert [c["size"] for c in payload["classes"]] == [40320]
+    assert len(calls) <= r
+
+
+def test_isomoment_weight_file_takes_one_pass_per_sigma(tmp_path, capsys, monkeypatch):
+    r = 4
+    host = graph_file(tmp_path, diamond_graph(), "host.json")
+    branch = graph_file(tmp_path, cycle_graph(r), "branch.json")
+    w = write_json(tmp_path / "w.json", {str(v): f"{v % 3}/2" for v in range(r * r)})
+    code, unit_out, _ = run_cli(capsys, "isomoment", host, branch)
+    assert code == 0
+    calls = _count_level_signatures(monkeypatch)
+    code, out, _ = run_cli(capsys, "isomoment", host, branch, "--weights", f"file:{w}")
+    assert code == 0
+    assert calls == [r * r] * 24  # the products, and never the branch
+    assert json.loads(out)["classes"] == json.loads(unit_out)["classes"]
+
+
+def test_the_parser_is_built_once_and_dispatches_late(monkeypatch):
+    parser = cli.build_parser()
+    main(["theta", "--max-r", "1"])
+    assert cli.build_parser() is parser
+    # a handler replaced after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_theta", lambda args: 7)
+    assert main(["theta"]) == 7
 
 
 # -- theta ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -31,6 +32,7 @@ from graft_moments import (
 from graft_moments import graph as graph_module
 from graft_moments.graph import (
     MAX_ORDER,
+    _bfs_reached,
     _int_adjacency,
     _Invariants,
     _level_sizes,
@@ -381,6 +383,46 @@ def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
     for kernel in ("_row_sums_kernel", "_row_sums_bit_parallel", "_row_sums_per_source"):
         monkeypatch.setattr(graph_module, kernel, refuse)
     assert distance_row_sums(g) == expected
+
+
+@pytest.mark.parametrize("n", [3, 10, 30, 64])
+def test_small_cycles_take_the_bit_parallel_kernel(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("the per-source kernel ran")
+
+    monkeypatch.setattr(graph_module, "_row_sums_per_source", refuse)
+    assert distance_row_sums(cycle_graph(n)) == (n * n // 4,) * n
+
+
+def test_larger_cycles_keep_the_per_source_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the per-source kernel ran")
+
+    monkeypatch.setattr(graph_module, "_row_sums_per_source", refuse)
+    with pytest.raises(AssertionError, match="per-source"):
+        distance_row_sums(cycle_graph(65))
+
+
+def _queue_bfs(g: Graph, source: int) -> dict[int, int]:
+    """Textbook FIFO breadth-first search, for comparison."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def test_bfs_reached_keeps_the_queue_order():
+    rng = random.Random(31)
+    graphs = [Graph([5, 3, 4], [(3, 4)]), Graph([0, 1, 2, 3], [(0, 1), (2, 3)])]
+    graphs += [_relabeled(random_connected_graph(rng, rng.randint(1, 60)), rng) for _ in range(30)]
+    for g in graphs:
+        for v in g.vertices:
+            assert list(_bfs_reached(g, v).items()) == list(_queue_bfs(g, v).items())
 
 
 def _edge_split_wiener(tree: Graph) -> int:

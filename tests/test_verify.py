@@ -3,16 +3,30 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from graft_moments import (
+    DEGREE,
     FORMULAS,
+    UNIT,
+    ConstantWeight,
+    DisconnectedGraph,
+    EmptyGraph,
+    Graph,
     GraphFormatError,
     Mismatch,
     VerificationReport,
+    cycle_graph,
+    distance_matrix,
+    moment,
     run_verification,
 )
+from graft_moments import graph as graph_module
+from graft_moments import verify
+from graft_moments.randgen import random_connected_graph
 
 
 def test_formula_names_are_sorted_and_complete():
@@ -104,3 +118,36 @@ def test_mismatch_json_shape():
     assert report.to_json_dict()["ok"] is False
     assert report.to_json_dict()["mismatches"] == [payload]
     json.dumps(report.to_json_dict())
+
+
+# -- the oracle ------------------------------------------------------------------
+
+
+def test_the_oracle_keeps_no_distance_matrix(monkeypatch):
+    rng = random.Random(4)
+    graphs = [Graph([9], []), cycle_graph(7)] + [random_connected_graph(rng, n) for n in (2, 9, 30)]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the oracle built a distance matrix")
+
+    monkeypatch.setattr(graph_module.DistanceMatrix, "__init__", refuse)
+    for g in graphs:
+        for weights in (UNIT, DEGREE, ConstantWeight(Fraction(2, 7))):
+            assert verify._oracle_moment(g, weights) == moment(g, weights)
+
+
+@pytest.mark.parametrize(
+    "g,error",
+    [
+        (Graph([], []), EmptyGraph),
+        (Graph([0, 1], []), DisconnectedGraph),
+        (Graph([5, 3, 4], [(3, 4)]), DisconnectedGraph),
+        (Graph([0, 1, 2, 3], [(0, 1), (2, 3)]), DisconnectedGraph),
+    ],
+)
+def test_the_oracle_raises_like_the_matrix(g, error):
+    with pytest.raises(error) as expected:
+        distance_matrix(g)
+    with pytest.raises(error) as got:
+        verify._oracle_moment(g, UNIT)
+    assert str(got.value) == str(expected.value)
