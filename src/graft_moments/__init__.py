@@ -75,7 +75,6 @@ from .products import (
 )
 from .closed_forms import (
     Family,
-    HostVectors,
     attachments_by_receptor,
     concentration_difference_formula,
     cycle_distance_row_sum,

@@ -51,8 +51,8 @@ from .graph import (
     _distances,
     _int_adjacency,
     _level_signatures,
+    bfs_distances,
     cycle_graph,
-    distance_matrix,
     graph_from_json_dict,
     graph_to_json_dict,
 )
@@ -174,7 +174,7 @@ def _root_orbits(branch: Graph) -> list[int]:
     classes = _Classes()
     return [
         classes.add(
-            _Invariants.of(
+            _Invariants(
                 adjacency,
                 [(d, *sizes) for d, sizes in zip(_distances(adjacency, u), levels)],
             )
@@ -242,7 +242,7 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
         adjacency, signatures, moments = next(passes)
         for seen, value in zip(values.values(), moments):
             seen.add(value)
-        class_of[word] = classes.add(_Invariants.of(adjacency, signatures))
+        class_of[word] = classes.add(_Invariants(adjacency, signatures))
         if class_of[word] == len(representatives):
             representatives.append(adjacency)
 
@@ -281,8 +281,10 @@ def cmd_theta(args: argparse.Namespace) -> int:
     failures = 0
     for r in range(1, args.max_r + 1):
         theta = cycle_distance_row_sum(r)
-        row_sums = distance_matrix(cycle_graph(r)).row_sums
-        ok = all(s == theta for s in row_sums)
+        cycle = cycle_graph(r)
+        ok = all(
+            sum(bfs_distances(cycle, v).values()) == theta for v in cycle.vertices
+        )
         if not ok:
             failures += 1
         print(f"r={r} theta={theta} row_sums={'ok' if ok else 'MISMATCH'}")

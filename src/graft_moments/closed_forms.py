@@ -10,16 +10,20 @@ M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Weights
 enter as int numerators over one denominator (`WeightFunction.vector`),
 so totals, moments and point moments are int dot products divided once.
 Host distances between receptors come from those same rows, and
-distances on a cycle host from min(|i - j|, r - |i - j|).  Every formula
-is certified against the brute-force oracle (build the product, run BFS
+distances on a cycle host from min(|i - j|, r - |i - j|).
+
+Theorem 1 is evaluated once, in its vector form (_graft_moment): the
+graft, family and flower forms only hand it their attachments, a flower
+being the graft product on a one-vertex host.  Every formula is
+certified against the brute-force oracle (build the product, run BFS
 from every vertex, sum) by the verify module and the test suite;
 agreement is exact, never approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -34,7 +38,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import MAX_ORDER, Graph, bfs_distances, cycle_graph, distance_row_sums
-from .weights import DEGREE, UNIT, WeightFunction, _over_common_denominator
+from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction
 from .products import GraftSpec, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
@@ -62,54 +66,6 @@ def cycle_distance_row_sum(r: int) -> int:
     return (r // 2) * ((r + 1) // 2)
 
 
-@dataclass(frozen=True)
-class HostVectors:
-    """Per-host-vertex bookkeeping for the vectorized formulas.
-
-    block_orders[i] is the order of the product block sitting over the
-    i-th host vertex (1 plus the non-root sizes of its branches);
-    attached_totals[i] is the total branch weight glued there.
-    """
-
-    host: Graph
-    block_orders: tuple[int, ...]
-    attached_totals: tuple[Fraction, ...]
-
-    @property
-    def product_order(self) -> int:
-        return sum(self.block_orders)
-
-    @classmethod
-    def from_family(
-        cls,
-        host: Graph,
-        family: Family,
-        attached: Mapping[int, Fraction] | None = None,
-    ) -> "HostVectors":
-        """Vectors of a family; attached maps a receptor to its glued weight.
-
-        Without attached, each branch's weight total is evaluated here.
-        """
-        for x in family:
-            if not host.has_vertex(x):
-                raise UnknownVertex(f"family receptor {x!r} is not a host vertex")
-        if attached is None:
-            attached = {
-                x: sum((w.total(b) for b, _, w in bs), Fraction(0))
-                for x, bs in family.items()
-            }
-        return cls(
-            host=host,
-            block_orders=tuple(
-                1 + sum(b.order - 1 for b, _, _ in family.get(x, ()))
-                for x in host.vertices
-            ),
-            attached_totals=tuple(
-                attached.get(x, Fraction(0)) for x in host.vertices
-            ),
-        )
-
-
 # -- one row-sum pass per factor, one BFS per point moment --------------------
 
 
@@ -121,14 +77,20 @@ class _Factor:
     moment are int dot products with one division each.
     """
 
-    __slots__ = ("graph", "numerators", "denominator", "row_sums", "total", "moment")
+    __slots__ = ("graph", "numerators", "denominator", "row_sums")
 
     def __init__(self, g: Graph, weights: WeightFunction):
         self.graph = g
         self.numerators, self.denominator = weights.vector(g.vertices, g.degrees)
         self.row_sums = distance_row_sums(g)
-        self.total = Fraction(sum(self.numerators), self.denominator)
-        self.moment = self.weighted(self.row_sums)
+
+    @property
+    def total(self) -> Fraction:
+        return Fraction(sum(self.numerators), self.denominator)
+
+    @property
+    def moment(self) -> Fraction:
+        return self.weighted(self.row_sums)
 
     def weighted(self, column: Sequence[int]) -> Fraction:
         """sum_v w(v) * column[v], over vertices in vertex order."""
@@ -144,46 +106,67 @@ class _Factor:
         return scale * self.weighted(row) + shift * sum(row)
 
 
-# -- general graft products -------------------------------------------------
+# -- general graft products: Theorem 1 in vector form ------------------------
+
+
+def _graft_moment(
+    host: Graph,
+    alpha: WeightFunction,
+    attachments: Sequence[tuple[int, Graph, int, WeightFunction]],
+) -> Fraction:
+    """Theorem 1 in vector form, for (receptor, branch, root, weights) tuples.
+
+    n^T D (a + w) + sum_i [M_Ki^bi + M_Ki^(eta_i)(y_i)], eta_i =
+    (N - |V_i|)*b_i + (W - B_i): n_x is the order of the product block
+    over host vertex x, w_x the branch weight glued there, N the product
+    order and W the total weight.  The host term is <a + w, s> +
+    (n - 1)^T D (a + w) with s the host row sums, so only vertices with
+    n_x > 1 take a host BFS.  Receptors may repeat.  Weights are ints over
+    the least common denominator of all factors, divided once at the end.
+    """
+    _validate_factors(host, ((x, branch, root) for x, branch, root, _ in attachments))
+    h = _Factor(host, alpha)
+    factors = [_Factor(branch, beta) for _, branch, _, beta in attachments]
+    unit = lcm(h.denominator, *(f.denominator for f in factors))
+    totals = [sum(f.numerators) * (unit // f.denominator) for f in factors]
+    block_orders = dict.fromkeys(host.vertices, 1)
+    attached = dict.fromkeys(host.vertices, 0)
+    for (x, branch, _, _), total in zip(attachments, totals):
+        block_orders[x] += branch.order - 1
+        attached[x] += total
+    scale = unit // h.denominator
+    glued = [a * scale + w for a, w in zip(h.numerators, attached.values())]  # a + w
+    grand_total = sum(glued)
+    product_order = sum(block_orders.values())
+
+    result = sum(map(mul, glued, h.row_sums))
+    for x, n_x in block_orders.items():
+        if n_x > 1:
+            result += (n_x - 1) * sum(map(mul, glued, h.row(x)))
+    for (_, branch, root, _), f, total in zip(attachments, factors, totals):
+        row = f.row(root)
+        outside = product_order - branch.order
+        # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * sum(row)
+        column = [s + outside * d for s, d in zip(f.row_sums, row)]
+        result += (unit // f.denominator) * sum(map(mul, f.numerators, column))
+        result += (grand_total - total) * sum(row)
+    return Fraction(result, unit)
 
 
 def graft_moment_formula(spec: GraftSpec) -> Fraction:
-    """Moment of a graft product from factor data alone.
+    """Moment of a graft product from factor data alone (Theorem 1).
 
     M_H^a + sum_i M_Ki^bi + sum_i M_H^(xi_i)(x_i) + sum_i M_Ki^(eta_i)(y_i)
     + sum_{i,j} (|V_i|-1) * dist(x_i, x_j) * B_j, where
     xi_i = (|V_i|-1)*a + B_i and eta_i = (|V|-|V_i|)*b_i + (W - B_i).
-    The sums run over the attachment list, so repeated receptors are fine.
-    The cross term is summed as sum_i (|V_i|-1) * <row(x_i), A>, with A
-    the branch weight glued at each host vertex (ints over A's common
-    denominator): one host BFS per receptor, one branch BFS per root.
+    The sums run over the attachment list, so repeated receptors are
+    fine; _graft_moment evaluates them grouped by receptor.
     """
-    host = spec.host
-    _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
-    h = _Factor(host, spec.host_weights)
-    factors = [_Factor(a.branch, a.weights) for a in spec.attachments]
-    grand_total = h.total + sum((f.total for f in factors), Fraction(0))
-    product_order = spec.product_order
-    attached = dict.fromkeys(host.vertices, Fraction(0))
-    for att, f in zip(spec.attachments, factors):
-        attached[att.receptor] += f.total
-    attached_numerators, attached_denominator = _over_common_denominator(
-        list(attached.values())
+    return _graft_moment(
+        spec.host,
+        spec.host_weights,
+        [(a.receptor, a.branch, a.root, a.weights) for a in spec.attachments],
     )
-    rows = {x: h.row(x) for x in dict.fromkeys(a.receptor for a in spec.attachments)}
-
-    result = h.moment
-    cross = 0
-    for att, f in zip(spec.attachments, factors):
-        grown = att.branch.order - 1
-        row = rows[att.receptor]
-        result += f.moment
-        result += h.point_moment(row, grown, f.total)
-        result += f.point_moment(
-            f.row(att.root), product_order - att.branch.order, grand_total - f.total
-        )
-        cross += grown * sum(map(mul, row, attached_numerators))
-    return result + Fraction(cross, attached_denominator)
 
 
 def family_graft_moment_formula(
@@ -191,47 +174,23 @@ def family_graft_moment_formula(
 ) -> Fraction:
     """Vectorized form of the graft moment, grouped by receptor.
 
-    Same value as graft_moment_formula; the cross term becomes
-    (n - 1)^T D w over host vertices, with n the block orders and w the
-    attached weight totals.  Together with the host point moments it is
-    M_H^(xi_x)(x) + (n_x - 1) * <row(x), w> = (n_x - 1) * <row(x), a + w>
-    + w_x * s(x), so only vertices with n_x > 1 take a host BFS; the
-    rest need just the row sums.
+    Same value as graft_moment_formula: M_H^a, the host point moments
+    and the cross term together are n^T D (a + w), with n the block
+    orders and w the branch weight glued at each host vertex.
+    _graft_moment evaluates both forms.  A receptor with no branches
+    must still be a host vertex.
     """
-    _validate_factors(
-        host, ((x, b, root) for x, bs in family.items() for b, root, _ in bs)
-    )
-    factors = {x: [_Factor(b, beta) for b, _, beta in bs] for x, bs in family.items()}
-    vectors = HostVectors.from_family(
-        host,
-        family,
-        {x: sum((f.total for f in fs), Fraction(0)) for x, fs in factors.items()},
-    )
-    h = _Factor(host, alpha)
-    product_order = vectors.product_order
-    attached = vectors.attached_totals
-    grand_total = h.total + sum(attached, Fraction(0))
-
-    attached_numerators, attached_denominator = _over_common_denominator(attached)
-    host_cross = 0
-    attached_cross = sum(map(mul, attached_numerators, h.row_sums))
-    for x, n_x in zip(host.vertices, vectors.block_orders):
-        if n_x > 1:
-            row = h.row(x)
-            host_cross += (n_x - 1) * sum(map(mul, h.numerators, row))
-            attached_cross += (n_x - 1) * sum(map(mul, attached_numerators, row))
-    result = (
-        h.moment
-        + Fraction(host_cross, h.denominator)
-        + Fraction(attached_cross, attached_denominator)
-    )
     for x, branches in family.items():
-        for (branch, root, _), f in zip(branches, factors[x]):
-            result += f.moment
-            result += f.point_moment(
-                f.row(root), product_order - branch.order, grand_total - f.total
-            )
-    return result
+        if not branches and not host.has_vertex(x):
+            raise UnknownVertex(f"family receptor {x!r} is not a host vertex")
+    return _graft_moment(
+        host,
+        alpha,
+        [(x, b, root, beta) for x, bs in family.items() for b, root, beta in bs],
+    )
+
+
+_CENTER = Graph([0], [])  # a flower's host
 
 
 def flower_moment_formula(
@@ -240,23 +199,18 @@ def flower_moment_formula(
     """Moment of a flower: branches glued at one center of scalar weight.
 
     sum_i M_Ki^bi + sum_i M_Ki^(eta_i)(y_i) with
-    eta_i = (sum_{j != i} |V_j| - r + 1) * b_i + center + sum_{j != i} B_j.
+    eta_i = (sum_{j != i} |V_j| - r + 1) * b_i + center + sum_{j != i} B_j:
+    the graft product on a one-vertex host weighted `center`, whose host
+    terms all vanish.
     """
     center = Fraction(center_weight)
     if center < 0:
         raise NegativeWeight(f"center weight {center} is negative")
-    _validate_factors(None, ((None, branch, root) for branch, root, _ in branches))
-    r = len(branches)
-    factors = [_Factor(branch, beta) for branch, _, beta in branches]
-    order_sum = sum(branch.order for branch, _, _ in branches)
-    total_sum = sum((f.total for f in factors), Fraction(0))
-    result = Fraction(0)
-    for (branch, root, _), f in zip(branches, factors):
-        result += f.moment
-        result += f.point_moment(
-            f.row(root), order_sum - branch.order - r + 1, center + total_sum - f.total
-        )
-    return result
+    return _graft_moment(
+        _CENTER,
+        ConstantWeight(center),
+        [(0, branch, root, beta) for branch, root, beta in branches],
+    )
 
 
 # -- permutation products ---------------------------------------------------

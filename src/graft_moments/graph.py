@@ -27,9 +27,9 @@ from .errors import (
 # n = 10,000); the block route of distance_row_sums adds O(n + m) lists
 # and runs the kernel on one block at a time.  Its block search is
 # iterative, so a path or tree of this order takes tens of
-# milliseconds.  The verify oracle keeps one BFS dict at a time; only
-# theta still builds the O(n^2) distance matrix (about 800 MB of tuples
-# at n = 10,000).
+# milliseconds.  The verify oracle and theta keep one BFS dict at a
+# time; no command builds the O(n^2) distance matrix (about 800 MB of
+# tuples at n = 10,000), which stays for tests and library users.
 MAX_ORDER = 10_000
 
 
@@ -266,8 +266,8 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
     if n == 0:
         raise EmptyGraph("distance matrix of the empty graph")
     adjacency = _int_adjacency(g)
-    sizes = _level_sizes(adjacency, 0)
-    reached, eccentricity = sum(sizes), len(sizes) - 1
+    dist = _distances(adjacency, 0)
+    reached, eccentricity = n - dist.count(-1), max(dist)
     if reached != n:
         raise DisconnectedGraph(
             f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
@@ -445,32 +445,9 @@ def _int_adjacency(g: Graph) -> list[list[int]]:
     return [[position[w] for w in g._adjacency[v]] for v in g._vertices]
 
 
-def _level_sizes(adjacency: list[list[int]], source: int) -> list[int]:
-    """How many vertices lie at distance 0, 1, 2, ... from source.
-
-    Only source's component is counted; the list ends at its eccentricity.
-    """
-    seen = bytearray(len(adjacency))
-    seen[source] = 1
-    frontier = [source]
-    sizes = [1]
-    while True:
-        grown = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    grown.append(w)
-        if not grown:
-            return sizes
-        sizes.append(len(grown))
-        frontier = grown
-
-
 def _row_sums_per_source(adjacency: list[list[int]]) -> tuple[int, ...]:
     """One level-synchronous BFS per source: O(n*m) steps, O(n) memory."""
-    levels = range(len(adjacency))
-    return tuple(sum(map(mul, levels, _level_sizes(adjacency, s))) for s in levels)
+    return tuple(sum(_distances(adjacency, s)) for s in range(len(adjacency)))
 
 
 def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
@@ -509,11 +486,11 @@ def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
 
 
 def _level_signatures(adjacency: list[list[int]]) -> list[tuple[int, ...]]:
-    """_level_sizes from every source, in one bit-parallel pass.
+    """How many vertices lie at distance 0, 1, 2, ... from each source.
 
-    The loop of _row_sums_bit_parallel, keeping each vertex's count of new
-    sources per level: the sources at distance d from i are the vertices
-    at distance d from i.  A vertex leaves the scan once every source has
+    One bit-parallel pass, the loop of _row_sums_bit_parallel, keeping
+    each vertex's count of new sources per level: the sources at distance
+    d from i are the vertices at distance d from i.  A vertex leaves the scan once every source has
     reached it or a level brings none (its component is done), so
     disconnected graphs work too.  The row sum of i is
     sum(d * size for d, size in enumerate(signature)).
@@ -566,18 +543,7 @@ class _Invariants:
 
     __slots__ = ("adjacency", "signatures", "key", "masks", "by_signature")
 
-    def __init__(self, g: Graph):
-        adjacency = _int_adjacency(g)
-        self._fill(adjacency, _level_signatures(adjacency))
-
-    @classmethod
-    def of(cls, adjacency: list[list[int]], signatures: list[_Signature]) -> "_Invariants":
-        """Invariants of an int adjacency whose _level_signatures are known."""
-        invariants = cls.__new__(cls)
-        invariants._fill(adjacency, signatures)
-        return invariants
-
-    def _fill(self, adjacency: list[list[int]], signatures: list[_Signature]) -> None:
+    def __init__(self, adjacency: list[list[int]], signatures: list[_Signature]):
         self.adjacency = adjacency
         self.signatures = signatures
         self.key = tuple(sorted(signatures))
@@ -709,7 +675,9 @@ def isomorphism_classes(
     for g in graphs:
         if g.order > cap:
             raise TooLarge(f"isomorphism test capped at order {cap}; got {g.order}")
-        if classes.add(_Invariants(g)) == len(representatives):
+        adjacency = _int_adjacency(g)
+        invariants = _Invariants(adjacency, _level_signatures(adjacency))
+        if classes.add(invariants) == len(representatives):
             representatives.append(g)
     return list(zip(representatives, classes.members))
 

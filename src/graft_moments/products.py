@@ -72,19 +72,16 @@ class GraftSpec:
         return self.host.order + sum(a.branch.order - 1 for a in self.attachments)
 
 
-def _validate_factors(
-    host: Graph | None, triples: Iterable[tuple[int, Graph, int]]
-) -> None:
+def _validate_factors(host: Graph, triples: Iterable[tuple[int, Graph, int]]) -> None:
     """The checks every graft construction and closed form shares.
 
     The host must be connected, and each (receptor, branch, root) triple
-    needs a host receptor, a branch root and a connected branch.  With
-    host None (a flower's center) the host and receptor checks are skipped.
+    needs a host receptor, a branch root and a connected branch.
     """
-    if host is not None and not is_connected(host):
+    if not is_connected(host):
         raise DisconnectedGraph("host graph is not connected")
     for receptor, branch, root in triples:
-        if host is not None and not host.has_vertex(receptor):
+        if not host.has_vertex(receptor):
             raise UnknownVertex(f"receptor {receptor!r} is not a host vertex")
         if not branch.has_vertex(root):
             raise UnknownVertex(f"root {root!r} is not a branch vertex")

@@ -54,12 +54,6 @@ def _as_rational(value) -> Fraction:
         raise GraphFormatError(f"bad rational value {value!r}: {exc}") from None
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators over the least common denominator (1 for no values)."""
-    den = lcm(*{w.denominator for w in values})
-    return [w.numerator * (den // w.denominator) for w in values], den
-
-
 class WeightFunction:
     """Base class; subclasses define _at(vertex, degree)."""
 
@@ -78,9 +72,12 @@ class WeightFunction:
         numerators[i] / denominator == value(g, vertices[i]) when
         degrees[i] is that vertex's degree in g; moments then sum in ints
         and divide once.  A bad vertex raises what value raises, at the
-        first one in vertex order.
+        first one in vertex order.  The denominator is the least common
+        one (1 for no vertices).
         """
-        return _over_common_denominator(list(map(self._at, vertices, degrees)))
+        values = list(map(self._at, vertices, degrees))
+        den = lcm(*{w.denominator for w in values})
+        return [w.numerator * (den // w.denominator) for w in values], den
 
     def total(self, g: Graph) -> Fraction:
         """Sum of the weight over all vertices of g."""

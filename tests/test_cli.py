@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from graft_moments import (
 from graft_moments.cli import SEED_ENV_VAR, main
 from graft_moments.graph import (
     _int_adjacency,
-    _level_sizes,
+    bfs_distances,
     complete_graph,
     cycle_graph,
     diamond_graph,
@@ -396,7 +397,8 @@ def test_isomoment_product_passes_match_built_products(tmp_path, host, branch):
     for sigma, (adjacency, signatures, moments) in zip(sigmas, passes, strict=True):
         product = permutation_graph(host, branch, sigma).graph
         assert adjacency == _int_adjacency(product)
-        assert signatures == [tuple(_level_sizes(adjacency, i)) for i in range(r * r)]
+        levels = [Counter(bfs_distances(product, v).values()) for v in product.vertices]
+        assert signatures == [tuple(c[d] for d in range(len(c))) for c in levels]
         assert moments == [moment(product, w) for w in weight_functions]
 
 
@@ -629,6 +631,16 @@ def test_theta_table(capsys):
         "r=5 theta=6 row_sums=ok",
         "r=6 theta=9 row_sums=ok",
     ]
+
+
+def test_theta_builds_no_distance_matrix(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("theta built a distance matrix")
+
+    monkeypatch.setattr(graph_module.DistanceMatrix, "__init__", refuse)
+    code, out, _ = run_cli(capsys, "theta", "--max-r", "12")
+    assert code == 0
+    assert out.count("row_sums=ok") == 12
 
 
 def test_theta_rejects_bad_range(capsys):

@@ -17,8 +17,8 @@ from graft_moments import (
     Graph,
     GraphFormatError,
     GraftSpec,
-    HostVectors,
     InvalidExtendedCycle,
+    NegativeWeight,
     NotATree,
     OrderMismatch,
     TooLarge,
@@ -135,19 +135,16 @@ def test_family_formula_matches_scalar_form():
 
 
 def test_family_formula_rejects_unknown_receptor(p3, k2):
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(UnknownVertex) as caught:
         family_graft_moment_formula(p3, UNIT, {9: [(k2, 0, UNIT)]})
+    assert str(caught.value) == "receptor 9 is not a host vertex"
+    # a receptor with no branches is checked too
+    with pytest.raises(UnknownVertex) as caught:
+        family_graft_moment_formula(p3, UNIT, {9: []})
+    assert str(caught.value) == "family receptor 9 is not a host vertex"
 
 
-def test_host_vectors_bookkeeping(p3, k2, p4):
-    family = {0: [(k2, 0, UNIT), (p4, 1, DEGREE)], 2: [(k2, 1, UNIT)]}
-    vectors = HostVectors.from_family(p3, family)
-    assert vectors.block_orders == (1 + 1 + 3, 1, 1 + 1)
-    assert vectors.attached_totals == (Fraction(2) + Fraction(6), 0, Fraction(2))
-    assert vectors.product_order == 8
-    bare = HostVectors.from_family(p3, {})
-    assert bare.block_orders == (1, 1, 1)
-
+def test_extended_cycle_degree_distance_small_case():
     assert extended_cycle_degree_distance(3, [(3, 3), (1, 0), (2, 1)]) == (
         verify._oracle_moment(verify._build_cycle_product(3, [3, 1, 2]), DEGREE)
     ) == 108
@@ -185,6 +182,8 @@ NO_HOST_INPUT = {
     ("flower_moment_formula", "unknown-receptor"),
     ("unicyclic_degree_distance", "disconnected-host"),
 }
+# The unicyclic form names its cycle host in its own message.
+OWN_MESSAGE = {("unicyclic_degree_distance", "unknown-receptor")}
 
 
 @pytest.mark.parametrize(
@@ -201,6 +200,10 @@ def test_bad_factors_raise_the_same_error_as_graft(builder, case):
     with pytest.raises(expected) as caught:
         GRAFT_BUILDERS[builder](host, receptor, branch, root)
     assert caught.type is expected
+    if (builder, case) not in OWN_MESSAGE:
+        with pytest.raises(expected) as by_graft:
+            GRAFT_BUILDERS["graft"](host, receptor, branch, root)
+        assert str(caught.value) == str(by_graft.value)
 
 
 # -- flowers ------------------------------------------------------------------
@@ -212,6 +215,12 @@ def test_flower_formula_star_values(k2, copies, expected):
     assert flower_moment_formula(0, branches) == expected
     product = flower(0, [(k2, 0, UNIT)] * copies)
     assert moment(product.graph, product.gamma) == expected
+
+
+def test_flower_formula_rejects_a_negative_center(k2):
+    with pytest.raises(NegativeWeight) as caught:
+        flower_moment_formula(-1, [(k2, 0, UNIT)])
+    assert str(caught.value) == "center weight -1 is negative"
 
 
 def test_flower_formula_matches_oracle_randomly():

@@ -33,9 +33,10 @@ from graft_moments import graph as graph_module
 from graft_moments.graph import (
     MAX_ORDER,
     _bfs_reached,
+    _distances,
     _int_adjacency,
     _Invariants,
-    _level_sizes,
+    _level_signatures,
     _row_sums_bit_parallel,
     _row_sums_by_blocks,
     _row_sums_per_source,
@@ -350,7 +351,7 @@ ROW_SUM_CASES = KERNEL_CASES + BLOCK_CASES
 
 
 def _eccentricity(adjacency: list[list[int]]) -> int:
-    return len(_level_sizes(adjacency, 0)) - 1
+    return max(_distances(adjacency, 0))
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
@@ -546,7 +547,11 @@ def test_isomorphism_classes_split_a_bucket_collision():
     # distances 0, 1 and 2, so the two share a bucket
     rng = random.Random(9)
     k33, prism = _k33(), _prism()
-    assert _Invariants(k33).key == _Invariants(prism).key
+    keys = []
+    for g in (k33, prism):
+        adjacency = _int_adjacency(g)
+        keys.append(_Invariants(adjacency, _level_signatures(adjacency)).key)
+    assert keys[0] == keys[1]
     graphs = [k33, prism, _relabeled(prism, rng), _relabeled(k33, rng)]
     classes = isomorphism_classes(graphs)
     assert [members for _, members in classes] == [[0, 3], [1, 2]]
