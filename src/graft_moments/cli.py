@@ -7,19 +7,19 @@ Subcommands:
   isomoment  enumerate permutation products, bucket by isomorphism, compare moments
   theta      tabulate cycle distance-matrix row sums against the closed form
 
-isomoment makes one pass per root-orbit word.  Copy i of the branch K
-is rooted at sigma(i), and a copy rooted at u is, as a rooted graph, the
-copy rooted at any vertex of u's Aut(K) orbit; so under degree and
-constant weights two sigmas with the same word (orbit of sigma(1), ...,
-orbit of sigma(r)) give isomorphic products with the same moments.  The
-first sigma of each word gets the pass: the product's int adjacency is
-built straight from the factors' (graft's vertex numbering), one
-bit-parallel BFS of all sources gives every vertex's level sizes, and
-those give both the isomorphism signatures and the row sums that every
-weight's moment is summed from, in ints over one denominator.  Every
-later sigma with that word joins its class.  A file: weight is not
-isomorphism-invariant, so with one every sigma is its own word.  Only
-each class's representative becomes a Graph, to be printed.
+isomoment makes one pass per orbit of sigmas.  Copy i of the branch K
+is rooted at sigma(i), and roots in one Aut(K) orbit give isomorphic
+rooted copies; sigma's word (the orbits of sigma(1), ..., sigma(r))
+colours the host, and sigmas whose coloured hosts are isomorphic share a
+label and give isomorphic products, with equal degree and constant-weight
+moments.  The first sigma of each label gets the pass: the product's int
+adjacency comes straight from the factors, and one bit-parallel BFS of
+all sources gives every vertex's level sizes, which are its isomorphism
+signature and give the row sums every moment is summed from, in ints.
+Later sigmas of that label join its class.  A file: weight is not
+isomorphism-invariant; with one, each sigma is its own label.  No product
+becomes a Graph, and JSON is written by _json_text, not json's
+pure-Python indenting encoder.
 
 Standard output is deterministic for fixed inputs and seed (timings go
 to stderr), so runs can be diffed byte for byte.  Exit codes: 0 success,
@@ -38,11 +38,12 @@ import os
 import random
 import sys
 from fractions import Fraction
-from operator import mul
+from json.encoder import encode_basestring_ascii
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .closed_forms import cycle_distance_row_sum
-from .errors import GraftMomentsError, GraphFormatError, OrderMismatch
+from .errors import GraftMomentsError, GraphFormatError, OrderMismatch, TooLarge
 from .graph import (
     MAX_ORDER,
     Graph,
@@ -54,7 +55,6 @@ from .graph import (
     bfs_distances,
     cycle_graph,
     graph_from_json_dict,
-    graph_to_json_dict,
 )
 from .moments import _weighted_sum, indices
 from .products import (
@@ -74,6 +74,9 @@ from .weights import (
 
 SEED_ENV_VAR = "GRAFT_MOMENTS_SEED"
 FULL_ENUMERATION_MAX = 8
+# theta takes about max_r**3 / 3 BFS steps: --max-r 400 ran 8.8 s and
+# 750 ran 58 s (CPython 3.11, 2 shared cores); 10,000 would run for days
+THETA_MAX_R = 750
 
 
 def _load_json_file(path: str) -> object:
@@ -84,8 +87,68 @@ def _load_json_file(path: str) -> object:
             raise GraphFormatError(f"{path}: {exc}") from None
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_text(obj: object, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), exactly, for obj on a line indented as pad.
+
+    pad is a newline and that indentation.  With an indent, json.dumps
+    runs its pure-Python encoder, so the shapes printed most take a
+    faster road: a list of plain ints is one join, a list of [int, int]
+    pairs (edge lists) fills one template, and any other flat container of
+    scalars goes through the C encoder, given the item separator the
+    indent would have written.  Anything else recurses, with keys and
+    scalars written as json writes them.
+    """
+    if isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+    elif isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+    elif type(obj) is str:
+        return encode_basestring_ascii(obj)
+    elif type(obj) is int:
+        return str(obj)
+    else:
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    inner = pad + "  "
+    sep = "," + inner
+    is_list = values is obj
+    types = set(map(type, values))
+    if is_list and types == {int}:
+        body = sep.join(map(str, obj))
+    elif (
+        is_list
+        and types == {list}
+        and all(len(v) == 2 and type(v[0]) is int and type(v[1]) is int for v in obj)
+    ):
+        deeper = inner + "  "
+        pair = f"[{deeper}%d,{deeper}%d{inner}]"
+        body = sep.join([pair] * len(obj)) % tuple(itertools.chain.from_iterable(obj))
+    elif types <= _SCALARS:
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    elif is_list:
+        body = sep.join([_json_text(v, inner) for v in obj])
+    else:
+        body = sep.join([f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in obj.items()])
+    return brackets[0] + inner + body + pad + brackets[1]
+
+
+def _key_text(key: object) -> str:
+    """A dict key as json writes it: a string, or a scalar's text quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
 def _emit_json(obj: object, out: str | None = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _json_text(obj) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -159,36 +222,44 @@ def _product_passes(
         ]
 
 
-def _root_orbits(branch: Graph) -> list[int]:
-    """Each branch position's Aut(branch) orbit, numbered as first met.
+def _colour_orbits(g: Graph, colourings: Iterable[tuple[int, ...]]) -> list[int]:
+    """Each colouring's Aut(g) orbit, numbered as first met.
 
-    Rooted at u, vertex x gets the signature (dist(x, u),) followed by
-    its level sizes; u is the only vertex at distance 0, so the
-    isomorphisms between the rooted copies at u and at v are exactly the
-    automorphisms taking u to v, and their classes are the orbits
-    (individualise, then refine, as in McKay and Piperno, J. Symb.
-    Comput. 60, 2014).
+    Vertex i's signature codes the colour c of each vertex at distance d
+    as d * order + c (colours are below the order), sorted; the one code
+    at distance 0 is i's own.  So the coloured copies' classes are the
+    orbits (individualise, then refine, as in McKay and Piperno, J. Symb.
+    Comput. 60, 2014).  Signatures this fine keep the buckets small: with
+    level sizes alone, a vertex-transitive g in distinct colours puts
+    every colouring in one bucket.
     """
-    adjacency = _int_adjacency(branch)
-    levels = _level_signatures(adjacency)
+    adjacency = _int_adjacency(g)
+    n = len(adjacency)
+    scaled = [[d * n for d in _distances(adjacency, i)] for i in range(n)]
     classes = _Classes()
-    return [
-        classes.add(
-            _Invariants(
-                adjacency,
-                [(d, *sizes) for d, sizes in zip(_distances(adjacency, u), levels)],
-            )
-        )
-        for u in range(len(adjacency))
-    ]
+    label_of: dict[tuple[int, ...], int] = {}
+    labels = []
+    for colouring in colourings:
+        if colouring not in label_of:
+            signatures = [tuple(sorted(map(add, row, colouring))) for row in scaled]
+            label_of[colouring] = classes.add(_Invariants(adjacency, signatures))
+        labels.append(label_of[colouring])
+    return labels
 
 
-def _adjacency_graph(adjacency: list[list[int]]) -> Graph:
-    """The Graph on positions 0..n-1 with these neighbour lists."""
-    return Graph(
-        range(len(adjacency)),
-        [(u, w) for u, nbrs in enumerate(adjacency) for w in nbrs if u < w],
-    )
+def _root_orbits(branch: Graph) -> list[int]:
+    """Each branch position's Aut(branch) orbit: one vertex coloured 1."""
+    n = branch.order
+    return _colour_orbits(branch, [tuple(int(v == u) for v in range(n)) for u in range(n)])
+
+
+def _orbit_labels(host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]) -> list[int]:
+    """Each sigma's word's Aut(host) orbit, numbered as first met.
+
+    sigma's word colours host vertex i by the root orbit of sigma(i).
+    """
+    orbit = _root_orbits(branch)
+    return _colour_orbits(host, [tuple(orbit[s - 1] for s in sigma) for sigma in sigmas])
 
 
 def cmd_isomoment(args: argparse.Namespace) -> int:
@@ -224,26 +295,25 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
     invariant = all(
         isinstance(w, (ConstantWeight, DegreeWeight)) for w in weight_functions.values()
     )
-    orbit = _root_orbits(branch) if invariant and r * r <= MAX_ORDER else range(r)
-    words = [tuple(orbit[s - 1] for s in sigma) for sigma in sigmas]
-    first_sigma: dict[tuple[int, ...], Sequence[int]] = {}
-    for word, sigma in zip(words, sigmas):
-        first_sigma.setdefault(word, sigma)
+    labels = _orbit_labels(host, branch, sigmas) if invariant and r * r <= MAX_ORDER else sigmas
+    first_sigma: dict[object, Sequence[int]] = {}
+    for label, sigma in zip(labels, sigmas):
+        first_sigma.setdefault(label, sigma)
     passes = _product_passes(host, branch, first_sigma.values(), weight_functions.values())
 
     values: dict[str, set] = {spec_name: set() for spec_name in weight_functions}
     classes = _Classes()
-    class_of: dict[tuple[int, ...], int] = {}
+    class_of: dict[object, int] = {}
     representatives = []
-    for word in words:
-        if word in class_of:
-            classes.join(class_of[word])
+    for label in labels:
+        if label in class_of:
+            classes.join(class_of[label])
             continue
         adjacency, signatures, moments = next(passes)
         for seen, value in zip(values.values(), moments):
             seen.add(value)
-        class_of[word] = classes.add(_Invariants(adjacency, signatures))
-        if class_of[word] == len(representatives):
+        class_of[label] = classes.add(_Invariants(adjacency, signatures))
+        if class_of[label] == len(representatives):
             representatives.append(adjacency)
 
     all_equal = True
@@ -264,7 +334,10 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
                 {
                     "sigma": list(sigmas[members[0]]),
                     "size": len(members),
-                    "graph": graph_to_json_dict(_adjacency_graph(adjacency)),
+                    "graph": {  # neighbour lists are sorted, so the edges are too
+                        "vertices": list(range(len(adjacency))),
+                        "edges": [[u, w] for u, ws in enumerate(adjacency) for w in ws if u < w],
+                    },
                 }
                 for adjacency, members in zip(representatives, classes.members)
             ],
@@ -278,6 +351,8 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
 def cmd_theta(args: argparse.Namespace) -> int:
     if args.max_r < 1:
         raise GraphFormatError("--max-r must be at least 1")
+    if args.max_r > THETA_MAX_R:
+        raise TooLarge(f"--max-r {args.max_r} exceeds cap {THETA_MAX_R}")
     failures = 0
     for r in range(1, args.max_r + 1):
         theta = cycle_distance_row_sum(r)

@@ -14,6 +14,7 @@ from graft_moments import cli
 from graft_moments import graph as graph_module
 from graft_moments import moments as moments_module
 from graft_moments import products as products_module
+from graft_moments import verify as verify_module
 from graft_moments import (
     Graph,
     graph_from_json_dict,
@@ -33,6 +34,7 @@ from graft_moments.graph import (
     star_graph,
 )
 from graft_moments.randgen import random_connected_graph
+from graft_moments.verify import FORMULAS
 
 
 def write_json(path, obj) -> str:
@@ -430,7 +432,7 @@ def test_isomoment_builds_a_graph_only_per_class(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert len(json.loads(out)["classes"]) == classes
-    assert len(built) <= 2 + classes
+    assert len(built) <= 2  # the host and the branch; no product is a Graph
 
 
 def test_isomoment_keeps_the_product_order_cap(tmp_path, capsys):
@@ -471,15 +473,20 @@ def test_isomoment_sampled_count_must_be_positive(tmp_path, capsys, count):
 # -- isomoment by root orbits ---------------------------------------------------
 
 
-def _brute_force_orbits(g: Graph) -> list[int]:
-    """Aut(g) orbits of g's positions, numbered as first met, from every permutation."""
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, as a permutation of its positions."""
     adjacency = _int_adjacency(g)
-    n = len(adjacency)
     edges = {(u, w) for u, nbrs in enumerate(adjacency) for w in nbrs}
-    automorphisms = [
-        p for p in itertools.permutations(range(n))
+    return [
+        p for p in itertools.permutations(range(len(adjacency)))
         if all((p[u], p[w]) in edges for u, w in edges)
     ]
+
+
+def _brute_force_orbits(g: Graph) -> list[int]:
+    """Aut(g) orbits of g's positions, numbered as first met, from every permutation."""
+    automorphisms = _automorphisms(g)
+    n = g.order
     label = [-1] * n
     count = 0
     for u in range(n):
@@ -607,6 +614,107 @@ def test_isomoment_weight_file_takes_one_pass_per_sigma(tmp_path, capsys, monkey
     assert json.loads(out)["classes"] == json.loads(unit_out)["classes"]
 
 
+# -- isomoment by host orbits ---------------------------------------------------
+
+# the smallest graphs whose only automorphism is the identity have 6 vertices
+ASYMMETRIC_6 = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
+HOST_ORBIT_PAIRS = ISOMOMENT_PAIRS + [
+    (cycle_graph(5), ISOMOMENT_PAIRS[1][1]),
+    (ASYMMETRIC_6, path_graph(6)),
+    (cycle_graph(6), ASYMMETRIC_6),
+]
+
+
+@pytest.mark.parametrize(
+    "branch,classes", [(path_graph(6), 11), (ASYMMETRIC_6, 60)], ids=["path", "asymmetric"]
+)
+def test_isomoment_takes_one_pass_per_host_orbit(tmp_path, capsys, monkeypatch, branch, classes):
+    # Aut(C_6) has order 12; with an asymmetric branch every sigma has its
+    # own word, and the 720 words fall into 60 orbits of 12
+    host = graph_file(tmp_path, cycle_graph(6), "host.json")
+    branch_path = graph_file(tmp_path, branch, "branch.json")
+    calls = _count_level_signatures(monkeypatch)
+    code, out, _ = run_cli(capsys, "isomoment", host, branch_path, "--weights", "unit,degree")
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == classes
+    assert calls.count(36) == classes
+
+
+@pytest.mark.parametrize("host,branch", HOST_ORBIT_PAIRS)
+def test_orbit_labels_are_the_host_orbits_of_the_words(host, branch):
+    orbit = _brute_force_orbits(branch)
+    automorphisms = _automorphisms(host)
+    sigmas = list(itertools.permutations(range(1, host.order + 1)))
+    labels = cli._orbit_labels(host, branch, sigmas)
+    # two words share an orbit when their least images under Aut(host) agree
+    least = [
+        min(tuple(orbit[sigma[i] - 1] for i in p) for p in automorphisms) for sigma in sigmas
+    ]
+    assert len(set(labels)) == len(set(least)) == len(set(zip(labels, least)))
+    assert list(dict.fromkeys(labels)) == list(range(len(set(labels))))
+
+
+@pytest.mark.parametrize("host,branch", HOST_ORBIT_PAIRS)
+def test_isomoment_orbit_labels_keep_the_per_sigma_classes(tmp_path, capsys, host, branch):
+    r = host.order
+    host_path = graph_file(tmp_path, host, "host.json")
+    branch_path = graph_file(tmp_path, branch, "branch.json")
+    # a file: weight gets one pass per sigma, whatever its values
+    ones = write_json(tmp_path / "w.json", {str(v): "1" for v in range(r * r)})
+    code, by_label, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
+    )
+    assert code == 0
+    code, per_sigma, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", f"file:{ones}"
+    )
+    assert code == 0
+    assert json.loads(by_label)["classes"] == json.loads(per_sigma)["classes"]
+
+
+# -- JSON emit ------------------------------------------------------------------
+
+
+def test_emitted_text_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch):
+    emitted = []
+    emit = cli._emit_json
+
+    def recording(obj, out=None):
+        emitted.append(obj)
+        emit(obj, out)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    rng = random.Random(1111)
+    runs = [
+        ["indices", graph_file(tmp_path, _relabeled(random_connected_graph(rng, n), rng)),
+         "--weights", spec]
+        for n, spec in [(1, "unit"), (9, "half"), (25, "degree"), (40, "const:7/3")]
+    ]
+    runs.append(["graft", write_json(tmp_path / "spec.json", COALESCENCE_SPEC)])
+    runs += [["verify", formula, "--count", "3", "--seed", "7"] for formula in FORMULAS]
+    for i, (host, branch, _, _) in enumerate(ISOMOMENT_GOLDEN):
+        runs.append([
+            "isomoment", write_json(tmp_path / f"host{i}.json", host),
+            write_json(tmp_path / f"branch{i}.json", branch), "--weights", "unit,half,degree",
+        ])
+    for argv in runs:
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == json.dumps(emitted[-1], indent=2) + "\n", argv
+
+    # a mismatch report carries each failing instance
+    formula = verify_module.graft_moment_formula
+    monkeypatch.setattr(verify_module, "graft_moment_formula", lambda spec: formula(spec) + 1)
+    code, out, _ = run_cli(capsys, "verify", "theorem1", "--count", "3", "--seed", "7")
+    assert code == 1
+    assert len(emitted[-1]["mismatches"]) == 3
+    assert out == json.dumps(emitted[-1], indent=2) + "\n"
+
+    product = tmp_path / "product.json"
+    run_cli(capsys, "graft", str(tmp_path / "spec.json"), "--out", str(product))
+    assert product.read_text(encoding="utf-8") == json.dumps(emitted[-1], indent=2) + "\n"
+    assert len(emitted) == len(runs) + 2
+
+
 def test_the_parser_is_built_once_and_dispatches_late(monkeypatch):
     parser = cli.build_parser()
     main(["theta", "--max-r", "1"])
@@ -647,3 +755,16 @@ def test_theta_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "theta", "--max-r", "0")
     assert code == 2
     assert "error:" in err
+
+
+def test_theta_caps_max_r(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "theta", "--max-r", "751")
+    assert (code, out) == (3, "")
+    assert err == "error: --max-r 751 exceeds cap 750\n"
+    monkeypatch.setattr(cli, "THETA_MAX_R", 5)
+    code, out, _ = run_cli(capsys, "theta", "--max-r", "5")
+    assert code == 0
+    assert out.count("row_sums=ok") == 5
+    code, out, err = run_cli(capsys, "theta", "--max-r", "6")
+    assert (code, out) == (3, "")
+    assert err == "error: --max-r 6 exceeds cap 5\n"

@@ -1,10 +1,15 @@
-"""Property tests of the paper's identities on small generated instances.
+"""Property tests of the paper's identities on small generated instances,
+and of the CLI's JSON writer against json.dumps(obj, indent=2).
 
 Hypothesis is a test-only dependency; without it this module is skipped.
 Runs are derandomized, so a failure reproduces from the test alone.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+import json
 
 import pytest
 
@@ -25,6 +30,7 @@ from graft_moments import (
     graft,
     graft_moment_formula,
 )
+from graft_moments.cli import _emit_json
 from graft_moments.verify import _oracle_moment
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None)
@@ -94,3 +100,33 @@ def test_flower_form_equals_the_oracle(center, branches):
     assert flower_moment_formula(center, branches) == _oracle_moment(
         product.graph, product.gamma
     )
+
+
+# JSON trees for the emitter: every scalar json writes, the shapes the
+# emitter has a fast road for (int lists, [int, int] pair lists), and those
+# shapes spoiled by a bool, a tuple or a third item
+json_text = st.text() | st.text(st.sampled_from('a"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600'))
+json_ints = st.integers() | st.integers(-(2**200), 2**200)
+json_scalars = st.none() | st.booleans() | json_ints | st.floats() | json_text
+json_keys = json_text | json_ints | st.booleans() | st.none() | st.floats()
+int_pairs = st.lists(json_ints | st.booleans(), min_size=2, max_size=3)
+json_trees = st.recursive(
+    json_scalars
+    | st.lists(json_ints, max_size=8)
+    | st.lists(json_ints | st.booleans(), max_size=8)
+    | st.lists(int_pairs, max_size=6)
+    | st.lists(st.tuples(json_ints, json_ints), max_size=4),
+    lambda children: st.lists(children, max_size=5)
+    | st.tuples(children, children)
+    | st.dictionaries(json_keys, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(json_trees)
+def test_emit_json_writes_what_json_dumps_writes_with_indent_2(tree):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(tree)
+    assert out.getvalue() == json.dumps(tree, indent=2) + "\n"
