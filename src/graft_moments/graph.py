@@ -47,7 +47,6 @@ class Graph:
             raise GraphFormatError("duplicate vertex ids")
         if len(vertex_list) > MAX_ORDER:
             raise TooLarge(f"graph order {len(vertex_list)} exceeds cap {MAX_ORDER}")
-        vertex_set = set(vertex_list)
         neighbor_sets: dict[int, set[int]] = {v: set() for v in vertex_list}
         count = 0
         for edge in edges:
@@ -55,17 +54,20 @@ class Graph:
                 u, v = edge
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {edge!r} is not a pair") from None
-            for x in (u, v):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise GraphFormatError(f"edge endpoints must be integers, got {x!r}")
-            if u not in vertex_set or v not in vertex_set:
+            if type(u) is not int or type(v) is not int:  # int subclasses but bool pass
+                for x in (u, v):
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise GraphFormatError(f"edge endpoints must be integers, got {x!r}")
+            u_nbrs = neighbor_sets.get(u)
+            v_nbrs = neighbor_sets.get(v)
+            if u_nbrs is None or v_nbrs is None:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}) has an unknown endpoint")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u!r}")
-            if v in neighbor_sets[u]:
+            if v in u_nbrs:
                 raise GraphFormatError(f"duplicate edge ({u!r}, {v!r})")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+            u_nbrs.add(v)
+            v_nbrs.add(u)
             count += 1
         self._vertices: tuple[int, ...] = tuple(vertex_list)
         self._adjacency: dict[int, tuple[int, ...]] = {
@@ -638,16 +640,21 @@ class _Classes:
 
     def __init__(self) -> None:
         self.members: list[list[int]] = []
-        self._buckets: dict[tuple[_Signature, ...], list[tuple[_SearchOrder, int]]] = {}
+        # [representative, class index]: its _Invariants become its _SearchOrder
+        # at its first comparison, as most buckets never get a second graph
+        self._buckets: dict[tuple[_Signature, ...], list[list]] = {}
         self._count = 0
 
     def add(self, invariants: _Invariants) -> int:
         """File the next graph; the index of its class (len(members) - 1 if new)."""
         bucket = self._buckets.setdefault(invariants.key, [])
-        for order, index in bucket:
+        for entry in bucket:
+            order, index = entry
+            if type(order) is _Invariants:
+                order = entry[0] = _search_order(order)
             if _maps_onto(order, invariants):
                 return self.join(index)
-        bucket.append((_search_order(invariants), len(self.members)))
+        bucket.append([invariants, len(self.members)])
         self.members.append([])
         return self.join(len(self.members) - 1)
 

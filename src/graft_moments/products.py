@@ -41,7 +41,6 @@ from .weights import (
     ExplicitWeight,
     WeightFunction,
     combine_gamma,
-    format_rational,
     parse_weight_spec,
 )
 
@@ -394,10 +393,8 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
 def graft_product_to_json_dict(product: GraftProduct) -> dict:
     """Serializable view: graph, gamma as p/q strings, provenance maps."""
     graph = product.graph
-    gamma = {
-        str(v): format_rational(product.gamma.value(graph, v))
-        for v in graph.vertices
-    }
+    pairs = map(product.gamma._at, graph.vertices, graph.degrees)
+    gamma = {str(v): f"{p}/{q}" for v, (p, q) in zip(graph.vertices, pairs)}
     return {
         "graph": graph_to_json_dict(graph),
         "gamma": gamma,

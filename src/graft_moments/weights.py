@@ -4,6 +4,11 @@ A weight function assigns a nonnegative rational to every vertex of the
 graph it is evaluated on.  The built-in kinds cover the weightings the
 closed-form results specialize to (unit, one-half, degree, constants),
 plus explicit per-vertex maps and affine combinations a*base + c.
+
+Every kind gives a vertex's weight as a reduced (numerator, positive
+denominator) int pair, which explicit maps, products, weight files and
+JSON output keep as it is: `value` is the only place a `Fraction` is
+built, and `vector` the only place a common denominator is formed.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -24,21 +30,34 @@ from .errors import (
 from .graph import Graph
 
 Rational = Fraction
+Pair = tuple[int, int]
+
+
+def _reduced(num: int, den: int) -> Pair:
+    """num/den in lowest terms; den must be positive."""
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _parse_pair(text: str) -> Pair:
+    """Parse "p/q" (or a bare integer "p") into a reduced int pair."""
+    if not isinstance(text, str):
+        raise GraphFormatError(f"expected a rational string, got {text!r}")
+    try:
+        if "/" not in text:
+            return int(text.strip()), 1
+        num, den = text.split("/", 1)
+        p, q = int(num.strip()), int(den.strip())
+        if q == 0:
+            Fraction(p, q)  # raises ZeroDivisionError with Fraction's message
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphFormatError(f"bad rational {text!r}: {exc}") from None
+    return _reduced(p, q) if q > 0 else _reduced(-p, -q)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into an exact rational."""
-    if not isinstance(text, str):
-        raise GraphFormatError(f"expected a rational string, got {text!r}")
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num.strip()), int(den.strip()))
-        else:
-            value = Fraction(int(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GraphFormatError(f"bad rational {text!r}: {exc}") from None
-    return value
+    return Fraction(*_parse_pair(text))
 
 
 def format_rational(value: Fraction) -> str:
@@ -54,14 +73,24 @@ def _as_rational(value) -> Fraction:
         raise GraphFormatError(f"bad rational value {value!r}: {exc}") from None
 
 
+def _as_pair(value) -> Pair:
+    value = _as_rational(value)
+    return value.numerator, value.denominator
+
+
+def _text(pair: Pair) -> str:
+    """A pair as str(Fraction) writes it: "3", "-1/2"."""
+    return "/".join(map(str, pair)) if pair[1] != 1 else str(pair[0])
+
+
 class WeightFunction:
     """Base class; subclasses define _at(vertex, degree)."""
 
     def value(self, g: Graph, v: int) -> Fraction:
-        return self._at(v, g.degree(v))
+        return Fraction(*self._at(v, g.degree(v)))
 
-    def _at(self, v: int, degree: int) -> Fraction:
-        """The weight of vertex v, whose degree is given; raises on a bad one."""
+    def _at(self, v: int, degree: int) -> Pair:
+        """v's weight, given its degree, as a reduced pair; raises on a bad one."""
         raise NotImplementedError
 
     def vector(
@@ -75,9 +104,9 @@ class WeightFunction:
         first one in vertex order.  The denominator is the least common
         one (1 for no vertices).
         """
-        values = list(map(self._at, vertices, degrees))
-        den = lcm(*{w.denominator for w in values})
-        return [w.numerator * (den // w.denominator) for w in values], den
+        pairs = list(map(self._at, vertices, degrees))
+        den = lcm(*{q for _, q in pairs})
+        return [p * (den // q) for p, q in pairs], den
 
     def total(self, g: Graph) -> Fraction:
         """Sum of the weight over all vertices of g."""
@@ -93,8 +122,8 @@ class WeightFunction:
 class DegreeWeight(WeightFunction):
     """Weight = vertex degree; the moment is the degree distance."""
 
-    def _at(self, v: int, degree: int) -> Fraction:
-        return Fraction(degree)
+    def _at(self, v: int, degree: int) -> Pair:
+        return degree, 1
 
     def vector(self, vertices, degrees):
         return list(degrees), 1
@@ -107,20 +136,21 @@ class ConstantWeight(WeightFunction):
     gives the Wiener index.
     """
 
-    __slots__ = ("constant",)
+    __slots__ = ("constant", "_pair")
 
     def __init__(self, constant):
         c = _as_rational(constant)
         if c < 0:
             raise NegativeWeight(f"constant weight {c} is negative")
         self.constant = c
+        self._pair = (c.numerator, c.denominator)
 
-    def _at(self, v: int, degree: int) -> Fraction:
-        return self.constant
+    def _at(self, v: int, degree: int) -> Pair:
+        return self._pair
 
     def vector(self, vertices, degrees):
-        c = self.constant
-        return [c.numerator] * len(vertices), c.denominator
+        p, q = self._pair
+        return [p] * len(vertices), q
 
     def __repr__(self) -> str:
         return f"ConstantWeight({self.constant})"
@@ -129,40 +159,55 @@ class ConstantWeight(WeightFunction):
 class ExplicitWeight(WeightFunction):
     """Per-vertex map; must cover the whole vertex set it is used on."""
 
-    __slots__ = ("values",)
+    __slots__ = ("_pairs",)
 
     def __init__(self, values: Mapping[int, object]):
-        self.values = {v: _as_rational(w) for v, w in values.items()}
+        self._pairs = {v: _as_pair(w) for v, w in values.items()}
 
-    def _at(self, v: int, degree: int) -> Fraction:
-        if v not in self.values:
-            raise UnknownVertex(f"weight map has no entry for vertex {v!r}")
-        w = self.values[v]
-        if w < 0:
-            raise NegativeWeight(f"weight {w} at vertex {v!r} is negative")
+    @classmethod
+    def _from_pairs(cls, pairs: dict[int, Pair]) -> ExplicitWeight:
+        """Wrap a {vertex: reduced pair} dict, which the weight then owns."""
+        w = cls.__new__(cls)
+        w._pairs = pairs
         return w
 
+    @property
+    def values(self) -> Mapping[int, Fraction]:
+        """A read-only view of the weights, which are kept as int pairs."""
+        return MappingProxyType({v: Fraction(*pair) for v, pair in self._pairs.items()})
+
+    def _at(self, v: int, degree: int) -> Pair:
+        pair = self._pairs.get(v)
+        if pair is None:
+            raise UnknownVertex(f"weight map has no entry for vertex {v!r}")
+        if pair[0] < 0:
+            raise NegativeWeight(f"weight {_text(pair)} at vertex {v!r} is negative")
+        return pair
+
     def __repr__(self) -> str:
-        return f"ExplicitWeight({self.values})"
+        return f"ExplicitWeight({dict(self.values)})"
 
 
 class AffineWeight(WeightFunction):
     """scale * base(v) + shift, exact; the result must stay nonnegative."""
 
-    __slots__ = ("scale", "base", "shift")
+    __slots__ = ("scale", "base", "shift", "_terms")
 
     def __init__(self, scale, base: WeightFunction, shift):
         self.scale = _as_rational(scale)
         self.base = base
         self.shift = _as_rational(shift)
+        self._terms = (*_as_pair(self.scale), *_as_pair(self.shift))
 
-    def _at(self, v: int, degree: int) -> Fraction:
-        w = self.scale * self.base._at(v, degree) + self.shift
-        if w < 0:
+    def _at(self, v: int, degree: int) -> Pair:
+        a, b, c, d = self._terms
+        p, q = self.base._at(v, degree)
+        pair = _reduced(a * p * d + c * b * q, b * q * d)
+        if pair[0] < 0:
             raise NegativeWeight(
-                f"affine weight {w} at vertex {v!r} is negative"
+                f"affine weight {_text(pair)} at vertex {v!r} is negative"
             )
-        return w
+        return pair
 
     def __repr__(self) -> str:
         return f"AffineWeight({self.scale}, {self.base!r}, {self.shift})"
@@ -193,28 +238,29 @@ def combine_gamma(
         raise ProvenanceMismatch(
             f"{len(branch_weights)} branches but {len(branch_maps)} provenance maps"
         )
-    values: dict[int, Fraction] = {}
-    for v in host.vertices:
-        values[host_map[v]] = host_weights.value(host, v)
+    values: dict[int, Pair] = {}
+    for v, degree in zip(host.vertices, host.degrees):
+        values[host_map[v]] = host_weights._at(v, degree)
     for (branch, root, weights), bmap in zip(branch_weights, branch_maps):
-        for bv in branch.vertices:
+        for bv, degree in zip(branch.vertices, branch.degrees):
             pid = bmap[bv]
-            w = weights.value(branch, bv)
+            pair = weights._at(bv, degree)
             if bv == root:
                 if pid not in values:
                     raise ProvenanceMismatch(
                         f"branch root {bv!r} maps to {pid!r}, not a host vertex"
                     )
-                values[pid] += w
+                (p, q), (r, s) = values[pid], pair
+                values[pid] = _reduced(p * s + r * q, q * s)
             else:
                 if pid in values:
                     raise ProvenanceMismatch(
                         f"product vertex {pid!r} claimed twice"
                     )
-                values[pid] = w
+                values[pid] = pair
     if set(values) != set(product_vertices):
         raise ProvenanceMismatch("provenance maps do not cover the product")
-    return ExplicitWeight(values)
+    return ExplicitWeight._from_pairs(values)
 
 
 # -- weight spec strings (CLI / JSON surface) ----------------------------
@@ -268,8 +314,8 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
                     f"weight file {path} keys must be integer vertex ids "
                     f"written plainly, got {key!r}"
                 )
-            values[vertex] = parse_rational(text)
-        return ExplicitWeight(values)
+            values[vertex] = _parse_pair(text)
+        return ExplicitWeight._from_pairs(values)
     raise GraphFormatError(f"unknown weight spec {spec!r}")
 
 
@@ -284,7 +330,7 @@ def describe_weight(w: WeightFunction) -> object:
     if isinstance(w, ConstantWeight):
         return f"const:{format_rational(w.constant)}"
     if isinstance(w, ExplicitWeight):
-        return {"explicit": {str(v): format_rational(x) for v, x in w.values.items()}}
+        return {"explicit": {str(v): f"{p}/{q}" for v, (p, q) in w._pairs.items()}}
     if isinstance(w, AffineWeight):
         return {
             "affine": {

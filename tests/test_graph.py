@@ -70,6 +70,32 @@ def test_construction_rejects_non_simple_input(vertices, edges):
         Graph(vertices, edges)
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        # two faulty edges: the earlier one is reported
+        ([(0, 1), (0, 5), (1, 0)], "edge (0, 5) has an unknown endpoint"),
+        # one edge, two faults each: type, then membership, then self-loop
+        ([(5, True)], "edge endpoints must be integers, got True"),
+        ([(1.0, True)], "edge endpoints must be integers, got 1.0"),
+        ([(5, 5)], "edge (5, 5) has an unknown endpoint"),
+        ([(0, 1), (1, 1), (1, 0)], "self-loop at vertex 1"),
+    ],
+)
+def test_construction_reports_the_first_fault(edges, message):
+    with pytest.raises(GraphFormatError) as info:
+        Graph([0, 1], edges)
+    assert str(info.value) == message
+
+
+def test_construction_accepts_int_subclasses_but_bool():
+    class Id(int):
+        pass
+
+    g = Graph([0, 1, 2], [(Id(0), 1), (1, Id(2))])
+    assert g.edge_count == 2 and g.neighbors(1) == (0, 2)
+
+
 def test_bfs_distances_on_path(p4):
     assert bfs_distances(p4, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
 
@@ -556,6 +582,30 @@ def test_isomorphism_classes_split_a_bucket_collision():
     classes = isomorphism_classes(graphs)
     assert [members for _, members in classes] == [[0, 3], [1, 2]]
     assert not are_isomorphic(k33, prism)
+
+
+def test_isomorphism_classes_build_no_search_order_for_lone_buckets(monkeypatch):
+    # a search order is needed only when a second graph lands in a bucket
+    graphs = [path_graph(n) for n in range(1, 8)]
+    graphs += [cycle_graph(n) for n in range(3, 8)]
+    graphs += [star_graph(n) for n in range(3, 7)] + [_k33(), diamond_graph()]
+    keys = set()
+    for g in graphs:
+        adjacency = _int_adjacency(g)
+        keys.add(_Invariants(adjacency, _level_signatures(adjacency)).key)
+    assert len(keys) == len(graphs)
+    built = []
+    search_order = graph_module._search_order
+    monkeypatch.setattr(
+        graph_module, "_search_order", lambda rep: built.append(rep) or search_order(rep)
+    )
+    classes = isomorphism_classes(graphs)
+    assert [members for _, members in classes] == [[i] for i in range(len(graphs))]
+    assert built == []
+    # the first comparison in a bucket builds its representative's order, once
+    classes = isomorphism_classes([_k33(), _prism(), _relabeled(_prism(), random.Random(1))])
+    assert [members for _, members in classes] == [[0], [1, 2]]
+    assert len(built) == 2
 
 
 def test_isomorphism_classes_cap():

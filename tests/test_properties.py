@@ -1,4 +1,5 @@
 """Property tests of the paper's identities on small generated instances,
+of the combined weight and moment linearity against Fraction references,
 and of the CLI's JSON writer against json.dumps(obj, indent=2).
 
 Hypothesis is a test-only dependency; without it this module is skipped.
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from graft_moments import (
     DEGREE,
+    HALF,
     UNIT,
+    AffineWeight,
     Attachment,
     ConstantWeight,
     ExplicitWeight,
@@ -29,6 +32,9 @@ from graft_moments import (
     flower_moment_formula,
     graft,
     graft_moment_formula,
+    graft_product_to_json_dict,
+    indices,
+    moment,
 )
 from graft_moments.cli import _emit_json
 from graft_moments.verify import _oracle_moment
@@ -49,16 +55,23 @@ def connected_graphs(draw, max_order: int = 5) -> Graph:
 
 
 @st.composite
+def explicit_weights(draw, g: Graph) -> ExplicitWeight:
+    return ExplicitWeight({v: draw(rationals) for v in g.vertices})
+
+
+@st.composite
 def weighted(draw, g: Graph):
-    """A unit, degree, constant or explicit weight on g."""
-    kind = draw(st.sampled_from(["unit", "degree", "constant", "explicit"]))
+    """A unit, degree, constant, explicit or affine weight on g."""
+    kind = draw(st.sampled_from(["unit", "degree", "constant", "explicit", "affine"]))
     if kind == "unit":
         return UNIT
     if kind == "degree":
         return DEGREE
     if kind == "constant":
         return ConstantWeight(draw(rationals))
-    return ExplicitWeight({v: draw(rationals) for v in g.vertices})
+    if kind == "explicit":
+        return draw(explicit_weights(g))
+    return AffineWeight(draw(rationals), draw(weighted(g)), draw(rationals))
 
 
 @st.composite
@@ -100,6 +113,42 @@ def test_flower_form_equals_the_oracle(center, branches):
     assert flower_moment_formula(center, branches) == _oracle_moment(
         product.graph, product.gamma
     )
+
+
+@PROPERTY_SETTINGS
+@given(graft_specs())
+def test_gamma_json_is_the_fraction_sum_of_the_factor_weights(spec):
+    product = graft(spec)
+    expected = {
+        product.host_map[v]: spec.host_weights.value(spec.host, v) for v in spec.host.vertices
+    }
+    for a, bmap in zip(spec.attachments, product.branch_maps):
+        for bv in a.branch.vertices:
+            expected[bmap[bv]] = expected.get(bmap[bv], 0) + a.weights.value(a.branch, bv)
+    gamma = graft_product_to_json_dict(product)["gamma"]
+    assert list(gamma.items()) == [
+        (str(v), f"{w.numerator}/{w.denominator}") for v, w in sorted(expected.items())
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(max_order=8).flatmap(lambda g: st.tuples(st.just(g), explicit_weights(g))))
+def test_half_weight_gives_the_wiener_index(gw):
+    g, w = gw
+    report = indices(g, w)
+    assert moment(g, HALF) == report.wiener
+    assert report.moment == moment(g, w)
+
+
+@PROPERTY_SETTINGS
+@given(
+    connected_graphs(max_order=8).flatmap(lambda g: st.tuples(st.just(g), explicit_weights(g))),
+    rationals,
+    rationals,
+)
+def test_moment_is_linear_in_the_weight(gw, a, c):
+    g, w = gw
+    assert moment(g, AffineWeight(a, w, c)) == a * moment(g, w) + c * moment(g, UNIT)
 
 
 # JSON trees for the emitter: every scalar json writes, the shapes the

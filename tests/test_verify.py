@@ -12,21 +12,25 @@ from graft_moments import (
     DEGREE,
     FORMULAS,
     UNIT,
+    AffineWeight,
     ConstantWeight,
+    DegreeWeight,
     DisconnectedGraph,
     EmptyGraph,
     Graph,
     GraphFormatError,
     Mismatch,
     VerificationReport,
+    WeightFunction,
     cycle_graph,
     distance_matrix,
+    graft,
     moment,
     run_verification,
 )
 from graft_moments import graph as graph_module
 from graft_moments import verify
-from graft_moments.randgen import random_connected_graph
+from graft_moments.randgen import random_connected_graph, random_graft_spec
 
 
 def test_formula_names_are_sorted_and_complete():
@@ -134,6 +138,24 @@ def test_the_oracle_keeps_no_distance_matrix(monkeypatch):
     for g in graphs:
         for weights in (UNIT, DEGREE, ConstantWeight(Fraction(2, 7))):
             assert verify._oracle_moment(g, weights) == moment(g, weights)
+
+
+def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
+    rng = random.Random(5)
+    instances = []
+    for _ in range(6):
+        spec = random_graft_spec(rng, max_host=6, max_branch_order=5, allow_repeated_receptors=True)
+        product = graft(spec)
+        for weights in (product.gamma, UNIT, DEGREE, AffineWeight(Fraction(3, 2), DEGREE, Fraction(1, 3))):
+            instances.append((product.graph, weights, moment(product.graph, weights)))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the oracle took a weight vector")
+
+    for kind in (WeightFunction, ConstantWeight, DegreeWeight):
+        monkeypatch.setattr(kind, "vector", refuse)
+    for g, weights, expected in instances:
+        assert verify._oracle_moment(g, weights) == expected
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -22,10 +23,14 @@ from graft_moments import (
     NegativeWeight,
     ProvenanceMismatch,
     UnknownVertex,
+    WeightFunction,
     combine_gamma,
     describe_weight,
+    distance_row_sums,
     format_rational,
     graft,
+    graft_product_to_json_dict,
+    moment,
     parse_rational,
     parse_weight_spec,
     path_graph,
@@ -268,3 +273,111 @@ def test_vector_raises_like_value_at_the_first_bad_vertex(p4, w):
     with pytest.raises(expected[0]) as got:
         w.vector(p4.vertices, p4.degrees)
     assert str(got.value) == expected[1]
+
+
+# -- reduced int pairs against a Fraction reference ------------------------------
+
+
+def _reference_rational(text) -> Fraction:
+    """The Fraction parser weight files used to go through, error texts and all."""
+    if not isinstance(text, str):
+        raise GraphFormatError(f"expected a rational string, got {text!r}")
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num.strip()), int(den.strip()))
+        return Fraction(int(text.strip()))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphFormatError(f"bad rational {text!r}: {exc}") from None
+
+
+_BIG = "1234567890" * 4
+_TEXTS = ["-2/6", "3/-4", "0/7", " 5 ", "10/4", "0", "-0/-3", f"-{_BIG}/{_BIG[::-1]}", _BIG]
+
+
+def _weight_file(tmp_path, texts) -> WeightFunction:
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({str(v): text for v, text in enumerate(texts)}))
+    return parse_weight_spec(f"file:{path}")
+
+
+def test_weight_file_texts_parse_to_reduced_pairs(tmp_path):
+    w = _weight_file(tmp_path, _TEXTS)
+    for v, text in enumerate(_TEXTS):
+        expected = _reference_rational(text)
+        assert parse_rational(text) == expected
+        assert w.values[v] == expected
+        assert w._pairs[v] == (expected.numerator, expected.denominator)
+    assert describe_weight(w)["explicit"] == {
+        str(v): format_rational(_reference_rational(text)) for v, text in enumerate(_TEXTS)
+    }
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "x/2", "1/2/3", "1.5", "", 3, None, [1, 2]])
+def test_weight_file_texts_fail_as_before(tmp_path, text):
+    with pytest.raises(GraphFormatError) as expected:
+        _reference_rational(text)
+    with pytest.raises(GraphFormatError) as got:
+        _weight_file(tmp_path, ["1/2", text])
+    assert str(got.value) == str(expected.value)
+    if isinstance(text, str):
+        with pytest.raises(GraphFormatError) as got:
+            parse_rational(text)
+        assert str(got.value) == str(expected.value)
+
+
+def test_negative_weight_messages_print_the_value_as_fraction_does(p4):
+    cases = [
+        (ExplicitWeight({0: Fraction(-1, 2)}), "weight -1/2 at vertex 0 is negative"),
+        (ExplicitWeight({0: -3}), "weight -3 at vertex 0 is negative"),
+        (AffineWeight(-1, UNIT, 0), "affine weight -1 at vertex 0 is negative"),
+        (AffineWeight(-2, HALF, Fraction(1, 3)), "affine weight -2/3 at vertex 0 is negative"),
+    ]
+    for w, message in cases:
+        with pytest.raises(NegativeWeight) as got:
+            w.value(p4, 0)
+        assert str(got.value) == message
+    with pytest.raises(NegativeWeight) as got:
+        ConstantWeight(Fraction(-6, 4))
+    assert str(got.value) == "constant weight -3/2 is negative"
+
+
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def test_host_weight_file_with_1000_prime_denominators_round_trips(tmp_path):
+    primes = _primes(1000)
+    host = random_connected_graph(random.Random(21), 1000)
+    texts = [f"{v + 1}/{p}" for v, p in zip(host.vertices, primes)]
+    host_weights = _weight_file(tmp_path, texts)
+    spec = GraftSpec(
+        host,
+        (Attachment(0, path_graph(3), 0, ConstantWeight(Fraction(1, 7))),
+         Attachment(5, path_graph(2), 1, DEGREE)),
+        host_weights,
+    )
+    product = graft(spec)
+    gamma = graft_product_to_json_dict(product)["gamma"]
+    expected = {
+        product.host_map[v]: _reference_rational(text) for v, text in zip(host.vertices, texts)
+    }
+    expected[product.host_map[0]] += Fraction(1, 7)
+    expected[product.host_map[5]] += 1
+    expected.update({v: Fraction(1, 7) for v in (1000, 1001)})
+    expected[1002] = Fraction(1)
+    assert list(gamma.items()) == [(str(v), format_rational(expected[v])) for v in range(1003)]
+    # no numerator grows to the lcm of the denominators
+    assert max(len(text) for text in gamma.values()) <= 12
+    (tmp_path / "gamma.json").write_text(json.dumps(gamma))
+    again = parse_weight_spec(f"file:{tmp_path / 'gamma.json'}")
+    assert again._pairs == product.gamma._pairs
+    sums = distance_row_sums(product.graph)
+    reference = sum(expected[v] * sums[v] for v in product.graph.vertices)
+    assert moment(product.graph, again) == moment(product.graph, product.gamma) == reference
