@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -122,6 +123,41 @@ def test_mismatch_json_shape():
     assert report.to_json_dict()["ok"] is False
     assert report.to_json_dict()["mismatches"] == [payload]
     json.dumps(report.to_json_dict())
+
+
+# Every closed form that verify imports, and the sha256 of each formula's
+# report when all of them return their value + 1 (4 mismatches each).
+_CLOSED_FORMS = (
+    "concentration_difference_formula",
+    "extended_cycle_degree_distance",
+    "family_graft_moment_formula",
+    "flower_moment_formula",
+    "graft_moment_formula",
+    "permutation_moment_formula",
+    "proper_cycle_degree_distance",
+    "unicyclic_degree_distance",
+)
+_MISMATCH_REPORT_DIGESTS = {
+    "comparison": "6aadac4f66deae1d95b60e1737d4447360a8a3e745c714f156f120fd9685cc06",
+    "extcycles": "2490200a1fbe33b45bce77a0d50a2661ab969aed65f65bb9f8583a1c9b7ff3bb",
+    "flower": "b79dcb33f69b8afbfb8bef344ab6dc550ec34ad83092e46351bc2c9d4bcc1b7a",
+    "propercycles": "473201f5669bf26a992d7446d7c4629afef580ae875950b25b0c4dd1f85cda02",
+    "sigma": "796f74857d396b8bfd10bc0e43c43fdd6cc878ac85dd65221c72fc2a558eed2c",
+    "theorem1": "f21917ecbd1390a095fd7a1607a665845ddf6c3f2c246789c1bbcc4efb338bf9",
+    "theorem41": "075aaa8ff737a35d4629b1cc7ae58603b130d9712a5b3e0bed01e68c84672165",
+    "unicyclic": "d1408be24d44e90d26da557df9867ddbab4047e3132b466582878398937019d8",
+}
+
+
+@pytest.mark.parametrize("formula", FORMULAS)
+def test_mismatch_reports_are_pinned(monkeypatch, formula):
+    for name in _CLOSED_FORMS:
+        form = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args, form=form: form(*args) + 1)
+    report = run_verification(formula, count=4, seed=11)
+    assert len(report.mismatches) == 4
+    text = json.dumps(report.to_json_dict(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == _MISMATCH_REPORT_DIGESTS[formula]
 
 
 # -- the oracle ------------------------------------------------------------------
