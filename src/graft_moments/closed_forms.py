@@ -4,8 +4,8 @@ Each function evaluates a published formula symbol by symbol from its
 inputs -- factor moments, branch orders, total weights, host distances
 -- without building the product graph.  No form builds a distance
 matrix: each factor graph gets one `distance_row_sums` pass for its
-moment, and a point moment costs one BFS from its vertex
-(`bfs_distances`), whose row gives it by linearity,
+moment, and a point moment costs one BFS from its vertex (`_distances`,
+on the int adjacency that pass used), whose row gives it by linearity,
 M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Weights
 enter as int numerators over one denominator (`WeightFunction.vector`),
 so totals, moments and point moments are int dot products divided once.
@@ -17,7 +17,9 @@ graft, family and flower forms only hand it their attachments, a flower
 being the graft product on a one-vertex host.  Every formula is
 certified against the brute-force oracle (build the product, run BFS
 from every vertex, sum) by the verify module and the test suite;
-agreement is exact, never approximate.
+agreement is exact, never approximate.  The oracle runs none of the
+distance code above; only the factor checks (`_validate_factors`) share
+its BFS loop.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .errors import (
     NegativeWeight,
     NotATree,
     OrderMismatch,
-    TooLarge,
     UnknownVertex,
 )
-from .graph import MAX_ORDER, Graph, bfs_distances, cycle_graph, distance_row_sums
+from .graph import Graph, _check_order, _distances, _int_adjacency, _row_sums, cycle_graph
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction
 from .products import GraftSpec, _validate_factors
 
@@ -70,19 +71,21 @@ def cycle_distance_row_sum(r: int) -> int:
 
 
 class _Factor:
-    """Weights and distance row sums of one factor graph, in vertex order.
+    """Weights, int adjacency and distance row sums of one factor graph.
 
-    The weights are int numerators over one denominator
-    (WeightFunction.vector), so the total, the moment and each point
-    moment are int dot products with one division each.
+    Vertices are positions in vertex order.  The weights are int
+    numerators over one denominator (WeightFunction.vector), so the
+    total, the moment and each point moment are int dot products with
+    one division each.
     """
 
-    __slots__ = ("graph", "numerators", "denominator", "row_sums")
+    __slots__ = ("graph", "adjacency", "numerators", "denominator", "row_sums")
 
     def __init__(self, g: Graph, weights: WeightFunction):
         self.graph = g
         self.numerators, self.denominator = weights.vector(g.vertices, g.degrees)
-        self.row_sums = distance_row_sums(g)
+        self.adjacency = _int_adjacency(g)
+        self.row_sums = _row_sums(g, self.adjacency)
 
     @property
     def total(self) -> Fraction:
@@ -98,8 +101,7 @@ class _Factor:
 
     def row(self, y: int) -> list[int]:
         """dist(y, v) for every vertex v, in vertex order: one BFS."""
-        dist = bfs_distances(self.graph, y)
-        return [dist[v] for v in self.graph.vertices]
+        return _distances(self.adjacency, self.graph.vertices.index(y))
 
     def point_moment(self, row: list[int], scale, shift) -> Fraction:
         """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
@@ -397,12 +399,6 @@ def _cycle_quadratic(u: Sequence[int], v: Sequence[int]) -> int:
     return total
 
 
-def _check_cycle_cap(r: int) -> None:
-    """The cap cycle_graph(r) enforces, for forms that do not build C_r."""
-    if r > MAX_ORDER:
-        raise TooLarge(f"graph order {r} exceeds cap {MAX_ORDER}")
-
-
 def _extended_degree(r: int) -> int:
     """Vertex degree of the extended cycle C_r: 2, except 1 for K2, 0 for K1."""
     if r >= 3:
@@ -447,7 +443,7 @@ def extended_cycle_degree_distance(
         raise ArityMismatch(
             f"need one branch per host vertex: {host_order} != {len(pairs)}"
         )
-    _check_cycle_cap(host_order)
+    _check_order(host_order)
     for r_x, m_x in pairs:
         _check_extended_pair(r_x, m_x)
     r_vec = [r for r, _ in pairs]
@@ -489,7 +485,7 @@ def proper_cycle_degree_distance(
     for r in branch_orders:
         if r < 3:
             raise InvalidExtendedCycle(f"proper cycle branch needs order >= 3, got {r}")
-    _check_cycle_cap(host_order)
+    _check_order(host_order)
     theta_vec = [cycle_distance_row_sum(r) for r in branch_orders]
     host_theta = cycle_distance_row_sum(host_order)
     sum_r = sum(branch_orders)

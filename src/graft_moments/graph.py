@@ -33,6 +33,12 @@ from .errors import (
 MAX_ORDER = 10_000
 
 
+def _check_order(n: int) -> None:
+    """The MAX_ORDER cap, also for code that sizes a graph before building it."""
+    if n > MAX_ORDER:
+        raise TooLarge(f"graph order {n} exceeds cap {MAX_ORDER}")
+
+
 class Graph:
     """Finite simple undirected graph."""
 
@@ -45,8 +51,7 @@ class Graph:
                 raise GraphFormatError(f"vertex ids must be integers, got {v!r}")
         if len(set(vertex_list)) != len(vertex_list):
             raise GraphFormatError("duplicate vertex ids")
-        if len(vertex_list) > MAX_ORDER:
-            raise TooLarge(f"graph order {len(vertex_list)} exceeds cap {MAX_ORDER}")
+        _check_order(len(vertex_list))
         neighbor_sets: dict[int, set[int]] = {v: set() for v in vertex_list}
         count = 0
         for edge in edges:
@@ -230,11 +235,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     order = g.vertices
     rows = []
     for u in order:
-        dist = _bfs_reached(g, u)
-        if len(dist) != g.order:
-            raise DisconnectedGraph(
-                f"only {len(dist)} of {g.order} vertices reachable from {u!r}"
-            )
+        dist = bfs_distances(g, u)
         rows.append(tuple(dist[v] for v in order))
     return DistanceMatrix(order, tuple(rows))
 
@@ -264,10 +265,14 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
     and trees of order 2 to 40 take the same 0.25 to 0.32 s.  A cycle
     gains nothing: it is one block, and pays only the block search on top.
     """
-    n = g.order
+    return _row_sums(g, _int_adjacency(g))
+
+
+def _row_sums(g: Graph, adjacency: list[list[int]]) -> tuple[int, ...]:
+    """distance_row_sums(g), given g's _int_adjacency."""
+    n = len(adjacency)
     if n == 0:
         raise EmptyGraph("distance matrix of the empty graph")
-    adjacency = _int_adjacency(g)
     dist = _distances(adjacency, 0)
     reached, eccentricity = n - dist.count(-1), max(dist)
     if reached != n:

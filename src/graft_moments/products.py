@@ -24,12 +24,11 @@ from .errors import (
     DuplicateReceptor,
     GraphFormatError,
     OrderMismatch,
-    TooLarge,
     UnknownVertex,
 )
 from .graph import (
-    MAX_ORDER,
     Graph,
+    _check_order,
     _int_adjacency,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -250,8 +249,7 @@ def _permutation_adjacencies(
     r = host.order
     # every copy is the same branch, so one (receptor, branch, root) covers them
     _validate_factors(host, [(x, branch, branch.vertices[0]) for x in host.vertices[:1]])
-    if r * r > MAX_ORDER:
-        raise TooLarge(f"graph order {r * r} exceeds cap {MAX_ORDER}")
+    _check_order(r * r)
     host_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(host)]
     branch_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(branch)]
     # per root position: the copy offsets of the root's neighbours, and for
@@ -375,7 +373,10 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
         missing = {"receptor", "branch", "root"} - set(raw)
         if missing:
             raise GraphFormatError(f"attachment is missing {sorted(missing)}")
-        if not isinstance(raw["receptor"], int) or not isinstance(raw["root"], int):
+        if any(
+            not isinstance(raw[key], int) or isinstance(raw[key], bool)
+            for key in ("receptor", "root")
+        ):
             raise GraphFormatError("receptor and root must be integer vertex ids")
         attachments.append(
             Attachment(

@@ -1,30 +1,34 @@
 """Formula-vs-oracle verification over seeded random instances.
 
-The oracle is always the same: build the product graph, run one plain
-BFS (`_bfs_reached`) from every vertex, sum each one's distances into
-that vertex's row sum as it goes, and sum weight (`value`, one
-`Fraction` per vertex) times row sum; no n x n matrix is kept.
-`moments.moment`, `moments.indices` and the closed forms take their
-row sums from the separate `distance_row_sums` kernel, so a fault in
-either row-sum path shows up as a mismatch instead of cancelling out.
-The closed forms' point moments use `bfs_distances`, which shares its
-single-source loop `_bfs_reached` with the oracle (and with
-`distance_matrix`); that loop is the one piece of distance code on both
-sides.  A verifier draws random
+The oracle is always the same: run one plain BFS (`bfs_distances`) from
+every vertex of the product graph, sum its distances into that vertex's
+row sum, and sum weight (`value`, one `Fraction` per vertex) times row
+sum; no n x n matrix is kept.  `_graft_oracle` builds a graft product
+with `graft` and sums it so, weighted by its gamma unless told
+otherwise; every graft-based checker and the test suite go through it.
+The oracle shares no distance code with what it certifies:
+`moments.moment`, `moments.indices` and the closed forms take their row
+sums from the `distance_row_sums` kernel and their point-moment rows
+from the int BFS `_distances`, so a fault in either shows up as a
+mismatch instead of cancelling out.  Only connectivity validation
+(`is_connected`, when a product or a closed form checks its factors)
+runs the oracle's BFS loop on both sides.  A verifier draws random
 instances, evaluates the closed form and the oracle, and records every
-disagreement (there should be none) in a report.  Some verifiers chain
-extra checks onto each instance -- the comparison formula must also be
-invariant under swapping the branch for another of equal order and
-total weight, and the proper-cycle formula must agree with the
-extended-cycle formula.
+disagreement (there should be none) in a report; an instance is kept as
+its graphs, weights and numbers and written out as JSON only when it
+disagrees.  Some verifiers chain extra checks onto each instance -- the
+comparison formula must also be invariant under swapping the branch for
+another of equal order and total weight, and the proper-cycle formula
+must agree with the extended-cycle formula.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 
 from .closed_forms import (
     attachments_by_receptor,
@@ -37,8 +41,8 @@ from .closed_forms import (
     proper_cycle_degree_distance,
     unicyclic_degree_distance,
 )
-from .errors import DisconnectedGraph, EmptyGraph, GraphFormatError
-from .graph import Graph, _bfs_reached, cycle_graph, graph_to_json_dict
+from .errors import EmptyGraph, GraphFormatError
+from .graph import Graph, bfs_distances, cycle_graph, graph_to_json_dict
 from .products import Attachment, GraftSpec, flower, graft, permutation_graph
 from .randgen import (
     random_comparison_instance,
@@ -71,13 +75,37 @@ def _oracle_moment(g: Graph, weights: WeightFunction) -> Fraction:
         raise EmptyGraph("distance matrix of the empty graph")
     result = Fraction(0)
     for v in g.vertices:
-        dist = _bfs_reached(g, v)
-        if len(dist) != g.order:
-            raise DisconnectedGraph(
-                f"only {len(dist)} of {g.order} vertices reachable from {v!r}"
-            )
-        result += weights.value(g, v) * sum(dist.values())
+        row_sum = sum(bfs_distances(g, v).values())
+        result += weights.value(g, v) * row_sum
     return result
+
+
+def _graft_oracle(spec: GraftSpec, weights: WeightFunction | None = None) -> Fraction:
+    """The oracle on the built graft product, weighted by its gamma by default."""
+    product = graft(spec)
+    return _oracle_moment(product.graph, product.gamma if weights is None else weights)
+
+
+def _comparison_oracle(host, alpha, x, receptors, branch, root, beta) -> Fraction:
+    """Moment with every branch stacked on x minus moment with them spread out."""
+
+    def glued_at(at) -> Fraction:
+        attachments = tuple(Attachment(r, branch, root, beta) for r in at)
+        return _graft_oracle(GraftSpec(host, attachments, alpha))
+
+    return glued_at([x] * len(receptors)) - glued_at(receptors)
+
+
+def _cycle_graft_oracle(host_order: int, forest) -> Fraction:
+    """Degree distance of C_r with the (branch, root) pairs of forest[x] glued at x."""
+    attachments = tuple(Attachment(x, b, root) for x, pairs in forest.items() for b, root in pairs)
+    return _graft_oracle(GraftSpec(cycle_graph(host_order), attachments), DEGREE)
+
+
+def _cycles_oracle(host_order: int, branch_orders) -> Fraction:
+    """Degree distance of C_r with a cycle of order branch_orders[x] glued at x."""
+    forest = {x: [(cycle_graph(r), 0)] for x, r in enumerate(branch_orders)}
+    return _cycle_graft_oracle(host_order, forest)
 
 
 @dataclass(frozen=True)
@@ -116,53 +144,50 @@ class VerificationReport:
         }
 
 
+def _describe(value):
+    """An instance as JSON data: graphs, weights and rationals written out."""
+    if isinstance(value, Graph):
+        return graph_to_json_dict(value)
+    if isinstance(value, WeightFunction):
+        return describe_weight(value)
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Attachment):
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _describe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_describe(v) for v in value]
+    return value
+
+
 def _cap(default: int, max_size: int | None, floor: int = 1) -> int:
     if max_size is None:
         return default
     return max(floor, min(default, max_size))
 
 
-def _spec_instance(spec: GraftSpec) -> dict:
-    return {
-        "host": graph_to_json_dict(spec.host),
-        "host_weights": describe_weight(spec.host_weights),
-        "attachments": [
-            {
-                "receptor": a.receptor,
-                "branch": graph_to_json_dict(a.branch),
-                "root": a.root,
-                "weights": describe_weight(a.weights),
-            }
-            for a in spec.attachments
-        ],
+def _check_graft(rng: random.Random, max_size: int | None, family: bool) -> list[Check]:
+    """Theorem 1 (graft form), or Theorem 4.1 (family form, receptors may repeat)."""
+    spec = random_graft_spec(
+        rng,
+        max_host=_cap(12, max_size),
+        max_branch_order=_cap(8, max_size),
+        allow_repeated_receptors=family,
+    )
+    oracle = _graft_oracle(spec)
+    if family:
+        got = family_graft_moment_formula(
+            spec.host, spec.host_weights, attachments_by_receptor(spec)
+        )
+    else:
+        got = graft_moment_formula(spec)
+    instance = {
+        "host": spec.host,
+        "host_weights": spec.host_weights,
+        "attachments": spec.attachments,
     }
-
-
-def _check_theorem1(rng: random.Random, max_size: int | None) -> list[Check]:
-    spec = random_graft_spec(
-        rng,
-        max_host=_cap(12, max_size),
-        max_branch_order=_cap(8, max_size),
-    )
-    product = graft(spec)
-    oracle = _oracle_moment(product.graph, product.gamma)
-    got = graft_moment_formula(spec)
-    return [(oracle, got, _spec_instance(spec))]
-
-
-def _check_theorem41(rng: random.Random, max_size: int | None) -> list[Check]:
-    spec = random_graft_spec(
-        rng,
-        max_host=_cap(12, max_size),
-        max_branch_order=_cap(8, max_size),
-        allow_repeated_receptors=True,
-    )
-    product = graft(spec)
-    oracle = _oracle_moment(product.graph, product.gamma)
-    got = family_graft_moment_formula(
-        spec.host, spec.host_weights, attachments_by_receptor(spec)
-    )
-    return [(oracle, got, _spec_instance(spec))]
+    return [(oracle, got, instance)]
 
 
 def _check_sigma(rng: random.Random, max_size: int | None) -> list[Check]:
@@ -174,13 +199,7 @@ def _check_sigma(rng: random.Random, max_size: int | None) -> list[Check]:
     )
     oracle = _oracle_moment(product.graph, product.gamma)
     got = permutation_moment_formula(host, alpha, branch, beta)
-    instance = {
-        "host": graph_to_json_dict(host),
-        "alpha": describe_weight(alpha),
-        "branch": graph_to_json_dict(branch),
-        "beta": describe_weight(beta),
-        "sigma": list(sigma),
-    }
+    instance = {"host": host, "alpha": alpha, "branch": branch, "beta": beta, "sigma": sigma}
     return [(oracle, got, instance)]
 
 
@@ -191,62 +210,20 @@ def _check_flower(rng: random.Random, max_size: int | None) -> list[Check]:
     oracle = _oracle_moment(product.graph, product.gamma)
     got = flower_moment_formula(center, branches)
     instance = {
-        "center": format_rational(center),
-        "branches": [
-            {
-                "branch": graph_to_json_dict(b),
-                "root": root,
-                "weights": describe_weight(w),
-            }
-            for b, root, w in branches
-        ],
+        "center": center,
+        "branches": [{"branch": b, "root": root, "weights": w} for b, root, w in branches],
     }
     return [(oracle, got, instance)]
 
 
-def _comparison_oracle(
-    host: Graph,
-    alpha,
-    x: int,
-    receptors: list[int],
-    branch: Graph,
-    root: int,
-    beta,
-) -> Fraction:
-    spread = graft(
-        GraftSpec(
-            host,
-            tuple(Attachment(r, branch, root, beta) for r in receptors),
-            alpha,
-        )
-    )
-    stacked = graft(
-        GraftSpec(
-            host,
-            tuple(Attachment(x, branch, root, beta) for _ in receptors),
-            alpha,
-        )
-    )
-    return _oracle_moment(stacked.graph, stacked.gamma) - _oracle_moment(
-        spread.graph, spread.gamma
-    )
-
-
 def _check_comparison(rng: random.Random, max_size: int | None) -> list[Check]:
-    host, alpha, x, receptors, branch, root, beta = random_comparison_instance(
+    args = random_comparison_instance(
         rng, max_host=_cap(8, max_size, floor=2), max_branch_order=_cap(6, max_size)
     )
+    host, alpha, x, receptors, branch, root, beta = args
     total = beta.total(branch)
-    instance = {
-        "host": graph_to_json_dict(host),
-        "alpha": describe_weight(alpha),
-        "x": x,
-        "receptors": list(receptors),
-        "branch": graph_to_json_dict(branch),
-        "root": root,
-        "beta": describe_weight(beta),
-    }
-    oracle = _comparison_oracle(host, alpha, x, receptors, branch, root, beta)
+    instance = dict(zip(("host", "alpha", "x", "receptors", "branch", "root", "beta"), args))
+    oracle = _comparison_oracle(*args)
     got = concentration_difference_formula(
         host, alpha, x, receptors, branch.order, total
     )
@@ -259,15 +236,7 @@ def _check_comparison(rng: random.Random, max_size: int | None) -> list[Check]:
         host, alpha, x, receptors, replacement, replacement.vertices[0], replacement_beta
     )
     checks.append(
-        (
-            oracle,
-            replaced,
-            dict(
-                instance,
-                check="replacement",
-                replacement=graph_to_json_dict(replacement),
-            ),
-        )
+        (oracle, replaced, dict(instance, check="replacement", replacement=replacement))
     )
     return checks
 
@@ -276,53 +245,33 @@ def _check_unicyclic(rng: random.Random, max_size: int | None) -> list[Check]:
     cycle_order, forest = random_unicyclic_instance(
         rng, max_cycle=_cap(8, max_size, floor=3), max_tree_order=_cap(5, max_size)
     )
-    attachments = tuple(
-        Attachment(x, tree, root)
-        for x in sorted(forest)
-        for tree, root in forest[x]
-    )
-    product = graft(GraftSpec(cycle_graph(cycle_order), attachments))
-    oracle = _oracle_moment(product.graph, DEGREE)
+    oracle = _cycle_graft_oracle(cycle_order, forest)
     got = unicyclic_degree_distance(cycle_order, forest)
     instance = {
         "cycle_order": cycle_order,
         "forest": {
-            str(x): [
-                {"tree": graph_to_json_dict(t), "root": root}
-                for t, root in forest[x]
-            ]
-            for x in sorted(forest)
+            x: [{"tree": t, "root": root} for t, root in trees] for x, trees in forest.items()
         },
     }
     return [(oracle, got, instance)]
-
-
-def _build_cycle_product(host_order: int, branch_orders: list[int]) -> Graph:
-    attachments = tuple(
-        Attachment(x, cycle_graph(r), 0) for x, r in enumerate(branch_orders)
-    )
-    return graft(GraftSpec(cycle_graph(host_order), attachments)).graph
 
 
 def _check_extcycles(rng: random.Random, max_size: int | None) -> list[Check]:
     host_order, pairs = random_extended_cycle_instance(
         rng, max_host=_cap(8, max_size), max_branch_order=_cap(8, max_size)
     )
-    product = _build_cycle_product(host_order, [r for r, _ in pairs])
-    oracle = _oracle_moment(product, DEGREE)
+    oracle = _cycles_oracle(host_order, [r for r, _ in pairs])
     got = extended_cycle_degree_distance(host_order, pairs)
-    instance = {"host_order": host_order, "pairs": [list(p) for p in pairs]}
-    return [(oracle, got, instance)]
+    return [(oracle, got, {"host_order": host_order, "pairs": pairs})]
 
 
 def _check_propercycles(rng: random.Random, max_size: int | None) -> list[Check]:
     host_order, branch_orders = random_proper_cycle_instance(
         rng, max_host=_cap(8, max_size, floor=3), max_branch_order=_cap(8, max_size, floor=3)
     )
-    product = _build_cycle_product(host_order, branch_orders)
-    oracle = _oracle_moment(product, DEGREE)
+    oracle = _cycles_oracle(host_order, branch_orders)
     got = proper_cycle_degree_distance(host_order, branch_orders)
-    instance = {"host_order": host_order, "branch_orders": list(branch_orders)}
+    instance = {"host_order": host_order, "branch_orders": branch_orders}
     checks = [(oracle, got, dict(instance, check="formula"))]
 
     # The general extended-cycle formula must give the same number here.
@@ -333,8 +282,8 @@ def _check_propercycles(rng: random.Random, max_size: int | None) -> list[Check]
 
 
 _CHECKERS = {
-    "theorem1": _check_theorem1,
-    "theorem41": _check_theorem41,
+    "theorem1": partial(_check_graft, family=False),
+    "theorem41": partial(_check_graft, family=True),
     "sigma": _check_sigma,
     "flower": _check_flower,
     "comparison": _check_comparison,
@@ -367,7 +316,7 @@ def run_verification(
                     Mismatch(
                         expected=format_rational(expected),
                         got=format_rational(got),
-                        instance=instance,
+                        instance=_describe(instance),
                     )
                 )
     report.elapsed_seconds = time.perf_counter() - start

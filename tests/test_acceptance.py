@@ -13,10 +13,8 @@ import time
 from fractions import Fraction
 
 from graft_moments import (
-    Attachment,
     ConstantWeight,
     DEGREE,
-    GraftSpec,
     UNIT,
     are_isomorphic,
     attachments_by_receptor,
@@ -28,7 +26,6 @@ from graft_moments import (
     extended_cycle_degree_distance,
     extended_cycle_edge_count,
     family_graft_moment_formula,
-    graft,
     graft_moment_formula,
     indices,
     moment,
@@ -48,8 +45,13 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
-from graft_moments.verify import _build_cycle_product
-from graft_moments.verify import _comparison_oracle as comparison_oracle
+from graft_moments.verify import (
+    _comparison_oracle,
+    _cycle_graft_oracle,
+    _cycles_oracle,
+    _graft_oracle,
+    _oracle_moment,
+)
 
 DIAMOND = diamond_graph()
 P4 = path_graph(4)
@@ -59,11 +61,6 @@ def finish(number: int, failures: list[str], detail: str) -> None:
     status = "FAIL" if failures else "PASS"
     print(f"criterion {number:02d} {status} — {detail}")
     assert not failures, "; ".join(failures[:5])
-
-
-def oracle(spec: GraftSpec) -> Fraction:
-    product = graft(spec)
-    return moment(product.graph, product.gamma)
 
 
 def timed_moment(graph, weights) -> tuple[Fraction, float]:
@@ -108,7 +105,7 @@ def test_criterion_02_sigma_family_values():
         product = permutation_graph(
             DIAMOND, P4, [1, 2, 3, 4], host_weights=alpha, branch_weights=beta
         )
-        via_oracle = moment(product.graph, product.gamma)
+        via_oracle = _oracle_moment(product.graph, product.gamma)
         if formula != expected:
             failures.append(f"formula gave {formula}, expected {expected}")
         if via_oracle != expected:
@@ -126,7 +123,7 @@ def test_criterion_03_graft_formula_oracle_suite():
     for _ in range(200):
         spec = random_graft_spec(rng)  # host <= 12, <= 4 branches of <= 8
         formula = graft_moment_formula(spec)
-        expected = oracle(spec)
+        expected = _graft_oracle(spec)
         if formula != expected:
             failures.append(f"formula {formula} != oracle {expected}")
     elapsed = time.perf_counter() - start
@@ -149,7 +146,7 @@ def test_criterion_04_vector_form_suite():
         grouped = family_graft_moment_formula(
             spec.host, spec.host_weights, attachments_by_receptor(spec)
         )
-        expected = oracle(spec)
+        expected = _graft_oracle(spec)
         if grouped != expected:
             failures.append(f"vector form {grouped} != oracle {expected}")
         if len(set(receptors)) == len(receptors):
@@ -225,23 +222,13 @@ def test_criterion_06_cycle_row_sums():
     finish(6, failures, f"row sums match for r = 1..64 in {elapsed:.2f} s")
 
 
-def unicyclic_oracle(cycle_order: int, forest) -> Fraction:
-    host = cycle_graph(cycle_order)
-    attachments = tuple(
-        Attachment(x, tree, root)
-        for x in sorted(forest)
-        for tree, root in forest[x]
-    )
-    return moment(graft(GraftSpec(host, attachments)).graph, DEGREE)
-
-
 def test_criterion_07_unicyclic_suite():
     failures: list[str] = []
     rng = random.Random(71)
     for _ in range(100):
         cycle_order, forest = random_unicyclic_instance(rng)
         formula = unicyclic_degree_distance(cycle_order, forest)
-        expected = unicyclic_oracle(cycle_order, forest)
+        expected = _cycle_graft_oracle(cycle_order, forest)
         if formula != expected:
             failures.append(f"formula {formula} != oracle {expected}")
     paw = unicyclic_degree_distance(3, {0: [(path_graph(2), 0)]})
@@ -253,23 +240,19 @@ def test_criterion_07_unicyclic_suite():
     finish(7, failures, "100 cycle+forest instances == oracle; paw 30, C5 60")
 
 
-def cycle_graft_oracle(host_order: int, branch_orders) -> Fraction:
-    return moment(_build_cycle_product(host_order, list(branch_orders)), DEGREE)
-
-
 def test_criterion_08_extended_and_proper_cycles():
     failures: list[str] = []
     rng = random.Random(81)
     for _ in range(100):
         host_order, pairs = random_extended_cycle_instance(rng, max_host=6)
         formula = extended_cycle_degree_distance(host_order, pairs)
-        expected = cycle_graft_oracle(host_order, [r for r, _ in pairs])
+        expected = _cycles_oracle(host_order, [r for r, _ in pairs])
         if formula != expected:
             failures.append(f"extended {formula} != oracle {expected}")
     for _ in range(100):
         host_order, branch_orders = random_proper_cycle_instance(rng, max_host=6)
         proper = proper_cycle_degree_distance(host_order, branch_orders)
-        expected = cycle_graft_oracle(host_order, branch_orders)
+        expected = _cycles_oracle(host_order, branch_orders)
         extended = extended_cycle_degree_distance(
             host_order,
             [(r, extended_cycle_edge_count(r)) for r in branch_orders],
@@ -302,13 +285,13 @@ def test_criterion_09_branch_concentration():
         formula = concentration_difference_formula(
             host, alpha, x, receptors, branch.order, total
         )
-        expected = comparison_oracle(host, alpha, x, receptors, branch, root, beta)
+        expected = _comparison_oracle(host, alpha, x, receptors, branch, root, beta)
         if formula != expected:
             failures.append(f"formula {formula} != oracle {expected}")
         # swap the branch for any graph of equal order and total weight
         replacement = random_connected_graph(rng, branch.order)
         flat = ConstantWeight(total / branch.order)
-        swapped = comparison_oracle(
+        swapped = _comparison_oracle(
             host, alpha, x, receptors, replacement, replacement.vertices[0], flat
         )
         if swapped != expected:

@@ -205,6 +205,16 @@ def test_graft_weight_file_resolves_relative_to_spec(tmp_path, capsys):
     assert payload["gamma"][str(payload["host_map"]["0"])] == "1/2"
 
 
+@pytest.mark.parametrize("field", ["receptor", "root"])
+def test_graft_rejects_a_bool_vertex_id(tmp_path, capsys, field):
+    attachment = dict(COALESCENCE_SPEC["attachments"][0], **{field: True})
+    spec = dict(COALESCENCE_SPEC, attachments=[attachment])
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run_cli(capsys, "graft", path)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: receptor and root must be integer vertex ids\n")
+
+
 def test_graft_disconnected_host_is_domain_error(tmp_path, capsys):
     spec = {"host": {"vertices": [0, 1], "edges": []}}
     path = write_json(tmp_path / "spec.json", spec)

@@ -57,15 +57,15 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
-from graft_moments import graph, verify
+from graft_moments import graph, products
 from graft_moments.closed_forms import _cycle_quadratic
-from graft_moments.verify import _build_cycle_product
-from graft_moments.verify import _comparison_oracle as comparison_oracle
-
-
-def oracle_moment(spec: GraftSpec) -> Fraction:
-    product = graft(spec)
-    return moment(product.graph, product.gamma)
+from graft_moments.verify import (
+    _comparison_oracle,
+    _cycle_graft_oracle,
+    _cycles_oracle,
+    _graft_oracle,
+    _oracle_moment,
+)
 
 
 # -- general graft formula ---------------------------------------------------
@@ -74,7 +74,7 @@ def oracle_moment(spec: GraftSpec) -> Fraction:
 def test_graft_formula_two_edges(k2):
     spec = GraftSpec(k2, (Attachment(0, k2, 0),))
     assert graft_moment_formula(spec) == 10
-    assert oracle_moment(spec) == 10
+    assert _graft_oracle(spec) == 10
 
 
 def test_graft_formula_k1_branches_reduce_to_weighted_row_sums(p4, k1):
@@ -89,7 +89,7 @@ def test_graft_formula_k1_branches_reduce_to_weighted_row_sums(p4, k1):
     row = distance_matrix(p4).row_sums
     expected = moment(p4, DEGREE) + 3 * row[0] + Fraction(1, 2) * row[2]
     assert graft_moment_formula(spec) == expected == 48
-    assert oracle_moment(spec) == expected
+    assert _graft_oracle(spec) == expected
 
 
 def test_graft_formula_diamond_with_four_paths(diamond, p4):
@@ -100,7 +100,7 @@ def test_graft_formula_diamond_with_four_paths(diamond, p4):
         DEGREE,
     )
     assert graft_moment_formula(spec) == 1480
-    assert oracle_moment(spec) == 1480
+    assert _graft_oracle(spec) == 1480
     assert permutation_degree_distance(diamond, p4) == 1480
 
 
@@ -111,7 +111,7 @@ def test_graft_formula_matches_oracle_randomly():
             rng, max_host=7, max_branch_order=5,
             allow_repeated_receptors=rng.random() < 0.5,
         )
-        assert graft_moment_formula(spec) == oracle_moment(spec)
+        assert graft_moment_formula(spec) == _graft_oracle(spec)
 
 
 # -- vector (family) form ----------------------------------------------------
@@ -145,9 +145,8 @@ def test_family_formula_rejects_unknown_receptor(p3, k2):
 
 
 def test_extended_cycle_degree_distance_small_case():
-    assert extended_cycle_degree_distance(3, [(3, 3), (1, 0), (2, 1)]) == (
-        verify._oracle_moment(verify._build_cycle_product(3, [3, 1, 2]), DEGREE)
-    ) == 108
+    assert extended_cycle_degree_distance(3, [(3, 3), (1, 0), (2, 1)]) == 108
+    assert _cycles_oracle(3, [3, 1, 2]) == 108
 
 
 # -- shared factor validation ------------------------------------------------
@@ -229,7 +228,7 @@ def test_flower_formula_matches_oracle_randomly():
         branches = random_flower_branches(rng)
         center = Fraction(rng.randint(0, 6), rng.randint(1, 3))
         product = flower(center, branches)
-        assert flower_moment_formula(center, branches) == moment(
+        assert flower_moment_formula(center, branches) == _oracle_moment(
             product.graph, product.gamma
         )
 
@@ -283,7 +282,7 @@ def test_sigma_formula_matches_oracle_randomly():
         product = permutation_graph(
             host, branch, sigma, host_weights=alpha, branch_weights=beta
         )
-        assert permutation_moment_formula(host, alpha, branch, beta) == moment(
+        assert permutation_moment_formula(host, alpha, branch, beta) == _oracle_moment(
             product.graph, product.gamma
         )
 
@@ -330,7 +329,7 @@ def test_sigma_rejects_order_mismatch(diamond, k2):
 def test_comparison_path_fixture(p3, k2):
     got = concentration_difference_formula(p3, UNIT, 1, [0, 2], 2, 2)
     assert got == -14
-    assert comparison_oracle(p3, UNIT, 1, [0, 2], k2, 0, ConstantWeight(1)) == -14
+    assert _comparison_oracle(p3, UNIT, 1, [0, 2], k2, 0, ConstantWeight(1)) == -14
 
 
 def test_comparison_already_stacked_is_zero(p4):
@@ -343,7 +342,7 @@ def test_comparison_matches_oracle_randomly():
         host, alpha, x, receptors, branch, root, beta = (
             random_comparison_instance(rng)
         )
-        expected = comparison_oracle(host, alpha, x, receptors, branch, root, beta)
+        expected = _comparison_oracle(host, alpha, x, receptors, branch, root, beta)
         got = concentration_difference_formula(
             host, alpha, x, receptors, branch.order, beta.total(branch)
         )
@@ -357,8 +356,8 @@ def test_comparison_depends_only_on_order_and_total(p3):
     shape_b = star_graph(3)
     weight_a = ConstantWeight(Fraction(3, 4))
     weight_b = ExplicitWeight({0: Fraction(3), 1: 0, 2: 0, 3: 0})
-    diff_a = comparison_oracle(p3, UNIT, 1, [0, 2], shape_a, 0, weight_a)
-    diff_b = comparison_oracle(p3, UNIT, 1, [0, 2], shape_b, 0, weight_b)
+    diff_a = _comparison_oracle(p3, UNIT, 1, [0, 2], shape_a, 0, weight_a)
+    diff_b = _comparison_oracle(p3, UNIT, 1, [0, 2], shape_b, 0, weight_b)
     assert diff_a == diff_b
     assert diff_a == concentration_difference_formula(p3, UNIT, 1, [0, 2], 4, 3)
 
@@ -393,35 +392,24 @@ def test_cycle_row_sum_matches_distance_matrix():
 # -- unicyclic graphs -----------------------------------------------------------
 
 
-def unicyclic_oracle(cycle_order, forest):
-    host = cycle_graph(cycle_order)
-    attachments = tuple(
-        Attachment(x, tree, root)
-        for x in sorted(forest)
-        for tree, root in forest[x]
-    )
-    product = graft(GraftSpec(host, attachments))
-    return moment(product.graph, DEGREE)
-
-
 def test_unicyclic_paw_and_bare_cycles(k2):
     assert unicyclic_degree_distance(3, {0: [(k2, 0)]}) == 30
-    assert unicyclic_oracle(3, {0: [(k2, 0)]}) == 30
+    assert _cycle_graft_oracle(3, {0: [(k2, 0)]}) == 30
     assert unicyclic_degree_distance(5, {}) == 60
-    assert unicyclic_oracle(5, {}) == 60
+    assert _cycle_graft_oracle(5, {}) == 60
 
 
 def test_unicyclic_sun(k2):
     forest = {x: [(k2, 0)] for x in range(4)}
     assert unicyclic_degree_distance(4, forest) == 216
-    assert unicyclic_oracle(4, forest) == 216
+    assert _cycle_graft_oracle(4, forest) == 216
 
 
 def test_unicyclic_matches_oracle_randomly():
     rng = random.Random(108)
     for _ in range(15):
         cycle_order, forest = random_unicyclic_instance(rng)
-        assert unicyclic_degree_distance(cycle_order, forest) == unicyclic_oracle(
+        assert unicyclic_degree_distance(cycle_order, forest) == _cycle_graft_oracle(
             cycle_order, forest
         )
 
@@ -440,10 +428,6 @@ def test_unicyclic_rejects_bad_input(c3, k2):
 # -- extended and proper cycles --------------------------------------------------
 
 
-def cycle_graft_oracle(host_order, branch_orders):
-    return moment(_build_cycle_product(host_order, list(branch_orders)), DEGREE)
-
-
 def test_extended_cycle_edge_counts():
     assert [extended_cycle_edge_count(r) for r in (1, 2, 3, 4)] == [0, 1, 3, 4]
     with pytest.raises(InvalidExtendedCycle):
@@ -457,7 +441,7 @@ def test_extended_cycles_degenerate_hosts():
     assert extended_cycle_degree_distance(1, [(3, 3)]) == 12
     # an edge host with a triangle on one end is the paw graph
     assert extended_cycle_degree_distance(2, [(3, 3), (1, 0)]) == 30
-    assert cycle_graft_oracle(2, [3, 1]) == 30
+    assert _cycles_oracle(2, [3, 1]) == 30
 
 
 def test_extended_cycles_match_oracle_randomly():
@@ -467,7 +451,7 @@ def test_extended_cycles_match_oracle_randomly():
             rng, max_host=6, max_branch_order=6
         )
         got = extended_cycle_degree_distance(host_order, pairs)
-        assert got == cycle_graft_oracle(host_order, [r for r, _ in pairs])
+        assert got == _cycles_oracle(host_order, [r for r, _ in pairs])
 
 
 def test_extended_cycles_reject_bad_input():
@@ -481,9 +465,9 @@ def test_extended_cycles_reject_bad_input():
 
 def test_proper_cycles_fixture_values():
     assert proper_cycle_degree_distance(3, [3, 3, 3]) == 360
-    assert cycle_graft_oracle(3, [3, 3, 3]) == 360
+    assert _cycles_oracle(3, [3, 3, 3]) == 360
     assert proper_cycle_degree_distance(4, [3, 3, 3, 3]) == 784
-    assert cycle_graft_oracle(4, [3, 3, 3, 3]) == 784
+    assert _cycles_oracle(4, [3, 3, 3, 3]) == 784
 
 
 def test_proper_cycles_agree_with_extended_form():
@@ -497,7 +481,7 @@ def test_proper_cycles_agree_with_extended_form():
             host_order, [(r, extended_cycle_edge_count(r)) for r in branch_orders]
         )
         assert proper == extended
-        assert proper == cycle_graft_oracle(host_order, branch_orders)
+        assert proper == _cycles_oracle(host_order, branch_orders)
 
 
 def test_proper_cycles_reject_bad_input():
@@ -561,21 +545,21 @@ def test_graft_forms_with_equal_branches_in_different_vertex_orders(p3, diamond)
         tuple(Attachment(x, b, y, w) for x, (b, y, w) in zip([0, 0, 2, 3], branches)),
         DEGREE,
     )
-    expected = oracle_moment(spec)
+    expected = _graft_oracle(spec)
     assert graft_moment_formula(spec) == expected
     assert family_graft_moment_formula(diamond, DEGREE, attachments_by_receptor(spec)) == (
         expected
     )
     center = Fraction(1, 3)
     product = flower(center, branches)
-    assert flower_moment_formula(center, branches) == moment(product.graph, product.gamma)
+    assert flower_moment_formula(center, branches) == _oracle_moment(product.graph, product.gamma)
 
 
 # -- independence from the oracle's distance matrix -----------------------------
 
 
 def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamond):
-    oracle = verify._oracle_moment
+    oracle = _oracle_moment
     spec = GraftSpec(
         diamond,
         (
@@ -593,29 +577,36 @@ def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diam
         diamond, p4, sigma, host_weights=DEGREE, branch_weights=ConstantWeight(2)
     )
     forest = {0: [(p3, 1)], 2: [(k2, 0)]}
-    unicyclic_product = graft(
-        GraftSpec(cycle_graph(4), (Attachment(0, p3, 1), Attachment(2, k2, 0)))
-    )
     expected = {
         "graft": oracle(spec_product.graph, spec_product.gamma),
         "flower": oracle(flower_product.graph, flower_product.gamma),
-        "concentration": verify._comparison_oracle(
+        "concentration": _comparison_oracle(
             p4, DEGREE, 0, [1, 3, 3], c3, 0, UNIT
         ),
         "sigma": oracle(sigma_product.graph, sigma_product.gamma),
         "sigma-unit": oracle(sigma_product.graph, UNIT),
         "sigma-degree": oracle(sigma_product.graph, DEGREE),
-        "unicyclic": oracle(unicyclic_product.graph, DEGREE),
-        "extended": oracle(_build_cycle_product(3, [3, 1, 2]), DEGREE),
-        "proper": oracle(_build_cycle_product(4, [3, 4, 3, 5]), DEGREE),
+        "unicyclic": _cycle_graft_oracle(4, forest),
+        "extended": _cycles_oracle(3, [3, 1, 2]),
+        "proper": _cycles_oracle(4, [3, 4, 3, 5]),
     }
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a closed form built a distance matrix")
 
+    def refuse_bfs(*args):
+        raise AssertionError("a closed form ran the oracle's BFS")
+
+    def connected(g):  # what factor validation needs, without the oracle's BFS
+        return -1 not in graph._distances(graph._int_adjacency(g), 0)
+
     monkeypatch.setattr(graph.DistanceMatrix, "__init__", refuse)
+    monkeypatch.setattr(graph, "_bfs_reached", refuse_bfs)
+    monkeypatch.setattr(products, "is_connected", connected)
     with pytest.raises(AssertionError):
         distance_matrix(k2)
+    with pytest.raises(AssertionError):
+        graph.bfs_distances(k2, 0)
 
     assert graft_moment_formula(spec) == expected["graft"]
     assert family_graft_moment_formula(

@@ -14,11 +14,13 @@ from graft_moments import (
     FORMULAS,
     UNIT,
     AffineWeight,
+    Attachment,
     ConstantWeight,
     DegreeWeight,
     DisconnectedGraph,
     EmptyGraph,
     Graph,
+    GraftSpec,
     GraphFormatError,
     Mismatch,
     VerificationReport,
@@ -29,7 +31,9 @@ from graft_moments import (
     moment,
     run_verification,
 )
+from graft_moments import closed_forms as closed_forms_module
 from graft_moments import graph as graph_module
+from graft_moments import moments as moments_module
 from graft_moments import verify
 from graft_moments.randgen import random_connected_graph, random_graft_spec
 
@@ -163,17 +167,54 @@ def test_mismatch_reports_are_pinned(monkeypatch, formula):
 # -- the oracle ------------------------------------------------------------------
 
 
-def test_the_oracle_keeps_no_distance_matrix(monkeypatch):
+def _refuse_the_certified_kernels(monkeypatch):
+    """Make every distance kernel the closed forms and moment use raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a kernel it certifies")
+
+    for module in (graph_module, moments_module, closed_forms_module):
+        for name in ("distance_row_sums", "_row_sums", "_distances", "_level_signatures"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        moment(cycle_graph(3), UNIT)
+
+
+def test_the_oracle_keeps_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamond):
     rng = random.Random(4)
     graphs = [Graph([9], []), cycle_graph(7)] + [random_connected_graph(rng, n) for n in (2, 9, 30)]
+    weight_list = (UNIT, DEGREE, ConstantWeight(Fraction(2, 7)))
+    expected = [moment(g, weights) for g in graphs for weights in weight_list]
+    spec = GraftSpec(diamond, (Attachment(0, p4, 1, DEGREE), Attachment(0, k2, 0)), DEGREE)
+    spec_product = graft(spec)
+    cycles_product = graft(
+        GraftSpec(cycle_graph(4), tuple(Attachment(x, cycle_graph(3), 0) for x in range(4)))
+    )
+    stacked = graft(GraftSpec(p4, (Attachment(0, c3, 0),) * 3, DEGREE))
+    spread = graft(GraftSpec(p4, tuple(Attachment(x, c3, 0) for x in (1, 3, 3)), DEGREE))
+    helpers = {
+        "graft": moment(spec_product.graph, spec_product.gamma),
+        "graft-degree": moment(spec_product.graph, DEGREE),
+        "cycle-graft": moment(graft(GraftSpec(cycle_graph(4), (Attachment(0, p3, 1),))).graph, DEGREE),
+        "cycles": moment(cycles_product.graph, DEGREE),
+        "comparison": moment(stacked.graph, stacked.gamma) - moment(spread.graph, spread.gamma),
+    }
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("the oracle built a distance matrix")
 
     monkeypatch.setattr(graph_module.DistanceMatrix, "__init__", refuse)
-    for g in graphs:
-        for weights in (UNIT, DEGREE, ConstantWeight(Fraction(2, 7))):
-            assert verify._oracle_moment(g, weights) == moment(g, weights)
+    _refuse_the_certified_kernels(monkeypatch)
+    got = [verify._oracle_moment(g, weights) for g in graphs for weights in weight_list]
+    assert got == expected
+    assert verify._graft_oracle(spec) == helpers["graft"]
+    assert verify._graft_oracle(spec, DEGREE) == helpers["graft-degree"]
+    assert verify._cycle_graft_oracle(4, {0: [(p3, 1)]}) == helpers["cycle-graft"]
+    assert verify._cycles_oracle(4, [3, 3, 3, 3]) == helpers["cycles"]
+    assert verify._comparison_oracle(p4, DEGREE, 0, [1, 3, 3], c3, 0, UNIT) == (
+        helpers["comparison"]
+    )
 
 
 def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
@@ -190,6 +231,7 @@ def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
 
     for kind in (WeightFunction, ConstantWeight, DegreeWeight):
         monkeypatch.setattr(kind, "vector", refuse)
+    _refuse_the_certified_kernels(monkeypatch)
     for g, weights, expected in instances:
         assert verify._oracle_moment(g, weights) == expected
 
@@ -203,9 +245,10 @@ def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
         (Graph([0, 1, 2, 3], [(0, 1), (2, 3)]), DisconnectedGraph),
     ],
 )
-def test_the_oracle_raises_like_the_matrix(g, error):
+def test_the_oracle_raises_like_the_matrix(monkeypatch, g, error):
     with pytest.raises(error) as expected:
         distance_matrix(g)
+    _refuse_the_certified_kernels(monkeypatch)
     with pytest.raises(error) as got:
         verify._oracle_moment(g, UNIT)
     assert str(got.value) == str(expected.value)
