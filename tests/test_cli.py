@@ -371,6 +371,35 @@ def test_isomoment_r6_stdout_is_golden(tmp_path, capsys):
     )
 
 
+# r = 7, 5,040 products in 1,320 classes; sha256 of the stdout printed
+# while every class still kept its member list and all sigmas were listed
+# before the first product was built
+ISOMOMENT_R7_HOST = {
+    "vertices": list(range(7)),
+    "edges": [[0, 1], [1, 2], [1, 5], [2, 3], [2, 4], [3, 6]],
+}
+ISOMOMENT_R7_BRANCH = {
+    "vertices": list(range(7)),
+    "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [1, 5], [2, 4], [2, 6], [4, 5],
+              [5, 6]],
+}
+
+
+def test_isomoment_r7_stdout_is_golden(tmp_path, capsys):
+    host_path = write_json(tmp_path / "host.json", ISOMOMENT_R7_HOST)
+    branch_path = write_json(tmp_path / "branch.json", ISOMOMENT_R7_BRANCH)
+    code, out, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["permutations"] == 5040
+    assert len(payload["classes"]) == 1320
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "923a8e63934673e8f5c0ac54b32ebaca6aa8d8360d96878d76443fd26ebbb5f4"
+    )
+
+
 def _random_pairs(count: int) -> list[tuple[Graph, Graph]]:
     rng = random.Random(606)
     pairs = []
