@@ -12,11 +12,12 @@ is rooted at sigma(i), and roots in one Aut(K) orbit give isomorphic
 rooted copies; sigma's word (the orbits of sigma(1), ..., sigma(r))
 colours the host, and sigmas whose coloured hosts are isomorphic share a
 label and give isomorphic products, with equal degree and constant-weight
-moments.  The first sigma of each label gets the pass: the product's int
-adjacency comes straight from the factors, and one bit-parallel BFS of
-all sources gives every vertex's level sizes, which are its isomorphism
-signature and give the row sums every moment is summed from, in ints.
-Later sigmas of that label join its class.  A file: weight is not
+moments.  Sigmas are drawn and labelled one at a time; the sigma that
+opens a label gets the pass: the product's int adjacency comes straight
+from the factors, and one bit-parallel BFS of all sources gives every
+vertex's level sizes, which are its isomorphism signature and give the
+row sums every moment is summed from, in ints.  A class keeps only what
+is printed: its first sigma, adjacency and size.  A file: weight is not
 isomorphism-invariant; with one, each sigma is its own label.  No product
 becomes a Graph, and JSON is written by _json_text, not json's
 pure-Python indenting encoder.
@@ -34,21 +35,19 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .closed_forms import cycle_distance_row_sum
-from .errors import GraftMomentsError, GraphFormatError, OrderMismatch, TooLarge
+from .errors import GraftMomentsError, GraphFormatError, TooLarge
 from .graph import (
-    MAX_ORDER,
     Graph,
     _Classes,
-    _Invariants,
     _distances,
     _int_adjacency,
     _level_signatures,
@@ -58,6 +57,7 @@ from .graph import (
 )
 from .moments import _weighted_sum, indices
 from .products import (
+    _equal_orders,
     _permutation_adjacencies,
     graft,
     graft_product_to_json_dict,
@@ -67,7 +67,6 @@ from .verify import FORMULAS, run_verification
 from .weights import (
     ConstantWeight,
     DegreeWeight,
-    WeightFunction,
     format_rational,
     parse_weight_spec,
 )
@@ -197,33 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _product_passes(
-    host: Graph,
-    branch: Graph,
-    sigmas: Iterable[Sequence[int]],
-    weight_functions: Iterable[WeightFunction],
-) -> Iterator[tuple[list[list[int]], list[tuple[int, ...]], list[Fraction]]]:
-    """One pass per permutation product: (adjacency, signatures, moments).
-
-    The product's int adjacency comes straight from the factors; one
-    bit-parallel pass gives every vertex's level sizes, which are its
-    isomorphism signature and give its row sum; each weight's moment is
-    then an int dot product with those row sums.  No Graph is built.
-    """
-    weight_functions = list(weight_functions)
-    vertices = range(host.order * host.order)
-    for adjacency in _permutation_adjacencies(host, branch, sigmas):
-        signatures = _level_signatures(adjacency)
-        row_sums = [sum(map(mul, sizes, range(len(sizes)))) for sizes in signatures]
-        degrees = [len(nbrs) for nbrs in adjacency]
-        yield adjacency, signatures, [
-            _weighted_sum(weights, vertices, degrees, row_sums)
-            for weights in weight_functions
-        ]
-
-
-def _colour_orbits(g: Graph, colourings: Iterable[tuple[int, ...]]) -> list[int]:
-    """Each colouring's Aut(g) orbit, numbered as first met.
+def _colour_orbits(g: Graph, colourings: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """Each colouring's Aut(g) orbit, numbered as first met, yielded as it goes.
 
     Vertex i's signature codes the colour c of each vertex at distance d
     as d * order + c (colours are below the order), sorted; the one code
@@ -238,49 +212,55 @@ def _colour_orbits(g: Graph, colourings: Iterable[tuple[int, ...]]) -> list[int]
     scaled = [[d * n for d in _distances(adjacency, i)] for i in range(n)]
     classes = _Classes()
     label_of: dict[tuple[int, ...], int] = {}
-    labels = []
     for colouring in colourings:
-        if colouring not in label_of:
+        label = label_of.get(colouring)
+        if label is None:
             signatures = [tuple(sorted(map(add, row, colouring))) for row in scaled]
-            label_of[colouring] = classes.add(_Invariants(adjacency, signatures))
-        labels.append(label_of[colouring])
-    return labels
+            label = label_of[colouring] = classes.add(adjacency, signatures)
+        yield label
 
 
 def _root_orbits(branch: Graph) -> list[int]:
     """Each branch position's Aut(branch) orbit: one vertex coloured 1."""
     n = branch.order
-    return _colour_orbits(branch, [tuple(int(v == u) for v in range(n)) for u in range(n)])
+    return list(
+        _colour_orbits(branch, [tuple(int(v == u) for v in range(n)) for u in range(n)])
+    )
 
 
-def _orbit_labels(host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]) -> list[int]:
-    """Each sigma's word's Aut(host) orbit, numbered as first met.
+def _orbit_labels(host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]) -> Iterator[int]:
+    """Each sigma's word's Aut(host) orbit, numbered as first met, yielded as it goes.
 
     sigma's word colours host vertex i by the root orbit of sigma(i).
     """
     orbit = _root_orbits(branch)
-    return _colour_orbits(host, [tuple(orbit[s - 1] for s in sigma) for sigma in sigmas])
+    return _colour_orbits(host, (tuple(orbit[s - 1] for s in sigma) for sigma in sigmas))
 
 
 def cmd_isomoment(args: argparse.Namespace) -> int:
     host = graph_from_json_dict(_load_json_file(args.host))
     branch = graph_from_json_dict(_load_json_file(args.branch))
-    r = host.order
-    if branch.order != r:
-        raise OrderMismatch(
-            f"host and branch must have equal order, got {r} and {branch.order}"
-        )
+    r = _equal_orders(host, branch)
     weight_specs = [w.strip() for w in args.weights.split(",") if w.strip()]
     if not weight_specs:
         raise GraphFormatError("no weight specs given")
     weight_functions = {w: parse_weight_spec(w) for w in weight_specs}
 
     if r <= FULL_ENUMERATION_MAX:
-        sigmas = list(itertools.permutations(range(1, r + 1)))
+        sigmas: Iterable[tuple[int, ...]] = itertools.permutations(range(1, r + 1))
         enumeration = "full"
     else:
         if args.count < 1:
             raise GraphFormatError(f"--count must be at least 1, got {args.count}")
+        # every sampled sigma can be a class, so a sample may hold as many
+        # product vertices as full enumeration does at its largest order
+        bound = math.factorial(FULL_ENUMERATION_MAX) * FULL_ENUMERATION_MAX**2
+        if args.count * r * r > bound:
+            raise TooLarge(
+                f"--count {args.count} at order {r} asks for {args.count * r * r} "
+                f"product vertices, over the {bound} of full enumeration at "
+                f"order {FULL_ENUMERATION_MAX}"
+            )
         rng = random.Random(_resolve_seed(args))
         sigmas = [tuple(rng.sample(range(1, r + 1), r)) for _ in range(args.count)]
         enumeration = "sampled"
@@ -289,32 +269,32 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
             f"sampling {args.count} seeded permutations",
             file=sys.stderr,
         )
+    build = _permutation_adjacencies(host, branch)
 
-    # orbits only where the products can be built at all (the first pass
-    # raises on the order cap) and every weight is isomorphism-invariant
-    invariant = all(
-        isinstance(w, (ConstantWeight, DegreeWeight)) for w in weight_functions.values()
-    )
-    labels = _orbit_labels(host, branch, sigmas) if invariant and r * r <= MAX_ORDER else sigmas
-    first_sigma: dict[object, Sequence[int]] = {}
-    for label, sigma in zip(labels, sigmas):
-        first_sigma.setdefault(label, sigma)
-    passes = _product_passes(host, branch, first_sigma.values(), weight_functions.values())
-
+    # sigmas sharing a label give isomorphic products with equal moments;
+    # with a weight that is not isomorphism-invariant, each is its own label
+    if all(isinstance(w, (ConstantWeight, DegreeWeight)) for w in weight_functions.values()):
+        sigmas, words = itertools.tee(sigmas)
+        labels: Iterator[int] = _orbit_labels(host, branch, words)
+    else:
+        labels = itertools.count()
+    vertices = range(r * r)
     values: dict[str, set] = {spec_name: set() for spec_name in weight_functions}
     classes = _Classes()
-    class_of: dict[object, int] = {}
-    representatives = []
-    for label in labels:
-        if label in class_of:
-            classes.join(class_of[label])
-            continue
-        adjacency, signatures, moments = next(passes)
-        for seen, value in zip(values.values(), moments):
-            seen.add(value)
-        class_of[label] = classes.add(_Invariants(adjacency, signatures))
-        if class_of[label] == len(representatives):
-            representatives.append(adjacency)
+    class_of: list[int] = []  # by label; labels are numbered as first met
+    kept: list[list] = []  # per class: its first sigma, adjacency and size
+    for sigma, label in zip(sigmas, labels):
+        if label == len(class_of):
+            adjacency = build(sigma)
+            signatures = _level_signatures(adjacency)
+            row_sums = [sum(map(mul, sizes, range(len(sizes)))) for sizes in signatures]
+            degrees = [len(nbrs) for nbrs in adjacency]
+            for seen, weights in zip(values.values(), weight_functions.values()):
+                seen.add(_weighted_sum(weights, vertices, degrees, row_sums))
+            class_of.append(classes.add(adjacency, signatures))
+            if class_of[label] == len(kept):
+                kept.append([sigma, adjacency, 0])
+        kept[class_of[label]][2] += 1
 
     all_equal = True
     moments_out: dict[str, str] = {}
@@ -329,17 +309,17 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
         {
             "order": r,
             "enumeration": enumeration,
-            "permutations": len(sigmas),
+            "permutations": sum(size for _, _, size in kept),
             "classes": [
                 {
-                    "sigma": list(sigmas[members[0]]),
-                    "size": len(members),
+                    "sigma": list(sigma),
+                    "size": size,
                     "graph": {  # neighbour lists are sorted, so the edges are too
                         "vertices": list(range(len(adjacency))),
                         "edges": [[u, w] for u, ws in enumerate(adjacency) for w in ws if u < w],
                     },
                 }
-                for adjacency, members in zip(representatives, classes.members)
+                for sigma, adjacency, size in kept
             ],
             "moments": moments_out,
             "all_equal": all_equal,

@@ -35,12 +35,11 @@ from .errors import (
     InvalidExtendedCycle,
     NegativeWeight,
     NotATree,
-    OrderMismatch,
     UnknownVertex,
 )
 from .graph import Graph, _check_order, _distances, _int_adjacency, _row_sums, cycle_graph
-from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction
-from .products import GraftSpec, _validate_factors
+from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
+from .products import GraftSpec, _equal_orders, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
 Family = Mapping[int, Sequence[tuple[Graph, int, WeightFunction]]]
@@ -205,7 +204,7 @@ def flower_moment_formula(
     the graft product on a one-vertex host weighted `center`, whose host
     terms all vanish.
     """
-    center = Fraction(center_weight)
+    center = _as_rational(center_weight)
     if center < 0:
         raise NegativeWeight(f"center weight {center} is negative")
     return _graft_moment(
@@ -216,14 +215,6 @@ def flower_moment_formula(
 
 
 # -- permutation products ---------------------------------------------------
-
-
-def _equal_orders(host: Graph, branch: Graph) -> int:
-    if host.order != branch.order:
-        raise OrderMismatch(
-            f"need equal orders, got {host.order} and {branch.order}"
-        )
-    return host.order
 
 
 def permutation_moment_formula(
@@ -304,7 +295,7 @@ def concentration_difference_formula(
     """
     if branch_order < 1:
         raise GraphFormatError(f"branch order {branch_order} must be >= 1")
-    total = Fraction(branch_total_weight)
+    total = _as_rational(branch_total_weight)
     if total < 0:
         raise NegativeWeight(f"branch total weight {total} is negative")
     if not host.has_vertex(x):

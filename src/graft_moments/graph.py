@@ -8,6 +8,7 @@ counts computed by breadth-first search; no floating point anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -538,50 +539,31 @@ _Signature = tuple[int, ...]
 _SearchOrder = list[tuple[_Signature, tuple[int, ...]]]
 
 
-class _Invariants:
-    """A graph's relabeling-invariant data, computed once.
+def _search_order(adjacency: list[list[int]], signatures: list[_Signature]) -> _SearchOrder:
+    """Visit vertices tied to the most placed ones first, then rare signatures.
 
     A vertex's signature is the number of vertices at each BFS distance
     from it: its sorted distances, run-length coded, and so also its
-    degree.  Isomorphic graphs have the same sorted signature multiset,
-    `key`.  Vertices are positions in vertex order; `masks[i]` is the
-    bitset of i's neighbours.
+    degree.  The next vertex minimises (-placed neighbours, vertices
+    sharing its signature, position), kept as one int rank per vertex:
+    placing a vertex lowers each neighbour's rank by one tie step.
     """
-
-    __slots__ = ("adjacency", "signatures", "key", "masks", "by_signature")
-
-    def __init__(self, adjacency: list[list[int]], signatures: list[_Signature]):
-        self.adjacency = adjacency
-        self.signatures = signatures
-        self.key = tuple(sorted(signatures))
-        self.masks = [sum(1 << j for j in nbrs) for nbrs in adjacency]
-        self.by_signature: dict[_Signature, list[int]] = {}
-        for i, signature in enumerate(signatures):
-            self.by_signature.setdefault(signature, []).append(i)
-
-
-def _search_order(rep: _Invariants) -> _SearchOrder:
-    """Visit vertices tied to the most placed ones first, then rare signatures.
-
-    The next vertex minimises (-placed neighbours, vertices sharing its
-    signature, position), kept as one int rank per vertex: placing a
-    vertex lowers each neighbour's rank by one tie step.
-    """
-    n = len(rep.signatures)
+    n = len(signatures)
     tie = (n + 1) * n
+    shared = Counter(signatures)
     rank = [
-        (n * (n + 1) + len(rep.by_signature[signature])) * n + i
-        for i, signature in enumerate(rep.signatures)
+        (n * (n + 1) + shared[signature]) * n + i
+        for i, signature in enumerate(signatures)
     ]
     step_of: dict[int, int] = {}
     order = []
     remaining = set(range(n))
     while remaining:
         best = min(remaining, key=rank.__getitem__)
-        neighbours = rep.adjacency[best]
+        neighbours = adjacency[best]
         order.append(
             (
-                rep.signatures[best],
+                signatures[best],
                 tuple(step_of[j] for j in neighbours if j in step_of),
             )
         )
@@ -592,12 +574,16 @@ def _search_order(rep: _Invariants) -> _SearchOrder:
     return order
 
 
-def _maps_onto(order: _SearchOrder, other: _Invariants) -> bool:
+def _maps_onto(
+    order: _SearchOrder, masks: list[int], by_signature: dict[_Signature, list[int]]
+) -> bool:
     """Backtrack for an isomorphism placing the representative in `order`.
 
-    `other` must have the representative's key.  Step k sends its vertex
-    to an unused vertex u of the same signature whose neighbours among
-    the images so far are exactly the images of its placed neighbours.
+    The other graph, given by its neighbour bitsets and the positions of
+    each signature, must have the representative's signature multiset.
+    Step k sends its vertex to an unused vertex u of the same signature
+    whose neighbours among the images so far are exactly the images of
+    its placed neighbours.
     """
     n = len(order)
     if n == 0:
@@ -605,13 +591,13 @@ def _maps_onto(order: _SearchOrder, other: _Invariants) -> bool:
     images = [0] * n  # bit of each step's image
     expected = [0] * n
     candidates: list[Iterator[int]] = [iter(())] * n
-    candidates[0] = iter(other.by_signature[order[0][0]])
+    candidates[0] = iter(by_signature[order[0][0]])
     used = 0
     k = 0
     while True:
         for u in candidates[k]:
             bit = 1 << u
-            if not used & bit and other.masks[u] & used == expected[k]:
+            if not used & bit and masks[u] & used == expected[k]:
                 break
         else:
             k -= 1
@@ -629,45 +615,45 @@ def _maps_onto(order: _SearchOrder, other: _Invariants) -> bool:
         for j in earlier:
             mask |= images[j]
         expected[k] = mask
-        candidates[k] = iter(other.by_signature[signature])
+        candidates[k] = iter(by_signature[signature])
 
 
 class _Classes:
-    """Isomorphism classes of a stream of graphs, fed as their invariants.
+    """Isomorphism classes of a stream of graphs, fed as (adjacency, signatures).
 
-    `members` lists each class's positions in the stream, classes in the
-    order they first appear.  A graph's key picks a bucket, and the graph
-    is tested by exact backtracking only against the earlier class
-    representatives in that bucket, so it joins at most one class.
+    Classes are numbered as they first appear.  A graph's sorted
+    signature multiset picks a bucket, and the graph is tested by exact
+    backtracking only against the earlier representatives there, so it
+    joins at most one class.  Most buckets never get a second graph: a
+    representative is its (adjacency, signatures) until its first
+    comparison builds its search order, and a graph builds the masks and
+    signature index a comparison needs only if its bucket is not empty.
     """
 
-    __slots__ = ("members", "_buckets", "_count")
+    __slots__ = ("_buckets", "_count")
 
     def __init__(self) -> None:
-        self.members: list[list[int]] = []
-        # [representative, class index]: its _Invariants become its _SearchOrder
-        # at its first comparison, as most buckets never get a second graph
+        # [representative: (adjacency, signatures), later its _SearchOrder; class index]
         self._buckets: dict[tuple[_Signature, ...], list[list]] = {}
         self._count = 0
 
-    def add(self, invariants: _Invariants) -> int:
-        """File the next graph; the index of its class (len(members) - 1 if new)."""
-        bucket = self._buckets.setdefault(invariants.key, [])
-        for entry in bucket:
-            order, index = entry
-            if type(order) is _Invariants:
-                order = entry[0] = _search_order(order)
-            if _maps_onto(order, invariants):
-                return self.join(index)
-        bucket.append([invariants, len(self.members)])
-        self.members.append([])
-        return self.join(len(self.members) - 1)
-
-    def join(self, index: int) -> int:
-        """File the next graph into class `index`, known to be its class."""
-        self.members[index].append(self._count)
+    def add(self, adjacency: list[list[int]], signatures: list[_Signature]) -> int:
+        """File the next graph; the index of its class (the next index if new)."""
+        bucket = self._buckets.setdefault(tuple(sorted(signatures)), [])
+        if bucket:
+            masks = [sum(1 << j for j in nbrs) for nbrs in adjacency]
+            by_signature: dict[_Signature, list[int]] = {}
+            for i, signature in enumerate(signatures):
+                by_signature.setdefault(signature, []).append(i)
+            for entry in bucket:
+                order, index = entry
+                if type(order) is tuple:
+                    order = entry[0] = _search_order(*order)
+                if _maps_onto(order, masks, by_signature):
+                    return index
+        bucket.append([(adjacency, signatures), self._count])
         self._count += 1
-        return index
+        return self._count - 1
 
 
 def isomorphism_classes(
@@ -683,15 +669,16 @@ def isomorphism_classes(
     a generator.
     """
     classes = _Classes()
-    representatives = []
-    for g in graphs:
+    found: list[tuple[Graph, list[int]]] = []
+    for position, g in enumerate(graphs):
         if g.order > cap:
             raise TooLarge(f"isomorphism test capped at order {cap}; got {g.order}")
         adjacency = _int_adjacency(g)
-        invariants = _Invariants(adjacency, _level_signatures(adjacency))
-        if classes.add(invariants) == len(representatives):
-            representatives.append(g)
-    return list(zip(representatives, classes.members))
+        index = classes.add(adjacency, _level_signatures(adjacency))
+        if index == len(found):
+            found.append((g, []))
+        found[index][1].append(position)
+    return found
 
 
 def are_isomorphic(g1: Graph, g2: Graph, *, cap: int = DEFAULT_ISO_CAP) -> bool:

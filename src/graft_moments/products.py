@@ -16,7 +16,7 @@ spec therefore yields byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -205,6 +205,15 @@ def flower(
     )
 
 
+def _equal_orders(host: Graph, branch: Graph) -> int:
+    """r, the common order of a permutation product's host and branch."""
+    if host.order != branch.order:
+        raise OrderMismatch(
+            f"permutation product needs equal orders, got {host.order} and {branch.order}"
+        )
+    return host.order
+
+
 def permutation_graph(
     host: Graph,
     branch: Graph,
@@ -219,11 +228,7 @@ def permutation_graph(
     1..r, and copy i (at the i-th host vertex) is rooted at the
     sigma(i)-th vertex of `branch`, counting in branch vertex order.
     """
-    r = host.order
-    if branch.order != r:
-        raise OrderMismatch(
-            f"permutation product needs equal orders, got {r} and {branch.order}"
-        )
+    r = _equal_orders(host, branch)
     if sorted(sigma) != list(range(1, r + 1)):
         raise GraphFormatError(f"sigma {list(sigma)!r} is not a permutation of 1..{r}")
     attachments = tuple(
@@ -234,17 +239,18 @@ def permutation_graph(
 
 
 def _permutation_adjacencies(
-    host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]
-) -> Iterator[list[list[int]]]:
-    """Int adjacency of each sigma's permutation product, without a Graph.
+    host: Graph, branch: Graph
+) -> Callable[[Sequence[int]], list[list[int]]]:
+    """A builder of each sigma's permutation-product int adjacency, without a Graph.
 
-    Position v of the result is product vertex v of permutation_graph's
-    numbering (host positions 0..r-1, then copy i's non-root vertices in
-    branch order from r + i*(r-1)), and neighbour lists are sorted, so it
-    equals _int_adjacency(permutation_graph(host, branch, sigma).graph).
-    The factors are checked as graft checks them, then the product order
-    r*r against MAX_ORDER, before the first product is built.  Orders must
-    be equal and each sigma a permutation of 1..r.
+    Position v of a built adjacency is product vertex v of
+    permutation_graph's numbering (host positions 0..r-1, then copy i's
+    non-root vertices in branch order from r + i*(r-1)), and neighbour
+    lists are sorted, so build(sigma) equals
+    _int_adjacency(permutation_graph(host, branch, sigma).graph).  The
+    factors are checked as graft checks them, then the product order r*r
+    against MAX_ORDER, here, before any product is built.  Orders must be
+    equal and each sigma a permutation of 1..r.
     """
     r = host.order
     # every copy is the same branch, so one (receptor, branch, root) covers them
@@ -268,7 +274,8 @@ def _permutation_adjacencies(
                 ],
             )
         )
-    for sigma in sigmas:
+
+    def build(sigma: Sequence[int]) -> list[list[int]]:
         adjacency = []
         copies = []
         for i, s in enumerate(sigma):
@@ -279,7 +286,9 @@ def _permutation_adjacencies(
                 row = [base + o for o in others]
                 copies.append([i, *row] if touches_root else row)
         adjacency += copies
-        yield adjacency
+        return adjacency
+
+    return build
 
 
 def hierarchical_product(

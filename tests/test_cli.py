@@ -311,7 +311,7 @@ def test_isomoment_order_mismatch(tmp_path, capsys):
     branch = graph_file(tmp_path, path_graph(3), "branch.json")
     code, _, err = run_cli(capsys, "isomoment", host, branch)
     assert code == 3
-    assert "error:" in err
+    assert err == "error: permutation product needs equal orders, got 4 and 3\n"
 
 
 # sha256 of the stdout printed before isomorphism classes were bucketed by
@@ -400,6 +400,35 @@ def test_isomoment_r7_stdout_is_golden(tmp_path, capsys):
     )
 
 
+def test_isomoment_draws_sigmas_as_it_builds_products(tmp_path, capsys, monkeypatch):
+    # the first product pass must not wait for all 7! sigmas to be drawn
+    host_path = write_json(tmp_path / "host.json", ISOMOMENT_R7_HOST)
+    branch_path = write_json(tmp_path / "branch.json", ISOMOMENT_R7_BRANCH)
+    drawn = []
+    drawn_at_first_pass = []
+    permutations = itertools.permutations
+    level_signatures = cli._level_signatures
+
+    def counting_permutations(*args):
+        for sigma in permutations(*args):
+            drawn.append(sigma)
+            yield sigma
+
+    def first_pass(adjacency):
+        if not drawn_at_first_pass:
+            drawn_at_first_pass.append(len(drawn))
+        return level_signatures(adjacency)
+
+    monkeypatch.setattr(itertools, "permutations", counting_permutations)
+    monkeypatch.setattr(cli, "_level_signatures", first_pass)
+    code, out, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
+    )
+    assert code == 0
+    assert json.loads(out)["permutations"] == len(drawn) == 5040
+    assert drawn_at_first_pass[0] < 5040
+
+
 def _random_pairs(count: int) -> list[tuple[Graph, Graph]]:
     rng = random.Random(606)
     pairs = []
@@ -424,7 +453,9 @@ ISOMOMENT_PAIRS = [
 
 
 @pytest.mark.parametrize("host,branch", ISOMOMENT_PAIRS)
-def test_isomoment_product_passes_match_built_products(tmp_path, host, branch):
+def test_isomoment_product_passes_match_built_products(
+    tmp_path, capsys, monkeypatch, host, branch
+):
     r = host.order
     rng = random.Random(r * 1000 + branch.edge_count)
     file_weights = write_json(
@@ -433,8 +464,31 @@ def test_isomoment_product_passes_match_built_products(tmp_path, host, branch):
     )
     specs = ["unit", "half", "degree", "const:7/3", f"file:{file_weights}"]
     weight_functions = [parse_weight_spec(spec) for spec in specs]
-    sigmas = list(itertools.permutations(range(1, r + 1)))
-    passes = cli._product_passes(host, branch, sigmas, weight_functions)
+    # each pass's adjacency and signatures, and the moments summed from them
+    passes = []
+    level_signatures = cli._level_signatures
+    weighted_sum = cli._weighted_sum
+
+    def recording_signatures(adjacency):
+        signatures = level_signatures(adjacency)
+        passes.append((adjacency, signatures, []))
+        return signatures
+
+    def recording_sum(*args):
+        value = weighted_sum(*args)
+        passes[-1][2].append(value)
+        return value
+
+    monkeypatch.setattr(cli, "_level_signatures", recording_signatures)
+    monkeypatch.setattr(cli, "_weighted_sum", recording_sum)
+    host_path = graph_file(tmp_path, host, "host.json")
+    branch_path = graph_file(tmp_path, branch, "branch.json")
+    # the file: weight gives every sigma its own pass, in enumeration order
+    code, _, _ = run_cli(
+        capsys, "isomoment", host_path, branch_path, "--weights", ",".join(specs)
+    )
+    assert code in (0, 1)
+    sigmas = itertools.permutations(range(1, r + 1))
     for sigma, (adjacency, signatures, moments) in zip(sigmas, passes, strict=True):
         product = permutation_graph(host, branch, sigma).graph
         assert adjacency == _int_adjacency(product)
@@ -507,6 +561,25 @@ def test_isomoment_sampled_count_must_be_positive(tmp_path, capsys, count):
     assert code == 2
     assert out == ""
     assert "--count" in err
+
+
+def test_isomoment_caps_the_sample_at_full_enumeration_size(tmp_path, capsys, monkeypatch):
+    # 40,000 products of order 81 is more than the 8! products of order 64
+    # that full enumeration at order 8 holds; refused before any sigma is drawn
+    host = graph_file(tmp_path, path_graph(9), "host.json")
+    branch = graph_file(tmp_path, path_graph(9), "branch.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomoment drew a sigma")
+
+    monkeypatch.setattr(cli.random, "Random", refuse)
+    code, out, err = run_cli(capsys, "isomoment", host, branch, "--count", "40000")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: --count 40000 at order 9 asks for 3240000 product vertices, "
+        "over the 2580480 of full enumeration at order 8\n"
+    )
 
 
 # -- isomoment by root orbits ---------------------------------------------------
@@ -684,7 +757,7 @@ def test_orbit_labels_are_the_host_orbits_of_the_words(host, branch):
     orbit = _brute_force_orbits(branch)
     automorphisms = _automorphisms(host)
     sigmas = list(itertools.permutations(range(1, host.order + 1)))
-    labels = cli._orbit_labels(host, branch, sigmas)
+    labels = list(cli._orbit_labels(host, branch, sigmas))
     # two words share an orbit when their least images under Aut(host) agree
     least = [
         min(tuple(orbit[sigma[i] - 1] for i in p) for p in automorphisms) for sigma in sigmas

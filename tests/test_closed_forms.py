@@ -371,6 +371,20 @@ def test_comparison_rejects_bad_arguments(p3):
         concentration_difference_formula(p3, UNIT, 1, [9], 2, 1)
 
 
+@pytest.mark.parametrize("scalar", ["x", None], ids=["text", "none"])
+def test_scalar_weights_that_are_not_rationals_are_malformed_input(p3, scalar):
+    # the forms report a bad scalar as flower() does, with the same text
+    with pytest.raises(GraphFormatError) as built:
+        flower(scalar, [])
+    with pytest.raises(GraphFormatError) as caught:
+        flower_moment_formula(scalar, [])
+    assert str(caught.value) == str(built.value)
+    assert str(caught.value).startswith(f"bad rational value {scalar!r}: ")
+    with pytest.raises(GraphFormatError) as caught:
+        concentration_difference_formula(p3, UNIT, 1, [0], 2, scalar)
+    assert str(caught.value) == str(built.value)
+
+
 # -- cycle row sums ------------------------------------------------------------
 
 

@@ -35,7 +35,6 @@ from graft_moments.graph import (
     _bfs_reached,
     _distances,
     _int_adjacency,
-    _Invariants,
     _level_signatures,
     _row_sums_bit_parallel,
     _row_sums_by_blocks,
@@ -576,7 +575,7 @@ def test_isomorphism_classes_split_a_bucket_collision():
     keys = []
     for g in (k33, prism):
         adjacency = _int_adjacency(g)
-        keys.append(_Invariants(adjacency, _level_signatures(adjacency)).key)
+        keys.append(tuple(sorted(_level_signatures(adjacency))))
     assert keys[0] == keys[1]
     graphs = [k33, prism, _relabeled(prism, rng), _relabeled(k33, rng)]
     classes = isomorphism_classes(graphs)
@@ -592,12 +591,12 @@ def test_isomorphism_classes_build_no_search_order_for_lone_buckets(monkeypatch)
     keys = set()
     for g in graphs:
         adjacency = _int_adjacency(g)
-        keys.add(_Invariants(adjacency, _level_signatures(adjacency)).key)
+        keys.add(tuple(sorted(_level_signatures(adjacency))))
     assert len(keys) == len(graphs)
     built = []
     search_order = graph_module._search_order
     monkeypatch.setattr(
-        graph_module, "_search_order", lambda rep: built.append(rep) or search_order(rep)
+        graph_module, "_search_order", lambda *rep: built.append(rep) or search_order(*rep)
     )
     classes = isomorphism_classes(graphs)
     assert [members for _, members in classes] == [[i] for i in range(len(graphs))]
