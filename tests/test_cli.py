@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -67,6 +68,23 @@ def test_indices_p4_degree(tmp_path, capsys):
     assert payload["mti"] == "38/1"
     assert payload["mean_distance"] == "5/4"
     assert payload["hyper_wiener_paper"] == "10/1"
+
+
+def test_indices_rejects_a_vertex_id_that_is_not_an_int(tmp_path, capsys):
+    path = write_json(tmp_path / "g.json", {"vertices": ["a"], "edges": []})
+    code, out, err = run_cli(capsys, "indices", path)
+    assert (code, out, err) == (2, "", "error: vertex ids must be integers, got 'a'\n")
+
+
+def test_indices_rejects_a_weight_file_key_that_is_not_an_id(tmp_path, capsys):
+    path = graph_file(tmp_path, path_graph(2))
+    weights = write_json(tmp_path / "w.json", {"a": "1", "0": "1"})
+    code, out, err = run_cli(capsys, "indices", path, "--weights", f"file:{weights}")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: weight file {weights} keys must be integer vertex ids "
+        "written plainly, got 'a'\n"
+    )
 
 
 def test_indices_single_vertex(tmp_path, capsys):
@@ -223,6 +241,28 @@ def test_graft_disconnected_host_is_domain_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"attachments": {}}, '"attachments" must be a list'),
+        ({"attachments": [1]}, "attachment must be an object"),
+        (
+            {"attachments": [dict(COALESCENCE_SPEC["attachments"][0], bogus=1)]},
+            "unexpected attachment keys: ['bogus']",
+        ),
+        (
+            {"attachments": [dict(COALESCENCE_SPEC["attachments"][0], weights=3)]},
+            "weight spec must be a string, got 3",
+        ),
+    ],
+    ids=["attachments-not-a-list", "attachment-not-an-object", "attachment-key", "weights-not-a-string"],
+)
+def test_graft_rejects_a_malformed_spec(tmp_path, capsys, change, message):
+    path = write_json(tmp_path / "spec.json", dict(COALESCENCE_SPEC, **change))
+    code, out, err = run_cli(capsys, "graft", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -312,6 +352,13 @@ def test_isomoment_order_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "isomoment", host, branch)
     assert code == 3
     assert err == "error: permutation product needs equal orders, got 4 and 3\n"
+
+
+def test_isomoment_needs_a_weight_spec(tmp_path, capsys):
+    host = graph_file(tmp_path, path_graph(3), "host.json")
+    branch = graph_file(tmp_path, path_graph(3), "branch.json")
+    code, out, err = run_cli(capsys, "isomoment", host, branch, "--weights", ",")
+    assert (code, out, err) == (2, "", "error: no weight specs given\n")
 
 
 # sha256 of the stdout printed before isomorphism classes were bucketed by
@@ -452,6 +499,11 @@ ISOMOMENT_PAIRS = [
 ] + _random_pairs(20)
 
 
+def _signatures_and_row_sums(result) -> tuple[list, list[int]]:
+    """What one cli._level_signatures call gives: signatures and row sums."""
+    return result, [sum(map(mul, s, range(len(s)))) for s in result]
+
+
 @pytest.mark.parametrize("host,branch", ISOMOMENT_PAIRS)
 def test_isomoment_product_passes_match_built_products(
     tmp_path, capsys, monkeypatch, host, branch
@@ -464,19 +516,19 @@ def test_isomoment_product_passes_match_built_products(
     )
     specs = ["unit", "half", "degree", "const:7/3", f"file:{file_weights}"]
     weight_functions = [parse_weight_spec(spec) for spec in specs]
-    # each pass's adjacency and signatures, and the moments summed from them
+    # each pass's adjacency, signatures and row sums, and the moments summed from them
     passes = []
     level_signatures = cli._level_signatures
     weighted_sum = cli._weighted_sum
 
     def recording_signatures(adjacency):
-        signatures = level_signatures(adjacency)
-        passes.append((adjacency, signatures, []))
-        return signatures
+        result = level_signatures(adjacency)
+        passes.append((adjacency, *_signatures_and_row_sums(result), []))
+        return result
 
     def recording_sum(*args):
         value = weighted_sum(*args)
-        passes[-1][2].append(value)
+        passes[-1][3].append(value)
         return value
 
     monkeypatch.setattr(cli, "_level_signatures", recording_signatures)
@@ -489,12 +541,17 @@ def test_isomoment_product_passes_match_built_products(
     )
     assert code in (0, 1)
     sigmas = itertools.permutations(range(1, r + 1))
-    for sigma, (adjacency, signatures, moments) in zip(sigmas, passes, strict=True):
+    # (signature, level sizes) of every vertex of every product: all have order r*r
+    pairs = set()
+    for sigma, (adjacency, signatures, row_sums, moments) in zip(sigmas, passes, strict=True):
         product = permutation_graph(host, branch, sigma).graph
         assert adjacency == _int_adjacency(product)
         levels = [Counter(bfs_distances(product, v).values()) for v in product.vertices]
-        assert signatures == [tuple(c[d] for d in range(len(c))) for c in levels]
+        pairs.update(zip(signatures, (tuple(c[d] for d in range(len(c))) for c in levels)))
+        assert list(row_sums) == [sum(d * size for d, size in c.items()) for c in levels]
         assert moments == [moment(product, w) for w in weight_functions]
+    # equal signatures exactly when the level sizes are equal
+    assert len({s for s, _ in pairs}) == len({sizes for _, sizes in pairs}) == len(pairs)
 
 
 def test_isomoment_builds_a_graph_only_per_class(tmp_path, capsys, monkeypatch):

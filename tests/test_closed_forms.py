@@ -371,6 +371,12 @@ def test_comparison_rejects_bad_arguments(p3):
         concentration_difference_formula(p3, UNIT, 1, [9], 2, 1)
 
 
+def test_comparison_rejects_a_negative_total_weight(p3):
+    with pytest.raises(NegativeWeight) as caught:
+        concentration_difference_formula(p3, UNIT, 1, [0], 2, -1)
+    assert str(caught.value) == "branch total weight -1 is negative"
+
+
 @pytest.mark.parametrize("scalar", ["x", None], ids=["text", "none"])
 def test_scalar_weights_that_are_not_rationals_are_malformed_input(p3, scalar):
     # the forms report a bad scalar as flower() does, with the same text

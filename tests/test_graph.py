@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
+from operator import mul
 
 import pytest
 
@@ -242,6 +243,32 @@ def test_json_rejects_malformed(obj):
         graph_from_json_dict(obj)
 
 
+def test_construction_rejects_an_edge_that_is_not_a_pair():
+    with pytest.raises(GraphFormatError) as caught:
+        Graph([0, 1], [(0, 1, 2)])
+    assert str(caught.value) == "edge (0, 1, 2) is not a pair"
+    with pytest.raises(GraphFormatError) as caught:
+        Graph([0, 1], [5])
+    assert str(caught.value) == "edge 5 is not a pair"
+
+
+def test_cycle_needs_a_vertex():
+    with pytest.raises(GraphFormatError) as caught:
+        cycle_graph(0)
+    assert str(caught.value) == "cycle needs at least one vertex"
+
+
+def test_distance_matrix_entries_order_and_total():
+    matrix = distance_matrix(Graph([7, 3, 5], [(7, 3), (3, 5)]))
+    assert matrix.order == 3
+    assert [matrix.entry(u, v) for u in (7, 3, 5) for v in (7, 3, 5)] == [0, 1, 2, 1, 0, 1, 2, 1, 0]
+    assert matrix.total == 8
+    for u, v in ((7, 9), (9, 7)):
+        with pytest.raises(UnknownVertex) as caught:
+            matrix.entry(u, v)
+        assert str(caught.value) == "vertex 9 is not in the matrix"
+
+
 # -- row-sum kernel -------------------------------------------------------
 
 
@@ -377,6 +404,58 @@ ROW_SUM_CASES = KERNEL_CASES + BLOCK_CASES
 
 def _eccentricity(adjacency: list[list[int]]) -> int:
     return max(_distances(adjacency, 0))
+
+
+def _signature_pass(adjacency: list[list[int]]) -> tuple[list, list[int]]:
+    """One signature pass: each vertex's isomorphism signature and its row sum."""
+    signatures = _level_signatures(adjacency)
+    return signatures, [sum(map(mul, s, range(len(s)))) for s in signatures]
+
+
+def _level_sizes(g: Graph, v: int) -> tuple[int, ...]:
+    """How many vertices lie at distance 0, 1, 2, ... from v, in v's component."""
+    counts = Counter(_bfs_reached(g, v).values())
+    return tuple(counts[d] for d in range(len(counts)))
+
+
+DISCONNECTED_CASES = [
+    ("two-k1", Graph([0, 1], [])),
+    ("p3+k1", Graph(range(4), [(0, 1), (1, 2)])),
+    ("c5+p4", Graph(range(9), [(i, (i + 1) % 5) for i in range(5)] + [(5, 6), (6, 7), (7, 8)])),
+    ("k3+k3", Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    ("c6+k1", Graph(range(7), [(i, (i + 1) % 6) for i in range(6)])),
+    (
+        "rand-40+tree-30",
+        Graph(
+            range(70),
+            list(random_connected_graph(random.Random(5), 40).edges())
+            + [(u + 40, v + 40) for u, v in random_tree(random.Random(6), 30).edges()],
+        ),
+    ),
+]
+SIGNATURE_CASES = ROW_SUM_CASES + DISCONNECTED_CASES
+
+
+@pytest.mark.parametrize("name,g", SIGNATURE_CASES, ids=[c[0] for c in SIGNATURE_CASES])
+def test_signatures_are_equal_exactly_when_level_sizes_are(name, g):
+    signatures, row_sums = _signature_pass(_int_adjacency(g))
+    levels = [_level_sizes(g, v) for v in g.vertices]
+    pairs = set(zip(signatures, levels))
+    assert len(set(signatures)) == len(set(levels)) == len(pairs)
+    if is_connected(g):
+        assert list(row_sums) == list(distance_matrix(g).row_sums)
+
+
+def test_signatures_of_equal_orders_are_equal_exactly_when_level_sizes_are():
+    # across graphs too: isomorphism buckets compare signatures of different graphs
+    by_order: dict[int, set] = {}
+    for _, g in SIGNATURE_CASES:
+        signatures, _ = _signature_pass(_int_adjacency(g))
+        levels = [_level_sizes(g, v) for v in g.vertices]
+        by_order.setdefault(g.order, set()).update(zip(signatures, levels))
+    assert sum(len(pairs) > 1 for pairs in by_order.values()) > 5
+    for pairs in by_order.values():
+        assert len({s for s, _ in pairs}) == len({sizes for _, sizes in pairs}) == len(pairs)
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
@@ -575,7 +654,7 @@ def test_isomorphism_classes_split_a_bucket_collision():
     keys = []
     for g in (k33, prism):
         adjacency = _int_adjacency(g)
-        keys.append(tuple(sorted(_level_signatures(adjacency))))
+        keys.append(tuple(sorted(_signature_pass(adjacency)[0])))
     assert keys[0] == keys[1]
     graphs = [k33, prism, _relabeled(prism, rng), _relabeled(k33, rng)]
     classes = isomorphism_classes(graphs)
@@ -591,7 +670,7 @@ def test_isomorphism_classes_build_no_search_order_for_lone_buckets(monkeypatch)
     keys = set()
     for g in graphs:
         adjacency = _int_adjacency(g)
-        keys.add(tuple(sorted(_level_signatures(adjacency))))
+        keys.add(tuple(sorted(_signature_pass(adjacency)[0])))
     assert len(keys) == len(graphs)
     built = []
     search_order = graph_module._search_order

@@ -180,6 +180,18 @@ def test_star_receptor_graft(p3, k2, k1):
     assert are_isomorphic(hub.graph, flower(0, [(k2, 0)] * 3).graph)
 
 
+def test_builders_reject_bad_arguments(k2, p3):
+    with pytest.raises(GraphFormatError) as caught:
+        rooted_product(k2, [(k2,), (k2, 0)])
+    assert str(caught.value) == "branch must be (graph, root) or (graph, root, weights)"
+    with pytest.raises(GraphFormatError) as caught:
+        binomial_tree(-1)
+    assert str(caught.value) == "binomial tree index must be nonnegative"
+    with pytest.raises(GraphFormatError) as caught:
+        star_receptor_graft(p3, 0, k2, 0, copies=-1)
+    assert str(caught.value) == "copies must be nonnegative"
+
+
 def test_spec_json_parsing(tmp_path):
     obj = {
         "host": {"vertices": [0, 1], "edges": [[0, 1]]},
