@@ -15,9 +15,9 @@ label and give isomorphic products, with equal degree and constant-weight
 moments.  Sigmas are drawn and labelled one at a time; the sigma that
 opens a label gets the pass: the product's int adjacency comes straight
 from the factors, and one bit-parallel BFS of all sources gives every
-vertex's level sizes, which are its isomorphism signature and give the
-row sums every moment is summed from, in ints.  A class keeps only what
-is printed: its first sigma, adjacency and size.  A file: weight is not
+vertex's level sizes packed into one int (its isomorphism signature) and
+its row sum, from which every moment is summed in ints.  A class keeps
+only what is printed: its first sigma, adjacency and size.  A file: weight is not
 isomorphism-invariant; with one, each sigma is its own label.  No product
 becomes a Graph, and JSON is written by _json_text, not json's
 pure-Python indenting encoder.
@@ -40,7 +40,7 @@ import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import add, mul
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .closed_forms import cycle_distance_row_sum
@@ -286,8 +286,7 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
     for sigma, label in zip(sigmas, labels):
         if label == len(class_of):
             adjacency = build(sigma)
-            signatures = _level_signatures(adjacency)
-            row_sums = [sum(map(mul, sizes, range(len(sizes)))) for sizes in signatures]
+            signatures, row_sums = _level_signatures(adjacency)
             degrees = [len(nbrs) for nbrs in adjacency]
             for seen, weights in zip(values.values(), weight_functions.values()):
                 seen.add(_weighted_sum(weights, vertices, degrees, row_sums))
@@ -296,14 +295,11 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
                 kept.append([sigma, adjacency, 0])
         kept[class_of[label]][2] += 1
 
-    all_equal = True
-    moments_out: dict[str, str] = {}
-    for spec_name, seen in values.items():
-        if len(seen) != 1:
-            all_equal = False
-            moments_out[spec_name] = sorted(format_rational(v) for v in seen)
-        else:
-            moments_out[spec_name] = format_rational(seen.pop())
+    all_equal = all(len(seen) == 1 for seen in values.values())
+    moments_out = {
+        spec_name: format_rational(*seen) if len(seen) == 1 else sorted(map(format_rational, seen))
+        for spec_name, seen in values.items()
+    }
 
     _emit_json(
         {
@@ -418,10 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GraftMomentsError as exc:

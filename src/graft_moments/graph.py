@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DisconnectedGraph,
@@ -98,8 +98,7 @@ class Graph:
     def has_vertex(self, v: int) -> bool:
         return v in self._adjacency
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adjacency
+    __contains__ = has_vertex
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._require(v)
@@ -307,7 +306,7 @@ def _row_sums_kernel(adjacency: list[list[int]], eccentricity: int) -> tuple[int
     """
     n = len(adjacency)
     if n <= 64 or eccentricity * (n + 1200) <= 600 * n:
-        return _row_sums_bit_parallel(adjacency)
+        return tuple(_level_sums(adjacency, lambda d: d))
     return _row_sums_per_source(adjacency)
 
 
@@ -458,23 +457,27 @@ def _row_sums_per_source(adjacency: list[list[int]]) -> tuple[int, ...]:
     return tuple(sum(_distances(adjacency, s)) for s in range(len(adjacency)))
 
 
-def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
-    """All sources at once: bit j of reach[i] is set once source j reached i.
+def _level_sums(adjacency: list[list[int]], weight: Callable[[int], int]) -> list[int]:
+    """sum_j weight(dist(i, j)) over the vertices j that i reaches, for every i.
 
-    At each level a vertex ORs its neighbours' frontiers (the sources they
-    first reached one level earlier); the bits it had not yet seen are the
-    sources at exactly that distance.  A vertex reached by every source is
-    dropped from the scan.  Three lists of n-bit ints; diameter passes.
+    All sources at once (Akiba, Iwata and Yoshida, SIGMOD 2013): bit j of
+    reach[i] is set once source j reached i.  At each level a vertex ORs
+    its neighbours' frontiers (the sources they first reached one level
+    earlier); the new bits are the sources at exactly that distance.  A
+    vertex reached by every source leaves the scan, and a level that
+    brings nothing ends it, so disconnected graphs work too.  Three lists
+    of n-bit ints; diameter passes.
     """
     n = len(adjacency)
     everyone = (1 << n) - 1
     frontier = [1 << i for i in range(n)]
     reach = frontier[:]
-    sums = [0] * n
+    sums = [weight(0)] * n
     active = range(n)
     level = 0
     while active:
         level += 1
+        step = weight(level)
         grown = [0] * n
         still = []
         for i in active:
@@ -484,56 +487,42 @@ def _row_sums_bit_parallel(adjacency: list[list[int]]) -> tuple[int, ...]:
                 seen |= frontier[j]
             new = seen ^ known
             reach[i] = seen
-            sums[i] += level * new.bit_count()
+            sums[i] += step * new.bit_count()
             grown[i] = new
             if seen != everyone:
                 still.append(i)
+        if not any(grown):
+            break
         frontier = grown
         active = still
-    return tuple(sums)
+    return sums
 
 
-def _level_signatures(adjacency: list[list[int]]) -> list[tuple[int, ...]]:
-    """How many vertices lie at distance 0, 1, 2, ... from each source.
+def _level_signatures(adjacency: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Each vertex's isomorphism signature and row sum, from one _level_sums pass.
 
-    One bit-parallel pass, the loop of _row_sums_bit_parallel, keeping
-    each vertex's count of new sources per level: the sources at distance
-    d from i are the vertices at distance d from i.  A vertex leaves the scan once every source has
-    reached it or a level brings none (its component is done), so
-    disconnected graphs work too.  The row sum of i is
-    sum(d * size for d, size in enumerate(signature)).
+    The signature of i packs the number of vertices at each distance d
+    from i into one int, in a field of width = n.bit_length() bits from
+    bit low + width * d, above the row sum in the low = (n * n).bit_length()
+    bits: level d weighs d + 2**(low + width * d).  A count is below n and
+    a row sum below n * n, so no field carries into the next.  So in graphs
+    of one order (the only ones that share an isomorphism bucket), two
+    vertices have equal signatures exactly when their level sizes are
+    equal, and a signature's low bits are its row sum.
     """
     n = len(adjacency)
-    everyone = (1 << n) - 1
-    frontier = [1 << i for i in range(n)]
-    reach = frontier[:]
-    sizes = [[1] for _ in range(n)]
-    active = range(n)
-    while active:
-        grown = [0] * n
-        still = []
-        for i in active:
-            known = reach[i]
-            seen = known
-            for j in adjacency[i]:
-                seen |= frontier[j]
-            new = seen ^ known
-            if new:
-                reach[i] = seen
-                sizes[i].append(new.bit_count())
-                grown[i] = new
-                if seen != everyone:
-                    still.append(i)
-        frontier = grown
-        active = still
-    return [tuple(row) for row in sizes]
+    width, low = n.bit_length(), (n * n).bit_length()
+    signatures = _level_sums(adjacency, lambda d: d + (1 << (low + width * d)))
+    mask = (1 << low) - 1
+    return signatures, [s & mask for s in signatures]
 
 
 # -- isomorphism --------------------------------------------------------
 
 DEFAULT_ISO_CAP = 16
 
-_Signature = tuple[int, ...]
+# a _level_signatures int, or a tuple from cli._colour_orbits
+_Signature = int | tuple[int, ...]
 # One step per vertex: its signature, and the earlier steps that placed
 # its neighbours.
 _SearchOrder = list[tuple[_Signature, tuple[int, ...]]]
@@ -542,8 +531,7 @@ _SearchOrder = list[tuple[_Signature, tuple[int, ...]]]
 def _search_order(adjacency: list[list[int]], signatures: list[_Signature]) -> _SearchOrder:
     """Visit vertices tied to the most placed ones first, then rare signatures.
 
-    A vertex's signature is the number of vertices at each BFS distance
-    from it: its sorted distances, run-length coded, and so also its
+    A vertex's signature codes at least its level sizes, and so its
     degree.  The next vertex minimises (-placed neighbours, vertices
     sharing its signature, position), kept as one int rank per vertex:
     placing a vertex lowers each neighbour's rank by one tie step.
@@ -628,6 +616,7 @@ class _Classes:
     representative is its (adjacency, signatures) until its first
     comparison builds its search order, and a graph builds the masks and
     signature index a comparison needs only if its bucket is not empty.
+    Signatures may be any hashable, sortable values.
     """
 
     __slots__ = ("_buckets", "_count")
@@ -663,7 +652,8 @@ def isomorphism_classes(
 
     Returns one (representative, member positions) pair per class, in
     the order classes first appear; the representative is the first
-    member.  Each graph's signatures are computed once (see _Classes).
+    member.  Each graph is filed by the int signatures of one
+    _level_signatures pass (see _Classes), so it need not be connected.
     The cap bounds every graph's order (search is exponential in the
     worst case).  Only the representatives are kept, so `graphs` may be
     a generator.
@@ -674,7 +664,7 @@ def isomorphism_classes(
         if g.order > cap:
             raise TooLarge(f"isomorphism test capped at order {cap}; got {g.order}")
         adjacency = _int_adjacency(g)
-        index = classes.add(adjacency, _level_signatures(adjacency))
+        index = classes.add(adjacency, _level_signatures(adjacency)[0])
         if index == len(found):
             found.append((g, []))
         found[index][1].append(position)

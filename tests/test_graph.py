@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, deque
-from operator import mul
 
 import pytest
 
@@ -37,7 +36,7 @@ from graft_moments.graph import (
     _distances,
     _int_adjacency,
     _level_signatures,
-    _row_sums_bit_parallel,
+    _level_sums,
     _row_sums_by_blocks,
     _row_sums_per_source,
 )
@@ -408,8 +407,7 @@ def _eccentricity(adjacency: list[list[int]]) -> int:
 
 def _signature_pass(adjacency: list[list[int]]) -> tuple[list, list[int]]:
     """One signature pass: each vertex's isomorphism signature and its row sum."""
-    signatures = _level_signatures(adjacency)
-    return signatures, [sum(map(mul, s, range(len(s)))) for s in signatures]
+    return _level_signatures(adjacency)
 
 
 def _level_sizes(g: Graph, v: int) -> tuple[int, ...]:
@@ -463,7 +461,7 @@ def test_distance_row_sums_match_the_matrix(name, g):
     expected = distance_matrix(g).row_sums
     assert distance_row_sums(g) == expected
     adjacency = _int_adjacency(g)
-    assert _row_sums_bit_parallel(adjacency) == expected
+    assert tuple(_level_sums(adjacency, lambda d: d)) == expected
     assert _row_sums_per_source(adjacency) == expected
     assert _row_sums_by_blocks(adjacency, _eccentricity(adjacency)) == expected
 
@@ -485,7 +483,7 @@ def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
     def refuse(*args):
         raise AssertionError("a whole-graph kernel ran")
 
-    for kernel in ("_row_sums_kernel", "_row_sums_bit_parallel", "_row_sums_per_source"):
+    for kernel in ("_row_sums_kernel", "_level_sums", "_row_sums_per_source"):
         monkeypatch.setattr(graph_module, kernel, refuse)
     assert distance_row_sums(g) == expected
 

@@ -174,7 +174,9 @@ def _refuse_the_certified_kernels(monkeypatch):
         raise AssertionError("the oracle ran a kernel it certifies")
 
     for module in (graph_module, moments_module, closed_forms_module):
-        for name in ("distance_row_sums", "_row_sums", "_distances", "_level_signatures"):
+        for name in (
+            "distance_row_sums", "_row_sums", "_distances", "_level_sums", "_level_signatures"
+        ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
