@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graph import Graph, _check_order, _distances, _int_adjacency, _row_sums, cycle_graph
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
-from .products import GraftSpec, _equal_orders, _validate_factors
+from .products import GraftSpec, _permutation_order, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
 Family = Mapping[int, Sequence[tuple[Graph, int, WeightFunction]]]
@@ -229,7 +229,7 @@ def permutation_moment_formula(
     every permutation, which is what makes these graphs equal-moment
     families.
     """
-    r = _equal_orders(host, branch)
+    r = _permutation_order(host, branch)
     h = _Factor(host, alpha)
     k = _Factor(branch, beta)
     return (
@@ -242,7 +242,7 @@ def permutation_moment_formula(
 
 def permutation_unit_moment(host: Graph, branch: Graph) -> Fraction:
     """Unit-weight specialization: r^2*M_H^1 + r(2r-1)*M_K^1."""
-    r = _equal_orders(host, branch)
+    r = _permutation_order(host, branch)
     host_unit = _Factor(host, UNIT).moment
     branch_unit = _Factor(branch, UNIT).moment
     return r * r * host_unit + r * (2 * r - 1) * branch_unit
@@ -250,7 +250,7 @@ def permutation_unit_moment(host: Graph, branch: Graph) -> Fraction:
 
 def permutation_mean_distance(host: Graph, branch: Graph) -> Fraction:
     """Mean distance of the permutation product: d(H) + (2 - 1/r) d(K)."""
-    r = _equal_orders(host, branch)
+    r = _permutation_order(host, branch)
     d_host = _Factor(host, UNIT).moment / (r * r)
     d_branch = _Factor(branch, UNIT).moment / (r * r)
     return d_host + (2 - Fraction(1, r)) * d_branch
@@ -261,7 +261,7 @@ def permutation_degree_distance(host: Graph, branch: Graph) -> Fraction:
 
     r*M_H^d + r^2*M_K^d + 2r*m_K*M_H^1 + 2(m_H + (r-1)m_K)*M_K^1.
     """
-    r = _equal_orders(host, branch)
+    r = _permutation_order(host, branch)
     m_host = host.edge_count
     m_branch = branch.edge_count
     h = _Factor(host, DEGREE)
@@ -298,11 +298,8 @@ def concentration_difference_formula(
     total = _as_rational(branch_total_weight)
     if total < 0:
         raise NegativeWeight(f"branch total weight {total} is negative")
-    if not host.has_vertex(x):
-        raise UnknownVertex(f"vertex {x!r} is not a host vertex")
-    for receptor in receptors:
-        if not host.has_vertex(receptor):
-            raise UnknownVertex(f"receptor {receptor!r} is not a host vertex")
+    # the branches count only by order and total weight: one vertex stands for each
+    _validate_factors(host, [(receptor, _CENTER, 0) for receptor in [x, *receptors]])
     h = _Factor(host, alpha)
     grown = branch_order - 1
     at_x = h.point_moment(h.row(x), grown, total)

@@ -214,6 +214,17 @@ def _equal_orders(host: Graph, branch: Graph) -> int:
     return host.order
 
 
+def _permutation_order(host: Graph, branch: Graph) -> int:
+    """r, once host and branch pass the checks permutation_graph makes of them.
+
+    Equal orders, then graft's factor checks on the host and one branch
+    copy: every copy is the same branch.
+    """
+    r = _equal_orders(host, branch)
+    _validate_factors(host, [(x, branch, branch.vertices[0]) for x in host.vertices[:1]])
+    return r
+
+
 def permutation_graph(
     host: Graph,
     branch: Graph,
@@ -248,13 +259,11 @@ def _permutation_adjacencies(
     non-root vertices in branch order from r + i*(r-1)), and neighbour
     lists are sorted, so build(sigma) equals
     _int_adjacency(permutation_graph(host, branch, sigma).graph).  The
-    factors are checked as graft checks them, then the product order r*r
-    against MAX_ORDER, here, before any product is built.  Orders must be
-    equal and each sigma a permutation of 1..r.
+    orders and factors are checked as permutation_graph checks them, then
+    the product order r*r against MAX_ORDER, here, before any product is
+    built.  Each sigma must be a permutation of 1..r.
     """
-    r = host.order
-    # every copy is the same branch, so one (receptor, branch, root) covers them
-    _validate_factors(host, [(x, branch, branch.vertices[0]) for x in host.vertices[:1]])
+    r = _permutation_order(host, branch)
     _check_order(r * r)
     host_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(host)]
     branch_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(branch)]

@@ -205,6 +205,53 @@ def test_bad_factors_raise_the_same_error_as_graft(builder, case):
         assert str(caught.value) == str(by_graft.value)
 
 
+# The permutation and concentration forms stand for products built by
+# permutation_graph and by _comparison_oracle: a bad factor must raise the
+# error of the product it stands for.
+PERMUTATION_FORMS = {
+    "permutation_moment_formula": lambda h, b: permutation_moment_formula(h, UNIT, b, DEGREE),
+    "permutation_unit_moment": permutation_unit_moment,
+    "permutation_mean_distance": permutation_mean_distance,
+    "permutation_degree_distance": permutation_degree_distance,
+}
+BAD_PERMUTATION_FACTORS = {
+    "unequal-orders": (path_graph(3), path_graph(2), OrderMismatch),
+    "disconnected-host": (Graph([0, 1, 2], [(0, 1)]), path_graph(3), DisconnectedGraph),
+    "disconnected-branch": (path_graph(3), Graph([0, 1, 2], [(0, 1)]), DisconnectedGraph),
+    "disconnected-both": (Graph([0, 1, 2], [(0, 1)]), Graph([0, 1, 2], []), DisconnectedGraph),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PERMUTATION_FACTORS)
+@pytest.mark.parametrize("form", PERMUTATION_FORMS)
+def test_bad_factors_raise_the_same_error_as_the_permutation_product(form, case):
+    host, branch, expected = BAD_PERMUTATION_FACTORS[case]
+    with pytest.raises(expected) as caught:
+        PERMUTATION_FORMS[form](host, branch)
+    with pytest.raises(expected) as built:
+        permutation_graph(host, branch, list(range(1, host.order + 1)))
+    assert caught.type is built.type is expected
+    assert str(caught.value) == str(built.value)
+
+
+BAD_CONCENTRATIONS = {
+    "disconnected-host": (Graph([0, 1, 2], [(0, 1)]), 0, [1], DisconnectedGraph),
+    "unknown-x": (path_graph(3), 9, [1], UnknownVertex),
+    "unknown-receptor": (path_graph(3), 0, [1, 9], UnknownVertex),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONCENTRATIONS)
+def test_bad_factors_raise_the_same_error_as_the_concentration_oracle(case):
+    host, x, receptors, expected = BAD_CONCENTRATIONS[case]
+    with pytest.raises(expected) as caught:
+        concentration_difference_formula(host, UNIT, x, receptors, 2, 1)
+    with pytest.raises(expected) as built:
+        _comparison_oracle(host, UNIT, x, receptors, path_graph(2), 0, UNIT)
+    assert caught.type is built.type is expected
+    assert str(caught.value) == str(built.value)
+
+
 # -- flowers ------------------------------------------------------------------
 
 
