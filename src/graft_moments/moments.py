@@ -42,7 +42,7 @@ def _weighted_sum(
 
 def zagreb_m1(g: Graph) -> Fraction:
     """First Zagreb index: sum of squared degrees."""
-    return Fraction(sum(g.degree(v) ** 2 for v in g.vertices))
+    return Fraction(sum(d * d for d in g.degrees))
 
 
 @dataclass(frozen=True)

@@ -34,16 +34,20 @@ def random_rational(
     )
 
 
+def _tree_edges(rng: random.Random, order: int) -> list[tuple[int, int]]:
+    """Attach each new vertex somewhere earlier: (parent, child), parent < child."""
+    return [(rng.randrange(v), v) for v in range(1, order)]
+
+
 def random_tree(rng: random.Random, order: int) -> Graph:
     """Uniform-ish random labeled tree: attach each new vertex somewhere earlier."""
-    edges = [(rng.randrange(v), v) for v in range(1, order)]
-    return Graph(range(order), edges)
+    return Graph(range(order), _tree_edges(rng, order))
 
 
 def random_connected_graph(rng: random.Random, order: int) -> Graph:
-    """Random spanning tree plus a few random extra edges."""
-    tree = random_tree(rng, order)
-    present = set(tree.edges())
+    """Random spanning tree (drawn as random_tree draws it) plus a few random extra edges."""
+    edges = _tree_edges(rng, order)
+    present = set(edges)
     missing = [
         (u, v)
         for u in range(order)
@@ -51,8 +55,7 @@ def random_connected_graph(rng: random.Random, order: int) -> Graph:
         if (u, v) not in present
     ]
     extra = rng.randint(0, min(len(missing), order))
-    edges = list(tree.edges()) + rng.sample(missing, extra)
-    return Graph(range(order), edges)
+    return Graph(range(order), edges + rng.sample(missing, extra))
 
 
 def random_weight_function(rng: random.Random, g: Graph) -> WeightFunction:
