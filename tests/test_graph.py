@@ -431,7 +431,17 @@ DISCONNECTED_CASES = [
         ),
     ),
 ]
-SIGNATURE_CASES = ROW_SUM_CASES + DISCONNECTED_CASES
+# Two trees of order 15 with level sizes (1, 5, 1, 7, 1) at vertex 0 of the
+# first and (1, 1, 10, 1, 2) at vertex 0 of the second: equal orders, equal
+# row sums (32), and equal sums of size * 4**d, so level sizes packed into
+# 2-bit fields would carry into equal signatures
+CARRY_CASES = [
+    ("carry-15a", Graph(range(15), [(0, i) for i in range(1, 6)] + [(1, 6)]
+                        + [(6, i) for i in range(7, 14)] + [(7, 14)])),
+    ("carry-15b", Graph(range(15), [(0, 1)] + [(1, i) for i in range(2, 12)]
+                        + [(2, 12), (12, 13), (12, 14)])),
+]
+SIGNATURE_CASES = ROW_SUM_CASES + DISCONNECTED_CASES + CARRY_CASES
 
 
 @pytest.mark.parametrize("name,g", SIGNATURE_CASES, ids=[c[0] for c in SIGNATURE_CASES])
