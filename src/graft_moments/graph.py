@@ -504,8 +504,8 @@ def _level_signatures(adjacency: list[list[int]]) -> tuple[list[int], list[int]]
     The signature of i packs the number of vertices at each distance d
     from i into one int, in a field of width = n.bit_length() bits from
     bit low + width * d, above the row sum in the low = (n * n).bit_length()
-    bits: level d weighs d + 2**(low + width * d).  A count is below n and
-    a row sum below n * n, so no field carries into the next.  So in graphs
+    bits: level d weighs d + 2**(low + width * d).  A count is at most n
+    and a row sum below n * n, so no field carries into the next.  So in graphs
     of one order (the only ones that share an isomorphism bucket), two
     vertices have equal signatures exactly when their level sizes are
     equal, and a signature's low bits are its row sum.

@@ -254,7 +254,10 @@ def test_graft_disconnected_host_is_domain_error(tmp_path, capsys):
             "weight spec must be a string, got 3",
         ),
     ],
-    ids=["attachments-not-a-list", "attachment-not-an-object", "attachment-key", "weights-not-a-string"],
+    ids=[
+        "attachments-not-a-list", "attachment-not-an-object", "attachment-key",
+        "weights-not-a-string",
+    ],
 )
 def test_graft_rejects_a_malformed_spec(tmp_path, capsys, change, message):
     path = write_json(tmp_path / "spec.json", dict(COALESCENCE_SPEC, **change))

@@ -260,7 +260,8 @@ def test_cycle_needs_a_vertex():
 def test_distance_matrix_entries_order_and_total():
     matrix = distance_matrix(Graph([7, 3, 5], [(7, 3), (3, 5)]))
     assert matrix.order == 3
-    assert [matrix.entry(u, v) for u in (7, 3, 5) for v in (7, 3, 5)] == [0, 1, 2, 1, 0, 1, 2, 1, 0]
+    entries = [matrix.entry(u, v) for u in (7, 3, 5) for v in (7, 3, 5)]
+    assert entries == [0, 1, 2, 1, 0, 1, 2, 1, 0]
     assert matrix.total == 8
     for u, v in ((7, 9), (9, 7)):
         with pytest.raises(UnknownVertex) as caught:
