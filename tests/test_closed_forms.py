@@ -416,9 +416,6 @@ def test_comparison_rejects_bad_arguments(p3):
         concentration_difference_formula(p3, UNIT, 9, [0], 2, 1)
     with pytest.raises(UnknownVertex):
         concentration_difference_formula(p3, UNIT, 1, [9], 2, 1)
-
-
-def test_comparison_rejects_a_negative_total_weight(p3):
     with pytest.raises(NegativeWeight) as caught:
         concentration_difference_formula(p3, UNIT, 1, [0], 2, -1)
     assert str(caught.value) == "branch total weight -1 is negative"

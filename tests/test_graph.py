@@ -79,6 +79,9 @@ def test_construction_rejects_non_simple_input(vertices, edges):
         ([(1.0, True)], "edge endpoints must be integers, got 1.0"),
         ([(5, 5)], "edge (5, 5) has an unknown endpoint"),
         ([(0, 1), (1, 1), (1, 0)], "self-loop at vertex 1"),
+        # an edge that is not a pair
+        ([(0, 1, 2)], "edge (0, 1, 2) is not a pair"),
+        ([5], "edge 5 is not a pair"),
     ],
 )
 def test_construction_reports_the_first_fault(edges, message):
@@ -216,6 +219,9 @@ def test_builders():
     assert star_graph(5).degree(0) == 5
     assert cycle_graph(2).edge_count == 1
     assert cycle_graph(1).order == 1
+    with pytest.raises(GraphFormatError) as caught:
+        cycle_graph(0)
+    assert str(caught.value) == "cycle needs at least one vertex"
     d = diamond_graph()
     assert sorted(d.degree(v) for v in d.vertices) == [2, 2, 3, 3]
 
@@ -240,21 +246,6 @@ def test_json_round_trip(diamond):
 def test_json_rejects_malformed(obj):
     with pytest.raises(GraphFormatError):
         graph_from_json_dict(obj)
-
-
-def test_construction_rejects_an_edge_that_is_not_a_pair():
-    with pytest.raises(GraphFormatError) as caught:
-        Graph([0, 1], [(0, 1, 2)])
-    assert str(caught.value) == "edge (0, 1, 2) is not a pair"
-    with pytest.raises(GraphFormatError) as caught:
-        Graph([0, 1], [5])
-    assert str(caught.value) == "edge 5 is not a pair"
-
-
-def test_cycle_needs_a_vertex():
-    with pytest.raises(GraphFormatError) as caught:
-        cycle_graph(0)
-    assert str(caught.value) == "cycle needs at least one vertex"
 
 
 def test_distance_matrix_entries_order_and_total():
