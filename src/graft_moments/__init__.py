@@ -20,7 +20,6 @@ from .errors import (
     NegativeWeight,
     NotATree,
     OrderMismatch,
-    ProvenanceMismatch,
     TooLarge,
     UnknownVertex,
 )
@@ -51,7 +50,6 @@ from .weights import (
     ExplicitWeight,
     Rational,
     WeightFunction,
-    combine_gamma,
     describe_weight,
     format_rational,
     parse_rational,

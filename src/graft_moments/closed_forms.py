@@ -14,7 +14,9 @@ distances on a cycle host from min(|i - j|, r - |i - j|).
 
 Theorem 1 is evaluated once, in its vector form (_graft_moment): the
 graft, family and flower forms only hand it their attachments, a flower
-being the graft product on a one-vertex host.  Every formula is
+being the graft product on a one-vertex host.  Likewise the sigma
+corollaries (unit moment, mean distance, degree distance) are weight
+choices of the one permutation-product formula.  Every formula is
 certified against the brute-force oracle (build the product, run BFS
 from every vertex, sum) by the verify module and the test suite;
 agreement is exact, never approximate.  The oracle runs none of the
@@ -25,6 +27,7 @@ its BFS loop.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -75,16 +78,18 @@ class _Factor:
     Vertices are positions in vertex order.  The weights are int
     numerators over one denominator (WeightFunction.vector), so the
     total, the moment and each point moment are int dot products with
-    one division each.
+    one division each.  The row sums are summed on first read, so a form
+    that needs only point moments never pays for them.
     """
-
-    __slots__ = ("graph", "adjacency", "numerators", "denominator", "row_sums")
 
     def __init__(self, g: Graph, weights: WeightFunction):
         self.graph = g
         self.numerators, self.denominator = weights.vector(g.vertices, g.degrees)
         self.adjacency = _int_adjacency(g)
-        self.row_sums = _row_sums(g, self.adjacency)
+
+    @cached_property
+    def row_sums(self) -> tuple[int, ...]:
+        return _row_sums(self.graph, self.adjacency)
 
     @property
     def total(self) -> Fraction:
@@ -204,12 +209,9 @@ def flower_moment_formula(
     the graft product on a one-vertex host weighted `center`, whose host
     terms all vanish.
     """
-    center = _as_rational(center_weight)
-    if center < 0:
-        raise NegativeWeight(f"center weight {center} is negative")
     return _graft_moment(
         _CENTER,
-        ConstantWeight(center),
+        ConstantWeight(center_weight),
         [(0, branch, root, beta) for branch, root, beta in branches],
     )
 
@@ -241,37 +243,29 @@ def permutation_moment_formula(
 
 
 def permutation_unit_moment(host: Graph, branch: Graph) -> Fraction:
-    """Unit-weight specialization: r^2*M_H^1 + r(2r-1)*M_K^1."""
-    r = _permutation_order(host, branch)
-    host_unit = _Factor(host, UNIT).moment
-    branch_unit = _Factor(branch, UNIT).moment
-    return r * r * host_unit + r * (2 * r - 1) * branch_unit
+    """Unit-weight specialization: r^2*M_H^1 + r(2r-1)*M_K^1.
+
+    Host weight 0, as every host vertex is a glued root of branch weight 1.
+    """
+    return permutation_moment_formula(host, ConstantWeight(0), branch, UNIT)
 
 
 def permutation_mean_distance(host: Graph, branch: Graph) -> Fraction:
-    """Mean distance of the permutation product: d(H) + (2 - 1/r) d(K)."""
-    r = _permutation_order(host, branch)
-    d_host = _Factor(host, UNIT).moment / (r * r)
-    d_branch = _Factor(branch, UNIT).moment / (r * r)
-    return d_host + (2 - Fraction(1, r)) * d_branch
+    """Mean distance of the permutation product: d(H) + (2 - 1/r) d(K).
+
+    The unit moment over the r^4 vertex pairs of the order-r^2 product.
+    """
+    return permutation_unit_moment(host, branch) / host.order**4
 
 
 def permutation_degree_distance(host: Graph, branch: Graph) -> Fraction:
     """Degree-weight specialization, in terms of factor edge counts.
 
-    r*M_H^d + r^2*M_K^d + 2r*m_K*M_H^1 + 2(m_H + (r-1)m_K)*M_K^1.
+    r*M_H^d + r^2*M_K^d + 2r*m_K*M_H^1 + 2(m_H + (r-1)m_K)*M_K^1.  Every
+    host vertex is a glued root, and a root's product degree is its host
+    degree plus its branch degree.
     """
-    r = _permutation_order(host, branch)
-    m_host = host.edge_count
-    m_branch = branch.edge_count
-    h = _Factor(host, DEGREE)
-    k = _Factor(branch, DEGREE)
-    return (
-        r * h.moment
-        + r * r * k.moment
-        + 2 * r * m_branch * sum(h.row_sums)
-        + 2 * (m_host + (r - 1) * m_branch) * sum(k.row_sums)
-    )
+    return permutation_moment_formula(host, DEGREE, branch, DEGREE)
 
 
 # -- concentrating branches on one receptor ---------------------------------

@@ -37,10 +37,6 @@ class NegativeWeight(GraftMomentsError):
     """Vertex weights must be nonnegative."""
 
 
-class ProvenanceMismatch(GraftMomentsError):
-    """Provenance maps do not cover the product's vertex set exactly."""
-
-
 class ArityMismatch(GraftMomentsError):
     """A per-vertex argument list has the wrong length."""
 

@@ -10,7 +10,8 @@ hierarchical products -- are thin wrappers over the same build.
 Product vertex ids are deterministic: host vertices keep positions
 0..|V_H|-1 in host order, then each attachment's non-root vertices
 follow in branch order, attachment by attachment.  Re-building the same
-spec therefore yields byte-identical JSON.
+spec therefore yields byte-identical JSON.  `graft` makes the combined
+weight gamma in the same pass that assigns those ids.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .weights import (
     ConstantWeight,
     ExplicitWeight,
     WeightFunction,
-    combine_gamma,
+    _reduced,
     parse_weight_spec,
 )
 
@@ -98,44 +99,39 @@ class GraftProduct:
 
 
 def graft(spec: GraftSpec) -> GraftProduct:
-    """Build the graft product of a spec.
+    """Build the graft product of a spec, weighing it as it is numbered.
 
-    Host and branches must be connected; branch roots must exist; the
-    combined weight gamma is the host weight off the glue points, the
-    branch weight inside branches, and the sum of both at each
-    identified vertex (accumulating when receptors repeat).
+    Host and branches must be connected, branch roots must exist and the
+    product order must be within MAX_ORDER, all before any weight is read.
+    The combined weight gamma is the host weight off the glue points, the
+    branch weight inside branches, and the sum of both at each identified
+    vertex (accumulating when receptors repeat).
     """
     host = spec.host
     _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
+    _check_order(spec.product_order)
 
     host_map = {v: i for i, v in enumerate(host.vertices)}
-    next_id = host.order
+    edges = [(host_map[u], host_map[v]) for u, v in host.edges()]
+    # gamma as reduced pairs, indexed by product id
+    pairs = list(map(spec.host_weights._at, host.vertices, host.degrees))
     branch_maps: list[dict[int, int]] = []
     for att in spec.attachments:
+        branch = att.branch
         bmap: dict[int, int] = {}
-        for bv in att.branch.vertices:
+        weights = map(att.weights._at, branch.vertices, branch.degrees)
+        for bv, pair in zip(branch.vertices, weights):
             if bv == att.root:
-                bmap[bv] = host_map[att.receptor]
+                pid = bmap[bv] = host_map[att.receptor]
+                (p, q), (r, s) = pairs[pid], pair
+                pairs[pid] = _reduced(p * s + r * q, q * s)
             else:
-                bmap[bv] = next_id
-                next_id += 1
+                bmap[bv] = len(pairs)
+                pairs.append(pair)
         branch_maps.append(bmap)
-
-    edges: list[tuple[int, int]] = [
-        (host_map[u], host_map[v]) for u, v in host.edges()
-    ]
-    for att, bmap in zip(spec.attachments, branch_maps):
-        edges.extend((bmap[u], bmap[v]) for u, v in att.branch.edges())
-    graph = Graph(range(next_id), edges)
-
-    gamma = combine_gamma(
-        host,
-        spec.host_weights,
-        [(a.branch, a.root, a.weights) for a in spec.attachments],
-        host_map,
-        branch_maps,
-        graph.vertices,
-    )
+        edges.extend((bmap[u], bmap[v]) for u, v in branch.edges())
+    graph = Graph(range(len(pairs)), edges)
+    gamma = ExplicitWeight._from_pairs(dict(enumerate(pairs)))
     return GraftProduct(graph, gamma, host_map, tuple(branch_maps))
 
 

@@ -24,7 +24,6 @@ from .errors import (
     EmptyGraph,
     GraphFormatError,
     NegativeWeight,
-    ProvenanceMismatch,
     UnknownVertex,
 )
 from .graph import Graph
@@ -216,51 +215,6 @@ class AffineWeight(WeightFunction):
 UNIT = ConstantWeight(1)
 HALF = ConstantWeight(Fraction(1, 2))
 DEGREE = DegreeWeight()
-
-
-def combine_gamma(
-    host: Graph,
-    host_weights: WeightFunction,
-    branch_weights: Sequence[tuple[Graph, int, WeightFunction]],
-    host_map: Mapping[int, int],
-    branch_maps: Sequence[Mapping[int, int]],
-    product_vertices: Sequence[int],
-) -> ExplicitWeight:
-    """Combined weight on a graft product.
-
-    Off the identified vertices the combined weight is the host weight
-    (on host vertices) or the branch weight (inside a branch).  At each
-    identified root it is the host weight plus the root weights of every
-    branch glued there, so stacking several branches on one receptor
-    accumulates.
-    """
-    if len(branch_weights) != len(branch_maps):
-        raise ProvenanceMismatch(
-            f"{len(branch_weights)} branches but {len(branch_maps)} provenance maps"
-        )
-    values: dict[int, Pair] = {}
-    for v, degree in zip(host.vertices, host.degrees):
-        values[host_map[v]] = host_weights._at(v, degree)
-    for (branch, root, weights), bmap in zip(branch_weights, branch_maps):
-        for bv, degree in zip(branch.vertices, branch.degrees):
-            pid = bmap[bv]
-            pair = weights._at(bv, degree)
-            if bv == root:
-                if pid not in values:
-                    raise ProvenanceMismatch(
-                        f"branch root {bv!r} maps to {pid!r}, not a host vertex"
-                    )
-                (p, q), (r, s) = values[pid], pair
-                values[pid] = _reduced(p * s + r * q, q * s)
-            else:
-                if pid in values:
-                    raise ProvenanceMismatch(
-                        f"product vertex {pid!r} claimed twice"
-                    )
-                values[pid] = pair
-    if set(values) != set(product_vertices):
-        raise ProvenanceMismatch("provenance maps do not cover the product")
-    return ExplicitWeight._from_pairs(values)
 
 
 # -- weight spec strings (CLI / JSON surface) ----------------------------

@@ -86,6 +86,17 @@ def test_indices_rejects_a_weight_file_key_that_is_not_an_id(tmp_path, capsys):
     )
 
 
+def test_indices_rejects_a_weight_file_that_is_not_json(tmp_path, capsys):
+    path = graph_file(tmp_path, path_graph(2))
+    weights = tmp_path / "w.json"
+    weights.write_text('{"0": "1",')
+    with pytest.raises(json.JSONDecodeError) as parse_error:
+        json.loads(weights.read_text())
+    code, out, err = run_cli(capsys, "indices", path, "--weights", f"file:{weights}")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad weight file {weights}: {parse_error.value}\n"
+
+
 def test_indices_single_vertex(tmp_path, capsys):
     path = write_json(tmp_path / "k1.json", {"vertices": [0], "edges": []})
     code, out, _ = run_cli(capsys, "indices", path)
@@ -886,6 +897,15 @@ def test_emitted_text_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch)
     assert len(emitted) == len(runs) + 2
 
 
+def test_json_text_rejects_a_bad_key_as_json_dumps_does():
+    for obj in ({(1, 2): 3}, {(1, 2): [3]}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == str(expected.value)
+
+
 def test_the_parser_is_built_once_and_dispatches_late(monkeypatch):
     parser = cli.build_parser()
     main(["theta", "--max-r", "1"])
@@ -898,7 +918,7 @@ def test_the_parser_is_built_once_and_dispatches_late(monkeypatch):
 # -- theta ----------------------------------------------------------------------
 
 
-def test_theta_table(capsys):
+def test_theta_table(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "theta", "--max-r", "6")
     assert code == 0
     lines = out.strip().splitlines()
@@ -910,6 +930,13 @@ def test_theta_table(capsys):
         "r=5 theta=6 row_sums=ok",
         "r=6 theta=9 row_sums=ok",
     ]
+    # a wrong closed form shows on its row and in the exit code
+    theta = cli.cycle_distance_row_sum
+    monkeypatch.setattr(cli, "cycle_distance_row_sum", lambda r: theta(r) + (r == 5))
+    code, out, _ = run_cli(capsys, "theta", "--max-r", "6")
+    assert code == 1
+    lines[4] = "r=5 theta=7 row_sums=MISMATCH"
+    assert out.strip().splitlines() == lines
 
 
 def test_theta_builds_no_distance_matrix(capsys, monkeypatch):

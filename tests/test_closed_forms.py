@@ -57,7 +57,7 @@ from graft_moments.randgen import (
     random_proper_cycle_instance,
     random_unicyclic_instance,
 )
-from graft_moments import graph, products
+from graft_moments import closed_forms, graph, products
 from graft_moments.closed_forms import _cycle_quadratic
 from graft_moments.verify import (
     _comparison_oracle,
@@ -264,9 +264,16 @@ def test_flower_formula_star_values(k2, copies, expected):
 
 
 def test_flower_formula_rejects_a_negative_center(k2):
-    with pytest.raises(NegativeWeight) as caught:
+    # the form reports a bad center exactly as the flower it stands for
+    for center in (-1, Fraction(-1, 2), "x", None):
+        with pytest.raises((NegativeWeight, GraphFormatError)) as built:
+            flower(center, [(k2, 0, UNIT)])
+        with pytest.raises(built.type) as caught:
+            flower_moment_formula(center, [(k2, 0, UNIT)])
+        assert caught.type is built.type
+        assert str(caught.value) == str(built.value)
+    with pytest.raises(NegativeWeight, match="^constant weight -1 is negative$"):
         flower_moment_formula(-1, [(k2, 0, UNIT)])
-    assert str(caught.value) == "center weight -1 is negative"
 
 
 def test_flower_formula_matches_oracle_randomly():
@@ -394,6 +401,18 @@ def test_comparison_matches_oracle_randomly():
             host, alpha, x, receptors, branch.order, beta.total(branch)
         )
         assert got == expected
+
+
+def test_comparison_sums_no_row_sums(monkeypatch, p3, p4):
+    # the form reads point-moment rows only, so no factor sums its row sums
+    def refuse(*args):
+        raise AssertionError("the concentration form summed row sums")
+
+    monkeypatch.setattr(closed_forms, "_row_sums", refuse)
+    assert concentration_difference_formula(p3, UNIT, 1, [0, 2], 2, 2) == -14
+    branch_weight = ConstantWeight(Fraction(7, 5))  # total 7 on 5 vertices
+    expected = _comparison_oracle(p4, DEGREE, 1, [0, 3, 3], path_graph(5), 2, branch_weight)
+    assert concentration_difference_formula(p4, DEGREE, 1, [0, 3, 3], 5, 7) == expected
 
 
 def test_comparison_depends_only_on_order_and_total(p3):

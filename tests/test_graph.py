@@ -692,6 +692,9 @@ def test_isomorphism_classes_cap():
     classes = isomorphism_classes([path_graph(17), path_graph(17)], cap=17)
     assert [members for _, members in classes] == [[0, 1]]
     assert isomorphism_classes([]) == []
+    empty = Graph([], [])
+    assert [members for _, members in isomorphism_classes([empty, Graph([], [])])] == [[0, 1]]
+    assert are_isomorphic(empty, Graph([], []))
 
 
 def _permutation_products(host: Graph, branch: Graph) -> list[Graph]:

@@ -8,15 +8,19 @@ import random
 import pytest
 
 from graft_moments import (
+    AffineWeight,
     ArityMismatch,
     Attachment,
     DEGREE,
     DisconnectedGraph,
     DuplicateReceptor,
+    ExplicitWeight,
+    GraftMomentsError,
     Graph,
     GraphFormatError,
     GraftSpec,
     OrderMismatch,
+    TooLarge,
     UNIT,
     UnknownVertex,
     are_isomorphic,
@@ -94,6 +98,30 @@ def test_graft_rejects_disconnected_parts(k2):
         graft(GraftSpec(broken, ()))
     with pytest.raises(DisconnectedGraph):
         graft(GraftSpec(k2, (Attachment(0, broken, 0),)))
+
+
+def test_graft_reports_errors_in_order(k2, k1):
+    # factors first, then the order cap, then host weights, then branch weights
+    missing = ExplicitWeight({})
+    negative = AffineWeight(-1, UNIT, 0)
+    long_path = path_graph(5001)
+    over_cap = (Attachment(0, long_path, 0), Attachment(0, long_path, 0))
+    too_large = (TooLarge, "graph order 10001 exceeds cap 10000")
+    no_entry = (UnknownVertex, "weight map has no entry for vertex 0")
+    cases = [
+        (GraftSpec(k1, over_cap, missing), too_large),
+        (GraftSpec(k1, (over_cap[0], Attachment(0, long_path, 0, missing))), too_large),
+        (GraftSpec(k2, (Attachment(0, k2, 0, negative),), missing), no_entry),
+        (GraftSpec(k2, (Attachment(0, k2, 0, missing), Attachment(1, k2, 0, negative))), no_entry),
+        (
+            GraftSpec(k2, (Attachment(0, Graph([0, 1], []), 0, missing),), missing),
+            (DisconnectedGraph, "branch graph is not connected"),
+        ),
+    ]
+    for spec, expected in cases:
+        with pytest.raises(GraftMomentsError) as caught:
+            graft(spec)
+        assert (caught.type, str(caught.value)) == expected
 
 
 def test_graft_is_deterministic():

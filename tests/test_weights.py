@@ -21,10 +21,8 @@ from graft_moments import (
     GraphFormatError,
     GraftSpec,
     NegativeWeight,
-    ProvenanceMismatch,
     UnknownVertex,
     WeightFunction,
-    combine_gamma,
     describe_weight,
     distance_row_sums,
     format_rational,
@@ -158,18 +156,6 @@ def test_gamma_total_is_host_plus_branch_totals(p3, k2):
     product = graft(spec)
     expected = UNIT.total(p3) + HALF.total(k2) + DEGREE.total(k2)
     assert product.gamma.total(product.graph) == expected
-
-
-def test_combine_gamma_detects_bad_provenance(k2):
-    with pytest.raises(ProvenanceMismatch):
-        combine_gamma(
-            k2,
-            UNIT,
-            [(k2, 0, UNIT)],
-            {0: 0, 1: 1},
-            [{0: 0, 1: 1}],  # claims an existing vertex for a branch interior
-            [0, 1, 2],
-        )
 
 
 def test_parse_weight_spec_presets():
