@@ -2,8 +2,9 @@
 
 Graphs are immutable: a vertex tuple (ids are arbitrary ints, order is
 preserved and used everywhere a deterministic iteration order matters)
-plus an adjacency map with sorted neighbor tuples.  Distances are hop
-counts computed by breadth-first search; no floating point anywhere.
+plus an adjacency map with sorted neighbor tuples, and its connectivity
+once is_connected has been asked.  Distances are hop counts computed by
+breadth-first search; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _check_order(n: int) -> None:
 class Graph:
     """Finite simple undirected graph."""
 
-    __slots__ = ("_vertices", "_adjacency", "_edge_count")
+    __slots__ = ("_vertices", "_adjacency", "_edge_count", "_connected")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         vertex_list = list(vertices)
@@ -54,7 +55,6 @@ class Graph:
             raise GraphFormatError("duplicate vertex ids")
         _check_order(len(vertex_list))
         neighbor_sets: dict[int, set[int]] = {v: set() for v in vertex_list}
-        count = 0
         for edge in edges:
             try:
                 u, v = edge
@@ -74,12 +74,28 @@ class Graph:
                 raise GraphFormatError(f"duplicate edge ({u!r}, {v!r})")
             u_nbrs.add(v)
             v_nbrs.add(u)
-            count += 1
-        self._vertices: tuple[int, ...] = tuple(vertex_list)
-        self._adjacency: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(neighbor_sets[v])) for v in vertex_list
-        }
-        self._edge_count = count
+        self._fill(tuple(vertex_list), neighbor_sets.values())
+
+    @classmethod
+    def _trusted(cls, neighbors: list[list[int]]) -> Graph:
+        """The graph on ids 0..n-1 whose vertex i has the neighbours neighbors[i].
+
+        For code that builds a simple graph correctly by construction:
+        only the MAX_ORDER cap is checked, not the ids or the edges.
+        """
+        _check_order(len(neighbors))
+        g = cls.__new__(cls)
+        g._fill(tuple(range(len(neighbors))), neighbors)
+        return g
+
+    def _fill(self, vertices: tuple[int, ...], neighbors: Iterable[Iterable[int]]) -> None:
+        """Set the fields from valid neighbour collections, one per vertex in order."""
+        self._vertices = vertices
+        self._adjacency: dict[int, tuple[int, ...]] = dict(
+            zip(vertices, map(tuple, map(sorted, neighbors)))
+        )
+        self._edge_count = sum(map(len, self._adjacency.values())) // 2
+        self._connected: bool | None = None  # is_connected's answer, once asked
 
     # -- basic accessors ------------------------------------------------
 
@@ -183,9 +199,12 @@ def bfs_distances(g: Graph, source: int) -> dict[int, int]:
 
 
 def is_connected(g: Graph) -> bool:
+    """Whether g is connected; one BFS per Graph object, whatever it equals."""
     if g.order == 0:
         raise EmptyGraph("connectivity is undefined for the empty graph")
-    return len(_bfs_reached(g, g.vertices[0])) == g.order
+    if g._connected is None:
+        g._connected = len(_bfs_reached(g, g.vertices[0])) == g.order
+    return g._connected
 
 
 @dataclass(frozen=True)

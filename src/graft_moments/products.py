@@ -105,15 +105,18 @@ def graft(spec: GraftSpec) -> GraftProduct:
     product order must be within MAX_ORDER, all before any weight is read.
     The combined weight gamma is the host weight off the glue points, the
     branch weight inside branches, and the sum of both at each identified
-    vertex (accumulating when receptors repeat).
+    vertex (accumulating when receptors repeat).  The product's neighbour
+    lists are valid by construction, so the trusted Graph constructor
+    checks only their count against MAX_ORDER; a branch repeated on many
+    attachments is one Graph object, which is_connected checks once.
     """
     host = spec.host
     _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
     _check_order(spec.product_order)
 
     host_map = {v: i for i, v in enumerate(host.vertices)}
-    edges = [(host_map[u], host_map[v]) for u, v in host.edges()]
-    # gamma as reduced pairs, indexed by product id
+    # neighbour lists and gamma as reduced pairs, both indexed by product id
+    neighbors = _int_adjacency(host)
     pairs = list(map(spec.host_weights._at, host.vertices, host.degrees))
     branch_maps: list[dict[int, int]] = []
     for att in spec.attachments:
@@ -129,8 +132,14 @@ def graft(spec: GraftSpec) -> GraftProduct:
                 bmap[bv] = len(pairs)
                 pairs.append(pair)
         branch_maps.append(bmap)
-        edges.extend((bmap[u], bmap[v]) for u, v in branch.edges())
-    graph = Graph(range(len(pairs)), edges)
+        # non-root vertices take the next ids in branch order, so append in it
+        for bv in branch.vertices:
+            mapped = [bmap[u] for u in branch._adjacency[bv]]
+            if bv == att.root:
+                neighbors[bmap[bv]] += mapped
+            else:
+                neighbors.append(mapped)
+    graph = Graph._trusted(neighbors)
     gamma = ExplicitWeight._from_pairs(dict(enumerate(pairs)))
     return GraftProduct(graph, gamma, host_map, tuple(branch_maps))
 
@@ -361,7 +370,8 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
 
     Shape: {"host": <graph>, "attachments": [{"receptor": int,
     "branch": <graph>, "root": int, "weights": <spec-string>}, ...],
-    "host_weights": <spec-string>}; weights default to "unit".
+    "host_weights": <spec-string>}; weights default to "unit".  Equal
+    branch objects (equal repr) share one parsed Graph.
     """
     if not isinstance(obj, dict):
         raise GraphFormatError("graft spec JSON must be an object")
@@ -378,6 +388,9 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
     if not isinstance(raw_attachments, list):
         raise GraphFormatError('"attachments" must be a list')
     attachments = []
+    # a branch repeated on many attachments is parsed (and later checked
+    # for connectivity) once; repr keeps [0, true] apart from [0, 1]
+    branches: dict[str, Graph] = {}
     for raw in raw_attachments:
         if not isinstance(raw, dict):
             raise GraphFormatError("attachment must be an object")
@@ -392,10 +405,13 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
             for key in ("receptor", "root")
         ):
             raise GraphFormatError("receptor and root must be integer vertex ids")
+        key = repr(raw["branch"])
+        if key not in branches:
+            branches[key] = graph_from_json_dict(raw["branch"])
         attachments.append(
             Attachment(
                 receptor=raw["receptor"],
-                branch=graph_from_json_dict(raw["branch"]),
+                branch=branches[key],
                 root=raw["root"],
                 weights=parse_weight_spec(
                     raw.get("weights", "unit"), base_dir=base_dir

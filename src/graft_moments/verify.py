@@ -2,8 +2,10 @@
 
 The oracle is always the same: run one plain BFS (`bfs_distances`) from
 every vertex of the product graph, sum its distances into that vertex's
-row sum, and sum weight (`value`, one `Fraction` per vertex) times row
-sum; no n x n matrix is kept.  `_graft_oracle` builds a graft product
+row sum, and sum weight times row sum; no n x n matrix is kept.  Each
+weight is its reduced int pair p/q, p * s(v) goes into one int per
+denominator q, and one `Fraction` per distinct denominator gives the
+exact result; the weights' `value` and `vector` are not called.  `_graft_oracle` builds a graft product
 with `graft` and sums it so, weighted by its gamma unless told
 otherwise; every graft-based checker and the test suite go through it.
 The oracle shares no distance code with what it certifies:
@@ -69,15 +71,19 @@ Check = tuple[Fraction, Fraction, dict]
 def _oracle_moment(g: Graph, weights: WeightFunction) -> Fraction:
     """sum_v w(v) * s(v), each row sum s(v) from its own plain BFS.
 
-    Raises what distance_matrix raises, with the same messages.
+    Each weight is taken as its reduced pair p/q; p * s(v) is added to
+    one int per denominator q, and each denominator makes one Fraction
+    at the end.  Raises what distance_matrix raises, with the same
+    messages, and a vertex's row error before its weight error.
     """
     if g.order == 0:
         raise EmptyGraph("distance matrix of the empty graph")
-    result = Fraction(0)
-    for v in g.vertices:
+    sums: dict[int, int] = {}
+    for v, degree in zip(g.vertices, g.degrees):
         row_sum = sum(bfs_distances(g, v).values())
-        result += weights.value(g, v) * row_sum
-    return result
+        p, q = weights._at(v, degree)
+        sums[q] = sums.get(q, 0) + p * row_sum
+    return sum((Fraction(p, q) for q, p in sums.items()), Fraction(0))
 
 
 def _graft_oracle(spec: GraftSpec, weights: WeightFunction | None = None) -> Fraction:

@@ -166,6 +166,27 @@ def test_is_connected(p4, k1):
         is_connected(Graph([], []))
 
 
+def test_is_connected_runs_one_bfs_per_graph_object(monkeypatch):
+    sources = []
+    bfs = graph_module._bfs_reached
+    monkeypatch.setattr(
+        graph_module, "_bfs_reached", lambda g, source: sources.append(source) or bfs(g, source)
+    )
+    split = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
+    assert [is_connected(split) for _ in range(3)] == [False] * 3
+    assert sources == [0]
+    empty = Graph([], [])
+    for _ in range(3):
+        with pytest.raises(EmptyGraph):
+            is_connected(empty)
+    # equal graphs, different vertex orders: each object checks itself
+    forward = Graph([0, 1, 2], [(0, 1), (1, 2)])
+    backward = Graph([2, 1, 0], [(0, 1), (1, 2)])
+    assert forward == backward
+    assert [is_connected(g) for g in (forward, backward, forward, backward)] == [True] * 4
+    assert sources == [0, 0, 2]
+
+
 def test_isomorphic_path_relabeled(p4):
     relabeled = Graph([7, 3, 5, 11], [(3, 7), (3, 5), (5, 11)])
     assert are_isomorphic(p4, relabeled)

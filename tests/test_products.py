@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from graft_moments import products
+from graft_moments import graph as graph_module
 from graft_moments import (
     AffineWeight,
     ArityMismatch,
@@ -122,6 +125,58 @@ def test_graft_reports_errors_in_order(k2, k1):
         with pytest.raises(GraftMomentsError) as caught:
             graft(spec)
         assert (caught.type, str(caught.value)) == expected
+
+
+def _graft_by_edge_list(spec):
+    """graft's product the plain way: an edge list through the checked
+    Graph constructor, and gamma summed in Fractions."""
+    host = spec.host
+    host_map = {v: i for i, v in enumerate(host.vertices)}
+    edges = [(host_map[u], host_map[v]) for u, v in host.edges()]
+    gamma = [spec.host_weights.value(host, v) for v in host.vertices]
+    branch_maps = []
+    for att in spec.attachments:
+        bmap = {}
+        for bv in att.branch.vertices:
+            weight = att.weights.value(att.branch, bv)
+            if bv == att.root:
+                bmap[bv] = host_map[att.receptor]
+                gamma[bmap[bv]] += weight
+            else:
+                bmap[bv] = len(gamma)
+                gamma.append(weight)
+        branch_maps.append(bmap)
+        edges.extend((bmap[u], bmap[v]) for u, v in att.branch.edges())
+    pairs = {i: (w.numerator, w.denominator) for i, w in enumerate(gamma)}
+    return Graph(range(len(gamma)), edges), pairs, host_map, tuple(branch_maps)
+
+
+def test_graft_builds_what_the_checked_constructor_builds():
+    rng = random.Random(34)
+    for _ in range(3000):
+        spec = random_graft_spec(rng, allow_repeated_receptors=True)
+        product = graft(spec)
+        graph, pairs, host_map, branch_maps = _graft_by_edge_list(spec)
+        assert product.graph._vertices == graph._vertices
+        assert list(product.graph._adjacency.items()) == list(graph._adjacency.items())
+        assert product.graph.edge_count == graph.edge_count
+        assert list(product.gamma._pairs.items()) == list(pairs.items())
+        assert product.host_map == host_map
+        assert product.branch_maps == branch_maps
+
+
+def test_graft_refuses_an_over_cap_spec_before_building_an_edge(monkeypatch, k1, k2):
+    def refuse(*args):
+        raise AssertionError("graft built the product")
+
+    long_path = path_graph(5001)
+    over_cap = GraftSpec(k1, (Attachment(0, long_path, 0), Attachment(0, long_path, 0)))
+    monkeypatch.setattr(products, "_int_adjacency", refuse)
+    monkeypatch.setattr(Graph, "_trusted", refuse)
+    with pytest.raises(TooLarge, match="graph order 10001 exceeds cap 10000"):
+        graft(over_cap)
+    with pytest.raises(AssertionError):
+        graft(GraftSpec(k2, (Attachment(0, k2, 0),)))
 
 
 def test_graft_is_deterministic():
@@ -258,6 +313,56 @@ def test_spec_json_parsing(tmp_path):
 def test_spec_json_rejects_malformed(obj):
     with pytest.raises(GraphFormatError):
         graft_spec_from_json_dict(obj)
+
+
+def _spec_with_branches(*branches):
+    return {
+        "host": {"vertices": [0, 1], "edges": [[0, 1]]},
+        "attachments": [{"receptor": 0, "branch": b, "root": 0} for b in branches],
+    }
+
+
+def test_spec_json_parses_each_repeated_branch_once():
+    k2 = {"vertices": [0, 1], "edges": [[0, 1]]}
+    spec = graft_spec_from_json_dict(
+        _spec_with_branches(k2, {"vertices": [0], "edges": []}, dict(k2), k2)
+    )
+    first, single, second, third = (a.branch for a in spec.attachments)
+    assert first is second is third
+    assert single is not first and single.order == 1
+    # equal in value but not in repr: parsed on their own, and rejected
+    for twin, message in [
+        ({"vertices": [0, True], "edges": [[0, 1]]}, "vertex ids must be integers, got True"),
+        ({"vertices": (0, 1), "edges": [[0, 1]]}, 'graph JSON needs "vertices" and "edges" lists'),
+    ]:
+        with pytest.raises(GraphFormatError, match=message):
+            graft_spec_from_json_dict(_spec_with_branches(k2, twin))
+    # a bad repeated branch fails where it first appears, before a later bad receptor
+    bad = {"vertices": [0, 0], "edges": []}
+    obj = _spec_with_branches({"vertices": [0], "edges": []}, bad, bad)
+    obj["attachments"].insert(2, {"receptor": "x", "branch": bad, "root": 0})
+    with pytest.raises(GraphFormatError, match="^duplicate vertex ids$"):
+        graft_spec_from_json_dict(obj)
+
+
+def test_a_repeated_branch_is_checked_once(monkeypatch):
+    calls = []
+    bfs = graph_module._bfs_reached
+    monkeypatch.setattr(
+        graph_module, "_bfs_reached", lambda g, source: calls.append(g) or bfs(g, source)
+    )
+    k2 = {"vertices": [0, 1], "edges": [[0, 1]]}
+    spec = graft_spec_from_json_dict(_spec_with_branches(k2, k2, k2))
+    assert graft(spec).graph.order == 5
+    assert calls == [spec.host, spec.attachments[0].branch]
+
+    calls.clear()
+    broken = {"vertices": [0, 1, 2], "edges": [[0, 1]]}
+    spec = graft_spec_from_json_dict(_spec_with_branches(broken, broken, broken))
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraph, match="^branch graph is not connected$"):
+            graft(spec)
+    assert calls == [spec.host, spec.attachments[0].branch]
 
 
 def test_repeated_receptors_accumulate(p3, k2):

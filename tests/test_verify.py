@@ -19,10 +19,14 @@ from graft_moments import (
     DegreeWeight,
     DisconnectedGraph,
     EmptyGraph,
+    ExplicitWeight,
     Graph,
     GraftSpec,
     GraphFormatError,
+    HALF,
     Mismatch,
+    NegativeWeight,
+    UnknownVertex,
     VerificationReport,
     WeightFunction,
     cycle_graph,
@@ -236,6 +240,57 @@ def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
     _refuse_the_certified_kernels(monkeypatch)
     for g, weights, expected in instances:
         assert verify._oracle_moment(g, weights) == expected
+
+
+def test_the_oracle_sums_int_pairs_without_value_or_the_kernels(monkeypatch):
+    rng = random.Random(6)
+    instances = []
+    for n in (1, 2, 5, 12, 30):
+        g = random_connected_graph(rng, n)
+        explicit = ExplicitWeight(
+            {v: Fraction(rng.randint(0, 9), rng.randint(1, 5)) for v in g.vertices}
+        )
+        for weights in (
+            UNIT,
+            HALF,
+            DEGREE,
+            ConstantWeight(Fraction(2, 7)),
+            explicit,
+            AffineWeight(Fraction(3, 2), DEGREE, Fraction(1, 3)),
+            AffineWeight(Fraction(1, 2), explicit, Fraction(2, 3)),
+        ):
+            row_sums = distance_matrix(g).row_sums
+            plain = sum(
+                (weights.value(g, v) * s for v, s in zip(g.vertices, row_sums)), Fraction(0)
+            )
+            instances.append((g, weights, plain))
+    product = graft(random_graft_spec(rng, allow_repeated_receptors=True))
+    instances.append((product.graph, product.gamma, moment(product.graph, product.gamma)))
+    k2 = Graph([3, 4], [(3, 4)])
+    bad = [
+        (ExplicitWeight({4: 1}), UnknownVertex, "weight map has no entry for vertex 3"),
+        (
+            ExplicitWeight({3: 1, 4: Fraction(-1, 2)}),
+            NegativeWeight,
+            "weight -1/2 at vertex 4 is negative",
+        ),
+        (AffineWeight(-1, UNIT, 0), NegativeWeight, "affine weight -1 at vertex 3 is negative"),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle took a weight value or vector")
+
+    for kind in (WeightFunction, ConstantWeight, DegreeWeight):
+        monkeypatch.setattr(kind, "vector", refuse)
+    monkeypatch.setattr(WeightFunction, "value", refuse)
+    _refuse_the_certified_kernels(monkeypatch)
+    for g, weights, expected in instances:
+        got = verify._oracle_moment(g, weights)
+        assert type(got) is Fraction and got == expected
+    for weights, error, message in bad:
+        with pytest.raises(error) as caught:
+            verify._oracle_moment(k2, weights)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
