@@ -3,12 +3,14 @@
 Each function evaluates a published formula symbol by symbol from its
 inputs -- factor moments, branch orders, total weights, host distances
 -- without building the product graph.  No form builds a distance
-matrix: each factor graph gets one `distance_row_sums` pass for its
-moment, and a point moment costs one BFS from its vertex (`_distances`,
-on the int adjacency that pass used), whose row gives it by linearity,
-M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Weights
-enter as int numerators over one denominator (`WeightFunction.vector`),
-so totals, moments and point moments are int dot products divided once.
+matrix: a factor's moment reads the row sums its Graph object keeps
+(`distance_row_sums`, one pass per object however many attachments and
+forms share it), and a point moment costs one BFS from its vertex
+(`_distances`, on the int adjacency the object keeps), whose row gives
+it by linearity, M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum
+at y.  Weights enter as int numerators over one denominator
+(`WeightFunction.vector`), so totals, moments and point moments are int
+dot products divided once.
 Host distances between receptors come from those same rows, and
 distances on a cycle host from min(|i - j|, r - |i - j|).
 
@@ -27,7 +29,6 @@ its BFS loop.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -69,27 +70,28 @@ def cycle_distance_row_sum(r: int) -> int:
     return (r // 2) * ((r + 1) // 2)
 
 
-# -- one row-sum pass per factor, one BFS per point moment --------------------
+# -- one row-sum pass per graph, one BFS per point moment --------------------
 
 
 class _Factor:
-    """Weights, int adjacency and distance row sums of one factor graph.
+    """The weights of one factor graph, over the data its Graph object keeps.
 
     Vertices are positions in vertex order.  The weights are int
     numerators over one denominator (WeightFunction.vector), so the
     total, the moment and each point moment are int dot products with
-    one division each.  The row sums are summed on first read, so a form
-    that needs only point moments never pays for them.
+    one division each.  The row sums and the int adjacency are the
+    graph's own (_row_sums, _int_adjacency), computed on the first read
+    for that object, so a form that needs only point moments never pays
+    for the row sums, and factors sharing a graph share both.
     """
 
     def __init__(self, g: Graph, weights: WeightFunction):
         self.graph = g
         self.numerators, self.denominator = weights.vector(g.vertices, g.degrees)
-        self.adjacency = _int_adjacency(g)
 
-    @cached_property
+    @property
     def row_sums(self) -> tuple[int, ...]:
-        return _row_sums(self.graph, self.adjacency)
+        return _row_sums(self.graph)
 
     @property
     def total(self) -> Fraction:
@@ -105,7 +107,7 @@ class _Factor:
 
     def row(self, y: int) -> list[int]:
         """dist(y, v) for every vertex v, in vertex order: one BFS."""
-        return _distances(self.adjacency, self.graph.vertices.index(y))
+        return _distances(_int_adjacency(self.graph), self.graph.vertices.index(y))
 
     def point_moment(self, row: list[int], scale, shift) -> Fraction:
         """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
@@ -129,6 +131,7 @@ def _graft_moment(
     (n - 1)^T D (a + w) with s the host row sums, so only vertices with
     n_x > 1 take a host BFS.  Receptors may repeat.  Weights are ints over
     the least common denominator of all factors, divided once at the end.
+    A branch object glued at one root several times takes one root BFS.
     """
     _validate_factors(host, ((x, branch, root) for x, branch, root, _ in attachments))
     h = _Factor(host, alpha)
@@ -149,13 +152,18 @@ def _graft_moment(
     for x, n_x in block_orders.items():
         if n_x > 1:
             result += (n_x - 1) * sum(map(mul, glued, h.row(x)))
+    # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * sum(row),
+    # with the column and sum(row) taken once per (branch object, root)
+    columns: dict[tuple[int, int], tuple[list[int], int]] = {}
     for (_, branch, root, _), f, total in zip(attachments, factors, totals):
-        row = f.row(root)
-        outside = product_order - branch.order
-        # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * sum(row)
-        column = [s + outside * d for s, d in zip(f.row_sums, row)]
+        key = (id(branch), root)
+        if key not in columns:
+            row = f.row(root)
+            outside = product_order - branch.order
+            columns[key] = [s + outside * d for s, d in zip(f.row_sums, row)], sum(row)
+        column, row_total = columns[key]
         result += (unit // f.denominator) * sum(map(mul, f.numerators, column))
-        result += (grand_total - total) * sum(row)
+        result += (grand_total - total) * row_total
     return Fraction(result, unit)
 
 

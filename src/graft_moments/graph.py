@@ -2,9 +2,13 @@
 
 Graphs are immutable: a vertex tuple (ids are arbitrary ints, order is
 preserved and used everywhere a deterministic iteration order matters)
-plus an adjacency map with sorted neighbor tuples, and its connectivity
-once is_connected has been asked.  Distances are hop counts computed by
-breadth-first search; no floating point anywhere.
+plus an adjacency map with sorted neighbor tuples.  Each Graph object
+also keeps what is derived from it once asked, filled on the first call
+and never shared with an equal graph: its connectivity (is_connected),
+its int adjacency (_int_adjacency: neighbour positions as tuples) and its
+distance row sums (distance_row_sums).  An empty or disconnected graph
+caches no row sums; it raises on every call.  Distances are hop counts
+computed by breadth-first search; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,9 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -26,13 +29,18 @@ from .errors import (
 
 # Caps every graph's order.  moment, indices and the closed forms keep
 # O(n) row sums plus at most three lists of n-bit ints (about 37 MB at
-# n = 10,000); the block route of distance_row_sums adds O(n + m) lists
-# and runs the kernel on one block at a time.  Its block search is
-# iterative, so a path or tree of this order takes tens of
-# milliseconds.  The verify oracle and theta keep one BFS dict at a
+# n = 10,000) while they run; each Graph then keeps only its int
+# adjacency, O(n + m), and its O(n) row sums.  The block route of
+# distance_row_sums adds O(n + m) lists and runs the kernel on one block
+# at a time.  Its block search is iterative, so a path or tree of this
+# order takes tens of milliseconds.  The verify oracle and theta keep one BFS dict at a
 # time; no command builds the O(n^2) distance matrix (about 800 MB of
 # tuples at n = 10,000), which stays for tests and library users.
 MAX_ORDER = 10_000
+
+
+# neighbour positions per vertex: an _int_adjacency, or lists built like one
+_Adjacency = Sequence[Sequence[int]]
 
 
 def _check_order(n: int) -> None:
@@ -44,7 +52,7 @@ def _check_order(n: int) -> None:
 class Graph:
     """Finite simple undirected graph."""
 
-    __slots__ = ("_vertices", "_adjacency", "_edge_count", "_connected")
+    __slots__ = ("_vertices", "_adjacency", "_edge_count", "_connected", "_int_adj", "_sums")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         vertex_list = list(vertices)
@@ -95,7 +103,10 @@ class Graph:
             zip(vertices, map(tuple, map(sorted, neighbors)))
         )
         self._edge_count = sum(map(len, self._adjacency.values())) // 2
-        self._connected: bool | None = None  # is_connected's answer, once asked
+        # derived once per object, on first use
+        self._connected: bool | None = None  # is_connected
+        self._int_adj: tuple[tuple[int, ...], ...] | None = None  # _int_adjacency
+        self._sums: tuple[int, ...] | None = None  # _row_sums
 
     # -- basic accessors ------------------------------------------------
 
@@ -283,27 +294,35 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
     three 300-vertex paths attached 0.75 s -> 7 ms; 3,900 random graphs
     and trees of order 2 to 40 take the same 0.25 to 0.32 s.  A cycle
     gains nothing: it is one block, and pays only the block search on top.
+
+    The sums are computed once per Graph object and kept on it.
     """
-    return _row_sums(g, _int_adjacency(g))
+    return _row_sums(g)
 
 
-def _row_sums(g: Graph, adjacency: list[list[int]]) -> tuple[int, ...]:
-    """distance_row_sums(g), given g's _int_adjacency."""
-    n = len(adjacency)
-    if n == 0:
-        raise EmptyGraph("distance matrix of the empty graph")
-    dist = _distances(adjacency, 0)
-    reached, eccentricity = n - dist.count(-1), max(dist)
-    if reached != n:
-        raise DisconnectedGraph(
-            f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
-        )
-    if eccentricity > n.bit_length():
-        return _row_sums_by_blocks(adjacency, eccentricity)
-    return _row_sums_kernel(adjacency, eccentricity)
+def _row_sums(g: Graph) -> tuple[int, ...]:
+    """distance_row_sums(g): g's kept row sums, computed on the first call."""
+    sums = g._sums
+    if sums is None:
+        adjacency = _int_adjacency(g)
+        n = len(adjacency)
+        if n == 0:
+            raise EmptyGraph("distance matrix of the empty graph")
+        dist = _distances(adjacency, 0)
+        reached, eccentricity = n - dist.count(-1), max(dist)
+        if reached != n:
+            raise DisconnectedGraph(
+                f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
+            )
+        if eccentricity > n.bit_length():
+            sums = _row_sums_by_blocks(adjacency, eccentricity)
+        else:
+            sums = _row_sums_kernel(adjacency, eccentricity)
+        g._sums = sums
+    return sums
 
 
-def _row_sums_kernel(adjacency: list[list[int]], eccentricity: int) -> tuple[int, ...]:
+def _row_sums_kernel(adjacency: _Adjacency, eccentricity: int) -> tuple[int, ...]:
     """Row sums of a connected graph whose vertex 0 has this eccentricity.
 
     Fixed rule: if n <= 64 or e0 * (n + 1200) <= 600 * n, every source
@@ -329,7 +348,7 @@ def _row_sums_kernel(adjacency: list[list[int]], eccentricity: int) -> tuple[int
     return _row_sums_per_source(adjacency)
 
 
-def _blocks(adjacency: list[list[int]]) -> list[list[int]]:
+def _blocks(adjacency: _Adjacency) -> list[list[int]]:
     """The blocks (biconnected components) of a connected graph.
 
     Depth-first search from vertex 0 with low points (Hopcroft and
@@ -376,7 +395,7 @@ def _blocks(adjacency: list[list[int]]) -> list[list[int]]:
     return blocks
 
 
-def _row_sums_by_blocks(adjacency: list[list[int]], eccentricity: int) -> tuple[int, ...]:
+def _row_sums_by_blocks(adjacency: _Adjacency, eccentricity: int) -> tuple[int, ...]:
     """Row sums from each block's own row sums, rerooted over the block-cut tree.
 
     The graph is the graft product of its blocks (_blocks), glued at cut
@@ -447,7 +466,7 @@ def _row_sums_by_blocks(adjacency: list[list[int]], eccentricity: int) -> tuple[
     return tuple(sums)
 
 
-def _distances(adjacency: list[list[int]], source: int) -> list[int]:
+def _distances(adjacency: _Adjacency, source: int) -> list[int]:
     """Hop counts from source to every vertex, by position (-1 if unreached)."""
     dist = [-1] * len(adjacency)
     dist[source] = 0
@@ -465,18 +484,30 @@ def _distances(adjacency: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def _int_adjacency(g: Graph) -> list[list[int]]:
-    """Neighbour positions of each vertex, positions in vertex order."""
-    position = {v: i for i, v in enumerate(g._vertices)}
-    return [[position[w] for w in g._adjacency[v]] for v in g._vertices]
+def _int_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Neighbour positions of each vertex, positions in vertex order.
+
+    Computed once per Graph object and kept on it; tuples, so no caller
+    can change what the next one reads.
+    """
+    adjacency = g._int_adj
+    if adjacency is None:
+        vertices, neighbours = g._vertices, g._adjacency
+        if vertices == tuple(range(len(vertices))):  # ids are already positions
+            adjacency = tuple(neighbours.values())
+        else:
+            position = {v: i for i, v in enumerate(vertices)}
+            adjacency = tuple([tuple([position[w] for w in neighbours[v]]) for v in vertices])
+        g._int_adj = adjacency
+    return adjacency
 
 
-def _row_sums_per_source(adjacency: list[list[int]]) -> tuple[int, ...]:
+def _row_sums_per_source(adjacency: _Adjacency) -> tuple[int, ...]:
     """One level-synchronous BFS per source: O(n*m) steps, O(n) memory."""
     return tuple(sum(_distances(adjacency, s)) for s in range(len(adjacency)))
 
 
-def _level_sums(adjacency: list[list[int]], weight: Callable[[int], int]) -> list[int]:
+def _level_sums(adjacency: _Adjacency, weight: Callable[[int], int]) -> list[int]:
     """sum_j weight(dist(i, j)) over the vertices j that i reaches, for every i.
 
     All sources at once (Akiba, Iwata and Yoshida, SIGMOD 2013): bit j of
@@ -517,7 +548,7 @@ def _level_sums(adjacency: list[list[int]], weight: Callable[[int], int]) -> lis
     return sums
 
 
-def _level_signatures(adjacency: list[list[int]]) -> tuple[list[int], list[int]]:
+def _level_signatures(adjacency: _Adjacency) -> tuple[list[int], list[int]]:
     """Each vertex's isomorphism signature and row sum, from one _level_sums pass.
 
     The signature of i packs the number of vertices at each distance d
@@ -547,7 +578,7 @@ _Signature = int | tuple[int, ...]
 _SearchOrder = list[tuple[_Signature, tuple[int, ...]]]
 
 
-def _search_order(adjacency: list[list[int]], signatures: list[_Signature]) -> _SearchOrder:
+def _search_order(adjacency: _Adjacency, signatures: list[_Signature]) -> _SearchOrder:
     """Visit vertices tied to the most placed ones first, then rare signatures.
 
     A vertex's signature codes at least its level sizes, and so its
@@ -645,7 +676,7 @@ class _Classes:
         self._buckets: dict[tuple[_Signature, ...], list[list]] = {}
         self._count = 0
 
-    def add(self, adjacency: list[list[int]], signatures: list[_Signature]) -> int:
+    def add(self, adjacency: _Adjacency, signatures: list[_Signature]) -> int:
         """File the next graph; the index of its class (the next index if new)."""
         bucket = self._buckets.setdefault(tuple(sorted(signatures)), [])
         if bucket:
@@ -705,10 +736,15 @@ def are_isomorphic(g1: Graph, g2: Graph, *, cap: int = DEFAULT_ISO_CAP) -> bool:
 
 
 # -- small named builders ------------------------------------------------
+#
+# Each is valid by construction, so it builds through Graph._trusted; the
+# result equals Graph(range(n), edges) for the edges the docstring names.
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
+    """P_n: i joined to i + 1; empty for n <= 0."""
+    _check_order(n)
+    return Graph._trusted([[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -717,16 +753,22 @@ def cycle_graph(n: int) -> Graph:
         raise GraphFormatError("cycle needs at least one vertex")
     if n <= 2:
         return path_graph(n)
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    _check_order(n)
+    return Graph._trusted([[(i - 1) % n, (i + 1) % n] for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(range(n), combinations(range(n), 2))
+    """K_n: every pair joined; empty for n <= 0."""
+    _check_order(n)
+    return Graph._trusted([[j for j in range(n) if j != i] for i in range(n)])
 
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves}: center 0 joined to 1..leaves."""
-    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+    _check_order(leaves + 1)
+    if leaves < 0:
+        return Graph._trusted([])
+    return Graph._trusted([list(range(1, leaves + 1))] + [[0]] * leaves)
 
 
 def diamond_graph() -> Graph:

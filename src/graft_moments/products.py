@@ -17,6 +17,7 @@ weight gamma in the same pass that assigns those ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -115,8 +116,9 @@ def graft(spec: GraftSpec) -> GraftProduct:
     _check_order(spec.product_order)
 
     host_map = {v: i for i, v in enumerate(host.vertices)}
-    # neighbour lists and gamma as reduced pairs, both indexed by product id
-    neighbors = _int_adjacency(host)
+    # neighbour lists and gamma as reduced pairs, both indexed by product id;
+    # the host's kept int adjacency is copied, as receptors' lists grow
+    neighbors = list(map(list, _int_adjacency(host)))
     pairs = list(map(spec.host_weights._at, host.vertices, host.degrees))
     branch_maps: list[dict[int, int]] = []
     for att in spec.attachments:
@@ -256,7 +258,7 @@ def permutation_graph(
 
 def _permutation_adjacencies(
     host: Graph, branch: Graph
-) -> Callable[[Sequence[int]], list[list[int]]]:
+) -> Callable[[Sequence[int]], tuple[tuple[int, ...], ...]]:
     """A builder of each sigma's permutation-product int adjacency, without a Graph.
 
     Position v of a built adjacency is product vertex v of
@@ -289,18 +291,17 @@ def _permutation_adjacencies(
             )
         )
 
-    def build(sigma: Sequence[int]) -> list[list[int]]:
+    def build(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         adjacency = []
         copies = []
         for i, s in enumerate(sigma):
             root_offsets, rest = layouts[s - 1]
             base = r + i * (r - 1)
-            adjacency.append(host_adjacency[i] + [base + o for o in root_offsets])
+            adjacency.append((*host_adjacency[i], *[base + o for o in root_offsets]))
             for touches_root, others in rest:
                 row = [base + o for o in others]
-                copies.append([i, *row] if touches_root else row)
-        adjacency += copies
-        return adjacency
+                copies.append((i, *row) if touches_root else tuple(row))
+        return (*adjacency, *copies)
 
     return build
 
@@ -371,7 +372,8 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
     Shape: {"host": <graph>, "attachments": [{"receptor": int,
     "branch": <graph>, "root": int, "weights": <spec-string>}, ...],
     "host_weights": <spec-string>}; weights default to "unit".  Equal
-    branch objects (equal repr) share one parsed Graph.
+    branch objects share one parsed Graph (_shared_branch), and so its
+    connectivity check, int adjacency and row sums.
     """
     if not isinstance(obj, dict):
         raise GraphFormatError("graft spec JSON must be an object")
@@ -388,9 +390,7 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
     if not isinstance(raw_attachments, list):
         raise GraphFormatError('"attachments" must be a list')
     attachments = []
-    # a branch repeated on many attachments is parsed (and later checked
-    # for connectivity) once; repr keeps [0, true] apart from [0, 1]
-    branches: dict[str, Graph] = {}
+    parsed: _ParsedBranches = {}
     for raw in raw_attachments:
         if not isinstance(raw, dict):
             raise GraphFormatError("attachment must be an object")
@@ -405,13 +405,10 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
             for key in ("receptor", "root")
         ):
             raise GraphFormatError("receptor and root must be integer vertex ids")
-        key = repr(raw["branch"])
-        if key not in branches:
-            branches[key] = graph_from_json_dict(raw["branch"])
         attachments.append(
             Attachment(
                 receptor=raw["receptor"],
-                branch=branches[key],
+                branch=_shared_branch(raw["branch"], parsed),
                 root=raw["root"],
                 weights=parse_weight_spec(
                     raw.get("weights", "unit"), base_dir=base_dir
@@ -419,6 +416,36 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
             )
         )
     return GraftSpec(host, tuple(attachments), host_weights)
+
+
+# the branches a spec has parsed, by vertex and edge count: (JSON object, Graph)
+_ParsedBranches = dict[tuple[int, int], list[tuple[dict, Graph]]]
+
+
+def _shared_branch(raw: object, parsed: _ParsedBranches) -> Graph:
+    """graph_from_json_dict(raw), or the Graph of an earlier branch written alike.
+
+    An earlier branch is reused when it equals raw and both give every
+    vertex id and edge endpoint as an exact int, so [0, true] stays apart
+    from [0, 1] (and a tuple from a list, which never equals it).  The
+    parsed branches are bucketed by their vertex and edge counts.
+    """
+    vertices = raw.get("vertices") if isinstance(raw, dict) else None
+    edges = raw.get("edges") if isinstance(raw, dict) else None
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        return graph_from_json_dict(raw)  # raises its own message
+    bucket = parsed.setdefault((len(vertices), len(edges)), [])
+    for earlier, g in bucket:
+        if earlier == raw and _exact_ints(earlier) and _exact_ints(raw):
+            return g
+    g = graph_from_json_dict(raw)
+    bucket.append((raw, g))
+    return g
+
+
+def _exact_ints(raw: dict) -> bool:
+    """Whether a graph object's vertex ids and edge endpoints are all of type int."""
+    return {*map(type, raw["vertices"]), *map(type, chain.from_iterable(raw["edges"]))} <= {int}
 
 
 def graft_product_to_json_dict(product: GraftProduct) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import Graph, _check_order
 from .products import Attachment, GraftSpec
 from .weights import (
     DEGREE,
@@ -39,13 +39,24 @@ def _tree_edges(rng: random.Random, order: int) -> list[tuple[int, int]]:
     return [(rng.randrange(v), v) for v in range(1, order)]
 
 
+def _graph_on_range(order: int, edges: list[tuple[int, int]]) -> Graph:
+    """Graph(range(order), edges) for distinct edges drawn on range(order), unchecked."""
+    _check_order(order)
+    neighbors: list[list[int]] = [[] for _ in range(order)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return Graph._trusted(neighbors)
+
+
 def random_tree(rng: random.Random, order: int) -> Graph:
     """Uniform-ish random labeled tree: attach each new vertex somewhere earlier."""
-    return Graph(range(order), _tree_edges(rng, order))
+    return _graph_on_range(order, _tree_edges(rng, order))
 
 
 def random_connected_graph(rng: random.Random, order: int) -> Graph:
     """Random spanning tree (drawn as random_tree draws it) plus a few random extra edges."""
+    _check_order(order)  # before the O(order^2) list of missing pairs
     edges = _tree_edges(rng, order)
     present = set(edges)
     missing = [
@@ -55,7 +66,7 @@ def random_connected_graph(rng: random.Random, order: int) -> Graph:
         if (u, v) not in present
     ]
     extra = rng.randint(0, min(len(missing), order))
-    return Graph(range(order), edges + rng.sample(missing, extra))
+    return _graph_on_range(order, edges + rng.sample(missing, extra))
 
 
 def random_weight_function(rng: random.Random, g: Graph) -> WeightFunction:

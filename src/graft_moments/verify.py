@@ -12,7 +12,8 @@ The oracle shares no distance code with what it certifies:
 `moments.moment`, `moments.indices` and the closed forms take their row
 sums from the `distance_row_sums` kernel and their point-moment rows
 from the int BFS `_distances`, so a fault in either shows up as a
-mismatch instead of cancelling out.  Only connectivity validation
+mismatch instead of cancelling out; the oracle neither reads nor fills
+the int adjacency and row sums a `Graph` keeps for them.  Only connectivity validation
 (`is_connected`, when a product or a closed form checks its factors)
 runs the oracle's BFS loop on both sides.  A verifier draws random
 instances, evaluates the closed form and the oracle, and records every

@@ -413,6 +413,8 @@ def test_comparison_sums_no_row_sums(monkeypatch, p3, p4):
     branch_weight = ConstantWeight(Fraction(7, 5))  # total 7 on 5 vertices
     expected = _comparison_oracle(p4, DEGREE, 1, [0, 3, 3], path_graph(5), 2, branch_weight)
     assert concentration_difference_formula(p4, DEGREE, 1, [0, 3, 3], 5, 7) == expected
+    # nor by any other route: both hosts still keep no row sums
+    assert p3._sums is None and p4._sums is None
 
 
 def test_comparison_depends_only_on_order_and_total(p3):
@@ -641,8 +643,8 @@ def test_graft_forms_with_equal_branches_in_different_vertex_orders(p3, diamond)
 # -- independence from the oracle's distance matrix -----------------------------
 
 
-def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamond):
-    oracle = _oracle_moment
+def _no_matrix_instances(k2, p3, p4, c3, diamond):
+    """The graft spec, flower branches and unicyclic forest the next test uses."""
     spec = GraftSpec(
         diamond,
         (
@@ -652,14 +654,20 @@ def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diam
         ),
         DEGREE,
     )
-    spec_product = graft(spec)
     branches = [(p4, 2, DEGREE), (c3, 0, ConstantWeight(Fraction(1, 3)))]
+    forest = {0: [(p3, 1)], 2: [(k2, 0)]}
+    return spec, branches, forest
+
+
+def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamond):
+    oracle = _oracle_moment
+    spec, branches, forest = _no_matrix_instances(k2, p3, p4, c3, diamond)
+    spec_product = graft(spec)
     flower_product = flower(Fraction(1, 2), branches)
     sigma = (2, 4, 1, 3)
     sigma_product = permutation_graph(
         diamond, p4, sigma, host_weights=DEGREE, branch_weights=ConstantWeight(2)
     )
-    forest = {0: [(p3, 1)], 2: [(k2, 0)]}
     expected = {
         "graft": oracle(spec_product.graph, spec_product.gamma),
         "flower": oracle(flower_product.graph, flower_product.gamma),
@@ -673,6 +681,10 @@ def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diam
         "extended": _cycles_oracle(3, [3, 1, 2]),
         "proper": _cycles_oracle(4, [3, 4, 3, 5]),
     }
+    # the forms run on equal graphs that keep no connectivity, int adjacency
+    # or row sums from the oracle runs above
+    k2, p3, p4, c3, diamond = (Graph(g.vertices, g.edges()) for g in (k2, p3, p4, c3, diamond))
+    spec, branches, forest = _no_matrix_instances(k2, p3, p4, c3, diamond)
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a closed form built a distance matrix")
@@ -710,6 +722,39 @@ def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diam
         3, [(3, 3), (1, 0), (2, 1)]
     ) == expected["extended"]
     assert proper_cycle_degree_distance(4, [3, 4, 3, 5]) == expected["proper"]
+
+
+def test_graft_forms_take_each_factor_pass_once(monkeypatch, p4, diamond):
+    # one row-sum pass per Graph object, shared by both forms, and one root
+    # BFS per (branch object, root) in a call
+    rows, passes = [], []
+    distances, kernel = closed_forms._distances, graph._row_sums_kernel
+    monkeypatch.setattr(
+        closed_forms, "_distances", lambda adjacency, y: rows.append(y) or distances(adjacency, y)
+    )
+    monkeypatch.setattr(
+        graph, "_row_sums_kernel", lambda *args: passes.append(len(args[0])) or kernel(*args)
+    )
+    c5 = cycle_graph(5)
+    spec = GraftSpec(
+        diamond,
+        (
+            Attachment(0, p4, 1),
+            Attachment(2, p4, 1, DEGREE),
+            Attachment(2, c5, 3),
+            Attachment(3, p4, 1, ConstantWeight(Fraction(1, 3))),
+            Attachment(3, p4, 0),
+        ),
+        DEGREE,
+    )
+    expected = _graft_oracle(spec)
+    assert graft_moment_formula(spec) == expected
+    # host rows at the receptors 0, 2, 3, then (p4, 1), (c5, 3), (p4, 0)
+    assert rows == [0, 2, 3, 1, 3, 0]
+    assert sorted(passes) == [4, 4, 5]
+    family = attachments_by_receptor(spec)
+    assert family_graft_moment_formula(diamond, DEGREE, family) == expected
+    assert rows == [0, 2, 3, 1, 3, 0] * 2 and sorted(passes) == [4, 4, 5]
 
 
 # -- cross-check against networkx distances --------------------------------------

@@ -14,6 +14,7 @@ from graft_moments import (
     Graph,
     GraphFormatError,
     TooLarge,
+    UNIT,
     UnknownVertex,
     are_isomorphic,
     bfs_distances,
@@ -24,8 +25,10 @@ from graft_moments import (
     distance_row_sums,
     graph_from_json_dict,
     graph_to_json_dict,
+    indices,
     is_connected,
     isomorphism_classes,
+    moment,
     path_graph,
     star_graph,
 )
@@ -40,6 +43,7 @@ from graft_moments.graph import (
     _row_sums_by_blocks,
     _row_sums_per_source,
 )
+from graft_moments.closed_forms import _Factor
 from graft_moments.products import Attachment, GraftSpec, graft, permutation_graph
 from graft_moments.randgen import random_connected_graph, random_tree
 
@@ -245,6 +249,53 @@ def test_builders():
     assert str(caught.value) == "cycle needs at least one vertex"
     d = diamond_graph()
     assert sorted(d.degree(v) for v in d.vertices) == [2, 2, 3, 3]
+
+
+def _same_fields(built: Graph, checked: Graph) -> bool:
+    """Field by field: vertex order, adjacency items in order, edge count; nothing kept yet."""
+    return (
+        built._vertices == checked._vertices
+        and list(built._adjacency.items()) == list(checked._adjacency.items())
+        and built.edge_count == checked.edge_count
+        and built._connected is built._int_adj is built._sums is None
+    )
+
+
+def test_builders_build_what_the_checked_constructor_builds():
+    for n in range(-2, 51):
+        assert _same_fields(path_graph(n), Graph(range(n), [(i, i + 1) for i in range(n - 1)]))
+        assert _same_fields(complete_graph(n), Graph(range(n), itertools.combinations(range(n), 2)))
+        assert _same_fields(star_graph(n), Graph(range(n + 1), [(0, i) for i in range(1, n + 1)]))
+        if n >= 3:
+            cycle = Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+            assert _same_fields(cycle_graph(n), cycle)
+    for build in (path_graph, cycle_graph, complete_graph, star_graph):
+        with pytest.raises(TooLarge, match=f"graph order {MAX_ORDER + 1} exceeds cap"):
+            build(MAX_ORDER + 1 - (build is star_graph))
+
+
+def test_random_generators_build_what_the_checked_constructor_builds():
+    # the checking builds the generators made before, drawing the same stream
+    def tree_edges(rng, n):
+        return [(rng.randrange(v), v) for v in range(1, n)]
+
+    def checked_connected(rng, n):
+        edges = tree_edges(rng, n)
+        present = set(edges)
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+        extra = rng.randint(0, min(len(missing), n))
+        return Graph(range(n), edges + rng.sample(missing, extra))
+
+    for seed in range(200):
+        rngs = [random.Random(seed) for _ in range(4)]
+        for n in range(51):
+            assert _same_fields(random_tree(rngs[0], n), Graph(range(n), tree_edges(rngs[1], n)))
+            assert _same_fields(random_connected_graph(rngs[2], n), checked_connected(rngs[3], n))
+        assert rngs[0].getstate() == rngs[1].getstate()
+        assert rngs[2].getstate() == rngs[3].getstate()
+    for generate in (random_tree, random_connected_graph):
+        with pytest.raises(TooLarge, match=f"graph order {MAX_ORDER + 1} exceeds cap"):
+            generate(random.Random(0), MAX_ORDER + 1)
 
 
 def test_json_round_trip(diamond):
@@ -501,6 +552,7 @@ def test_the_route_rule_splits_the_kernel_cases():
 
 @pytest.mark.parametrize("g", [path_graph(500), _caterpillar(random.Random(3), 200)], ids=["path", "caterpillar"])
 def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
+    g = Graph(g.vertices, g.edges())  # keeps no row sums yet, however often this runs
     expected = distance_matrix(g).row_sums
 
     def refuse(*args):
@@ -608,6 +660,60 @@ def test_distance_row_sums_raise_like_the_matrix_when_empty():
     with pytest.raises(EmptyGraph) as got:
         distance_row_sums(Graph([], []))
     assert str(got.value) == str(expected.value)
+
+
+def test_each_graph_object_keeps_its_own_int_adjacency_and_row_sums():
+    forward = Graph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    shuffled = Graph([1, 0, 3, 2], [(0, 1), (1, 2), (2, 3)])
+    assert forward == shuffled
+    assert _int_adjacency(forward) == ((1,), (0, 2), (1, 3), (2,))
+    assert _int_adjacency(shuffled) == ((1, 3), (0,), (3,), (0, 2))
+    assert distance_row_sums(forward) == (6, 4, 4, 6)
+    assert distance_row_sums(shuffled) == (4, 6, 6, 4)
+    assert forward._sums == (6, 4, 4, 6) and shuffled._sums == (4, 6, 6, 4)
+    # kept once: the same objects come back
+    assert _int_adjacency(forward) is _int_adjacency(forward)
+    assert distance_row_sums(forward) is distance_row_sums(forward)
+
+
+def test_the_kept_int_adjacency_cannot_be_changed():
+    g = Graph([5, 7, 6], [(5, 7), (7, 6)])
+    adjacency = _int_adjacency(g)
+    with pytest.raises(AttributeError):
+        adjacency[0].append(2)
+    with pytest.raises(AttributeError):
+        adjacency.append((0,))
+    with pytest.raises(TypeError):
+        adjacency[1][0] = 2
+    assert _int_adjacency(g) == ((1,), (0, 2), (1,))
+
+
+def test_row_sums_are_summed_once_per_graph_object(monkeypatch):
+    passes = []
+    kernel = graph_module._row_sums_kernel
+    monkeypatch.setattr(
+        graph_module, "_row_sums_kernel", lambda *args: passes.append(1) or kernel(*args)
+    )
+    g = cycle_graph(6)
+    expected = distance_matrix(g).row_sums
+    assert distance_row_sums(g) == expected
+    assert moment(g, UNIT) == sum(expected)
+    assert indices(g).wiener * 2 == sum(expected)
+    assert _Factor(g, UNIT).row_sums == expected
+    assert passes == [1]
+    assert distance_row_sums(cycle_graph(6)) == expected
+    assert passes == [1, 1]
+
+
+def test_failed_row_sums_keep_nothing_and_raise_every_time():
+    for g, error in [
+        (Graph([], []), EmptyGraph),
+        (Graph([0, 1, 2], [(0, 1)]), DisconnectedGraph),
+    ]:
+        for _ in range(3):
+            with pytest.raises(error):
+                distance_row_sums(g)
+            assert g._sums is None
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])

@@ -179,6 +179,22 @@ def test_graft_refuses_an_over_cap_spec_before_building_an_edge(monkeypatch, k1,
         graft(GraftSpec(k2, (Attachment(0, k2, 0),)))
 
 
+def test_grafting_a_host_twice_leaves_its_kept_data_alone(p4, c3):
+    # graft grows copies of the host's kept int adjacency, never the tuples themselves
+    adjacency, row_sums = graph_module._int_adjacency(p4), graph_module.distance_row_sums(p4)
+    spec = GraftSpec(p4, (Attachment(1, c3, 0), Attachment(1, c3, 2), Attachment(3, p4, 0)))
+    first, second = graft(spec), graft(spec)
+    assert first.graph._vertices == second.graph._vertices
+    assert list(first.graph._adjacency.items()) == list(second.graph._adjacency.items())
+    assert first.gamma._pairs == second.gamma._pairs
+    assert (first.host_map, first.branch_maps) == (second.host_map, second.branch_maps)
+    assert first.graph.order == 11 and first.graph.edge_count == 12
+    assert graph_module._int_adjacency(p4) is adjacency
+    assert adjacency == ((1,), (0, 2), (1, 3), (2,))
+    assert graph_module.distance_row_sums(p4) is row_sums
+    assert row_sums == (6, 4, 4, 6)
+
+
 def test_graft_is_deterministic():
     rng1, rng2 = random.Random(33), random.Random(33)
     spec1 = random_graft_spec(rng1, max_host=6)
@@ -343,6 +359,25 @@ def test_spec_json_parses_each_repeated_branch_once():
     obj["attachments"].insert(2, {"receptor": "x", "branch": bad, "root": 0})
     with pytest.raises(GraphFormatError, match="^duplicate vertex ids$"):
         graft_spec_from_json_dict(obj)
+
+
+def test_spec_json_shares_branches_by_value_not_by_text():
+    k2 = {"vertices": [0, 1], "edges": [[0, 1]]}
+    reordered = {"edges": [[0, 1]], "vertices": [0, 1]}
+    flipped = {"vertices": [1, 0], "edges": [[0, 1]]}
+    spec = graft_spec_from_json_dict(
+        _spec_with_branches(k2, reordered, json.loads(json.dumps(k2)), flipped)
+    )
+    first, second, third, flipped = (a.branch for a in spec.attachments)
+    assert first is second is third
+    assert flipped is not first and flipped.vertices == (1, 0)
+    # equal to an earlier branch but not all ints: parsed on their own, and rejected
+    for twin, message in [
+        ({"vertices": [0, 1.0], "edges": [[0, 1]]}, "vertex ids must be integers, got 1.0"),
+        ({"vertices": [0, 1], "edges": [[0, True]]}, "edge endpoints must be integers, got True"),
+    ]:
+        with pytest.raises(GraphFormatError, match=message):
+            graft_spec_from_json_dict(_spec_with_branches(k2, twin))
 
 
 def test_a_repeated_branch_is_checked_once(monkeypatch):

@@ -187,11 +187,22 @@ def _refuse_the_certified_kernels(monkeypatch):
         moment(cycle_graph(3), UNIT)
 
 
+def _fresh(g: Graph) -> Graph:
+    """An equal graph that keeps no int adjacency or row sums yet."""
+    return Graph(g.vertices, g.edges())
+
+
+def _keeps_nothing(*graphs: Graph) -> bool:
+    """Whether no code has filled these graphs' int adjacency or row sums."""
+    return all(g._int_adj is None and g._sums is None for g in graphs)
+
+
 def test_the_oracle_keeps_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamond):
     rng = random.Random(4)
     graphs = [Graph([9], []), cycle_graph(7)] + [random_connected_graph(rng, n) for n in (2, 9, 30)]
     weight_list = (UNIT, DEGREE, ConstantWeight(Fraction(2, 7)))
     expected = [moment(g, weights) for g in graphs for weights in weight_list]
+    graphs = [_fresh(g) for g in graphs]  # the oracle cannot read what moment kept
     spec = GraftSpec(diamond, (Attachment(0, p4, 1, DEGREE), Attachment(0, k2, 0)), DEGREE)
     spec_product = graft(spec)
     cycles_product = graft(
@@ -214,6 +225,7 @@ def test_the_oracle_keeps_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diamon
     _refuse_the_certified_kernels(monkeypatch)
     got = [verify._oracle_moment(g, weights) for g in graphs for weights in weight_list]
     assert got == expected
+    assert _keeps_nothing(*graphs)
     assert verify._graft_oracle(spec) == helpers["graft"]
     assert verify._graft_oracle(spec, DEGREE) == helpers["graft-degree"]
     assert verify._cycle_graft_oracle(4, {0: [(p3, 1)]}) == helpers["cycle-graft"]
@@ -230,7 +242,7 @@ def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
         spec = random_graft_spec(rng, max_host=6, max_branch_order=5, allow_repeated_receptors=True)
         product = graft(spec)
         for weights in (product.gamma, UNIT, DEGREE, AffineWeight(Fraction(3, 2), DEGREE, Fraction(1, 3))):
-            instances.append((product.graph, weights, moment(product.graph, weights)))
+            instances.append((_fresh(product.graph), weights, moment(product.graph, weights)))
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("the oracle took a weight vector")
@@ -240,6 +252,7 @@ def test_the_oracle_sums_weights_without_the_int_vectors(monkeypatch):
     _refuse_the_certified_kernels(monkeypatch)
     for g, weights, expected in instances:
         assert verify._oracle_moment(g, weights) == expected
+        assert _keeps_nothing(g)
 
 
 def test_the_oracle_sums_int_pairs_without_value_or_the_kernels(monkeypatch):
@@ -265,7 +278,7 @@ def test_the_oracle_sums_int_pairs_without_value_or_the_kernels(monkeypatch):
             )
             instances.append((g, weights, plain))
     product = graft(random_graft_spec(rng, allow_repeated_receptors=True))
-    instances.append((product.graph, product.gamma, moment(product.graph, product.gamma)))
+    instances.append((_fresh(product.graph), product.gamma, moment(product.graph, product.gamma)))
     k2 = Graph([3, 4], [(3, 4)])
     bad = [
         (ExplicitWeight({4: 1}), UnknownVertex, "weight map has no entry for vertex 3"),
@@ -287,10 +300,30 @@ def test_the_oracle_sums_int_pairs_without_value_or_the_kernels(monkeypatch):
     for g, weights, expected in instances:
         got = verify._oracle_moment(g, weights)
         assert type(got) is Fraction and got == expected
+        assert _keeps_nothing(g)
     for weights, error, message in bad:
         with pytest.raises(error) as caught:
             verify._oracle_moment(k2, weights)
         assert str(caught.value) == message
+
+
+def test_the_graft_oracle_keeps_no_row_sums(monkeypatch):
+    # the oracle builds the product and sums it by plain BFS: no factor and
+    # no product gets row sums or (but for the host, which graft copies) an
+    # int adjacency from it
+    built = []
+    monkeypatch.setattr(verify, "graft", lambda spec: built.append(graft(spec)) or built[-1])
+    rng = random.Random(8)
+    for _ in range(60):
+        spec = random_graft_spec(rng, max_host=6, max_branch_order=5, allow_repeated_receptors=True)
+        verify._graft_oracle(spec)
+        branches = [a.branch for a in spec.attachments]
+        assert spec.host._sums is None
+        assert _keeps_nothing(built[-1].graph, *branches)
+    host, branch = cycle_graph(4), cycle_graph(3)
+    verify._comparison_oracle(host, UNIT, 0, [1, 2], branch, 0, DEGREE)
+    verify._cycle_graft_oracle(4, {0: [(branch, 1)], 2: [(branch, 0)]})
+    assert host._sums is None and _keeps_nothing(branch, *(p.graph for p in built[-3:]))
 
 
 @pytest.mark.parametrize(
