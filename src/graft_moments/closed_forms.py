@@ -2,13 +2,15 @@
 
 Each function evaluates a published formula symbol by symbol from its
 inputs -- factor moments, branch orders, total weights, host distances
--- without building the product graph.  No form builds a distance
-matrix: a factor's moment reads the row sums its Graph object keeps
-(`distance_row_sums`, one pass per object however many attachments and
-forms share it), and a point moment costs one BFS from its vertex
-(`_distances`, on the int adjacency the object keeps), whose row gives
-it by linearity, M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum
-at y.  Weights enter as int numerators over one denominator
+-- without building the product graph, reading each factor straight
+from the data its Graph object keeps.  No form builds a distance
+matrix: a factor moment M_K^b is `moments.moment`, on the row sums the
+object keeps (`_row_sums`, one pass per object however many
+attachments and forms share it), a factor total is
+`WeightFunction.total`, and a point moment costs one BFS row from its
+vertex (`_row`: `_distances` on the int adjacency the object keeps),
+which gives it by linearity, M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y)
+the row sum at y.  Weights enter as int numerators over one denominator
 (`WeightFunction.vector`), so totals, moments and point moments are int
 dot products divided once.
 Host distances between receptors come from those same rows, and
@@ -42,6 +44,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import Graph, _check_order, _distances, _int_adjacency, _row_sums, cycle_graph
+from .moments import moment
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
 from .products import GraftSpec, _permutation_order, _validate_factors
 
@@ -70,48 +73,9 @@ def cycle_distance_row_sum(r: int) -> int:
     return (r // 2) * ((r + 1) // 2)
 
 
-# -- one row-sum pass per graph, one BFS per point moment --------------------
-
-
-class _Factor:
-    """The weights of one factor graph, over the data its Graph object keeps.
-
-    Vertices are positions in vertex order.  The weights are int
-    numerators over one denominator (WeightFunction.vector), so the
-    total, the moment and each point moment are int dot products with
-    one division each.  The row sums and the int adjacency are the
-    graph's own (_row_sums, _int_adjacency), computed on the first read
-    for that object, so a form that needs only point moments never pays
-    for the row sums, and factors sharing a graph share both.
-    """
-
-    def __init__(self, g: Graph, weights: WeightFunction):
-        self.graph = g
-        self.numerators, self.denominator = weights.vector(g.vertices, g.degrees)
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        return _row_sums(self.graph)
-
-    @property
-    def total(self) -> Fraction:
-        return Fraction(sum(self.numerators), self.denominator)
-
-    @property
-    def moment(self) -> Fraction:
-        return self.weighted(self.row_sums)
-
-    def weighted(self, column: Sequence[int]) -> Fraction:
-        """sum_v w(v) * column[v], over vertices in vertex order."""
-        return Fraction(sum(map(mul, self.numerators, column)), self.denominator)
-
-    def row(self, y: int) -> list[int]:
-        """dist(y, v) for every vertex v, in vertex order: one BFS."""
-        return _distances(_int_adjacency(self.graph), self.graph.vertices.index(y))
-
-    def point_moment(self, row: list[int], scale, shift) -> Fraction:
-        """M^(scale*w + shift)(y) = scale*M^w(y) + shift*s(y), from y's row."""
-        return scale * self.weighted(row) + shift * sum(row)
+def _row(g: Graph, y: int) -> list[int]:
+    """dist(y, v) for every vertex v of g, in vertex order: one BFS."""
+    return _distances(_int_adjacency(g), g.vertices.index(y))
 
 
 # -- general graft products: Theorem 1 in vector form ------------------------
@@ -134,35 +98,37 @@ def _graft_moment(
     A branch object glued at one root several times takes one root BFS.
     """
     _validate_factors(host, ((x, branch, root) for x, branch, root, _ in attachments))
-    h = _Factor(host, alpha)
-    factors = [_Factor(branch, beta) for _, branch, _, beta in attachments]
-    unit = lcm(h.denominator, *(f.denominator for f in factors))
-    totals = [sum(f.numerators) * (unit // f.denominator) for f in factors]
+    host_numerators, host_denominator = alpha.vector(host.vertices, host.degrees)
+    vectors = [beta.vector(branch.vertices, branch.degrees) for _, branch, _, beta in attachments]
+    unit = lcm(host_denominator, *(den for _, den in vectors))
+    totals = [sum(numerators) * (unit // den) for numerators, den in vectors]
     block_orders = dict.fromkeys(host.vertices, 1)
     attached = dict.fromkeys(host.vertices, 0)
     for (x, branch, _, _), total in zip(attachments, totals):
         block_orders[x] += branch.order - 1
         attached[x] += total
-    scale = unit // h.denominator
-    glued = [a * scale + w for a, w in zip(h.numerators, attached.values())]  # a + w
+    scale = unit // host_denominator
+    glued = [a * scale + w for a, w in zip(host_numerators, attached.values())]  # a + w
     grand_total = sum(glued)
     product_order = sum(block_orders.values())
 
-    result = sum(map(mul, glued, h.row_sums))
-    for x, n_x in block_orders.items():
+    result = sum(map(mul, glued, _row_sums(host)))
+    adjacency = _int_adjacency(host)
+    for x, n_x in enumerate(block_orders.values()):  # x: a host position
         if n_x > 1:
-            result += (n_x - 1) * sum(map(mul, glued, h.row(x)))
-    # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * sum(row),
-    # with the column and sum(row) taken once per (branch object, root)
+            result += (n_x - 1) * sum(map(mul, glued, _distances(adjacency, x)))
+    # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * s_K(y),
+    # with the column taken once per (branch object, root)
     columns: dict[tuple[int, int], tuple[list[int], int]] = {}
-    for (_, branch, root, _), f, total in zip(attachments, factors, totals):
+    for (_, branch, root, _), (numerators, den), total in zip(attachments, vectors, totals):
         key = (id(branch), root)
         if key not in columns:
-            row = f.row(root)
+            y = branch.vertices.index(root)
+            row, sums = _distances(_int_adjacency(branch), y), _row_sums(branch)
             outside = product_order - branch.order
-            columns[key] = [s + outside * d for s, d in zip(f.row_sums, row)], sum(row)
+            columns[key] = [s + outside * d for s, d in zip(sums, row)], sums[y]
         column, row_total = columns[key]
-        result += (unit // f.denominator) * sum(map(mul, f.numerators, column))
+        result += (unit // den) * sum(map(mul, numerators, column))
         result += (grand_total - total) * row_total
     return Fraction(result, unit)
 
@@ -240,13 +206,13 @@ def permutation_moment_formula(
     families.
     """
     r = _permutation_order(host, branch)
-    h = _Factor(host, alpha)
-    k = _Factor(branch, beta)
+    host_moment, branch_moment = moment(host, alpha), moment(branch, beta)
+    branch_total = beta.total(branch)
     return (
-        r * h.moment
-        + r * r * k.moment
-        + r * k.total * sum(h.row_sums)
-        + (h.total + (r - 1) * k.total) * sum(k.row_sums)
+        r * host_moment
+        + r * r * branch_moment
+        + r * branch_total * sum(_row_sums(host))
+        + (alpha.total(host) + (r - 1) * branch_total) * sum(_row_sums(branch))
     )
 
 
@@ -302,20 +268,25 @@ def concentration_difference_formula(
         raise NegativeWeight(f"branch total weight {total} is negative")
     # the branches count only by order and total weight: one vertex stands for each
     _validate_factors(host, [(receptor, _CENTER, 0) for receptor in [x, *receptors]])
-    h = _Factor(host, alpha)
-    grown = branch_order - 1
-    at_x = h.point_moment(h.row(x), grown, total)
+    numerators, denominator = alpha.vector(host.vertices, host.degrees)
+    row_x = _row(host, x)
     copies = dict.fromkeys(host.vertices, 0)
     for receptor in receptors:
         copies[receptor] += 1
-    result = Fraction(0)
-    pair_sum = 0
+    # every term is linear in the receptors' rows, so they enter summed:
+    # spread = sum_i row(x_i), and moved = k * row(x) - spread for k receptors
+    spread = [0] * host.order
     for receptor, c in copies.items():
         if c:
-            row = h.row(receptor)
-            result += c * (at_x - h.point_moment(row, grown, total))
-            pair_sum += c * sum(map(mul, row, copies.values()))
-    return result - total * grown * pair_sum
+            spread = [a + c * d for a, d in zip(spread, _row(host, receptor))]
+    moved = [len(receptors) * d - a for d, a in zip(row_x, spread)]
+    grown = branch_order - 1
+    # sum_i [M_H^xi(x) - M_H^xi(x_i)] = grown * <alpha, moved> + B * sum(moved)
+    return (
+        Fraction(grown * sum(map(mul, numerators, moved)), denominator)
+        + total * sum(moved)
+        - total * grown * sum(map(mul, spread, copies.values()))
+    )
 
 
 # -- cycles with grafted branches (degree weights) ---------------------------
@@ -354,9 +325,11 @@ def unicyclic_degree_distance(
 
     result = Fraction(0)
     for _, tree, root in flattened:
-        f = _Factor(tree, DEGREE)
+        # M_T^eta(y) = outside * <d, row(y)> + (2 * outside + 2) * sum(row(y))
+        row = _row(tree, root)
         outside = product_order - tree.order
-        result += f.moment + f.point_moment(f.row(root), outside, 2 * outside + 2)
+        result += moment(tree, DEGREE) + outside * sum(map(mul, tree.degrees, row))
+        result += (2 * outside + 2) * sum(row)
     n = list(block_orders.values())
     return result + 2 * _cycle_quadratic(n, n)
 

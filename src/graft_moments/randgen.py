@@ -10,6 +10,7 @@ tree plus extra edges; rationals keep numerators <= 20 and denominators
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from .graph import Graph, _check_order
@@ -55,18 +56,31 @@ def random_tree(rng: random.Random, order: int) -> Graph:
 
 
 def random_connected_graph(rng: random.Random, order: int) -> Graph:
-    """Random spanning tree (drawn as random_tree draws it) plus a few random extra edges."""
-    _check_order(order)  # before the O(order^2) list of missing pairs
+    """Random spanning tree (drawn as random_tree draws it) plus a few random extra edges.
+
+    The extra edges are a sample of the missing pairs (u, v), u < v, in
+    lexicographic order.  random.sample picks by the population's length
+    alone, so the sample is drawn as indices and each index mapped to its
+    pair through per-row counts: O(order) memory, not a list of every
+    missing pair.
+    """
+    _check_order(order)
     edges = _tree_edges(rng, order)
-    present = set(edges)
-    missing = [
-        (u, v)
-        for u in range(order)
-        for v in range(u + 1, order)
-        if (u, v) not in present
-    ]
-    extra = rng.randint(0, min(len(missing), order))
-    return _graph_on_range(order, edges + rng.sample(missing, extra))
+    # skips[u][j] = c_j - u - 1 - j for u's tree children c_0 < c_1 < ...:
+    # how many pairs of row u come before (u, c_j)
+    skips: list[list[int]] = [[] for _ in range(order)]
+    for u, v in edges:
+        skips[u].append(v - u - 1 - len(skips[u]))
+    starts, count = [], 0  # index of each row's first pair, pairs in all
+    for u, children in enumerate(skips):
+        starts.append(count)
+        count += order - 1 - u - len(children)
+    extra = rng.randint(0, min(count, order))
+    for i in rng.sample(range(count), extra):
+        u = bisect_right(starts, i) - 1
+        k = i - starts[u]
+        edges.append((u, u + 1 + k + bisect_right(skips[u], k)))
+    return _graph_on_range(order, edges)
 
 
 def random_weight_function(rng: random.Random, g: Graph) -> WeightFunction:

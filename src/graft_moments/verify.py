@@ -312,6 +312,8 @@ def run_verification(
         )
     if count < 0:
         raise GraphFormatError("count must be nonnegative")
+    if max_size is not None and max_size < 1:
+        raise GraphFormatError(f"max size must be at least 1, got {max_size}")
     checker = _CHECKERS[formula]
     rng = random.Random(seed)
     report = VerificationReport(formula=formula, instances=count, seed=seed)

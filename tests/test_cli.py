@@ -319,6 +319,15 @@ def test_verify_defaults_to_seed_zero(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 0
 
 
+def test_verify_rejects_max_size_below_one(capsys):
+    for max_size in ("0", "-5"):
+        code, out, err = run_cli(capsys, "verify", "comparison", "--count", "2", "--max-size", max_size)
+        assert (code, out) == (2, "")
+        assert err == f"error: max size must be at least 1, got {max_size}\n"
+    code, out, _ = run_cli(capsys, "verify", "comparison", "--count", "2", "--max-size", "1")
+    assert code == 0 and json.loads(out)["mismatches"] == []
+
+
 def test_verify_rejects_unknown_formula(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "theorem99"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -43,7 +44,7 @@ from graft_moments.graph import (
     _row_sums_by_blocks,
     _row_sums_per_source,
 )
-from graft_moments.closed_forms import _Factor
+from graft_moments.closed_forms import permutation_unit_moment
 from graft_moments.products import Attachment, GraftSpec, graft, permutation_graph
 from graft_moments.randgen import random_connected_graph, random_tree
 
@@ -293,9 +294,25 @@ def test_random_generators_build_what_the_checked_constructor_builds():
             assert _same_fields(random_connected_graph(rngs[2], n), checked_connected(rngs[3], n))
         assert rngs[0].getstate() == rngs[1].getstate()
         assert rngs[2].getstate() == rngs[3].getstate()
+    for seed in range(10):
+        rngs = [random.Random(seed) for _ in range(2)]
+        for n in (100, 300):
+            assert _same_fields(random_connected_graph(rngs[0], n), checked_connected(rngs[1], n))
+        assert rngs[0].getstate() == rngs[1].getstate()
     for generate in (random_tree, random_connected_graph):
         with pytest.raises(TooLarge, match=f"graph order {MAX_ORDER + 1} exceeds cap"):
             generate(random.Random(0), MAX_ORDER + 1)
+
+
+def test_random_connected_graph_lists_no_missing_pairs():
+    # order 2,000 has about 2 million missing pairs: some 190 MB as a list
+    tracemalloc.start()
+    try:
+        random_connected_graph(random.Random(0), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_json_round_trip(diamond):
@@ -699,7 +716,8 @@ def test_row_sums_are_summed_once_per_graph_object(monkeypatch):
     assert distance_row_sums(g) == expected
     assert moment(g, UNIT) == sum(expected)
     assert indices(g).wiener * 2 == sum(expected)
-    assert _Factor(g, UNIT).row_sums == expected
+    # r^2 * M_H^1 + r(2r - 1) * M_K^1 with H = K = C_6, from the same kept sums
+    assert permutation_unit_moment(g, g) == 102 * sum(expected)
     assert passes == [1]
     assert distance_row_sums(cycle_graph(6)) == expected
     assert passes == [1, 1]

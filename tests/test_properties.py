@@ -28,6 +28,7 @@ from graft_moments import (
     ExplicitWeight,
     Graph,
     GraftSpec,
+    concentration_difference_formula,
     flower,
     flower_moment_formula,
     graft,
@@ -35,9 +36,12 @@ from graft_moments import (
     graft_product_to_json_dict,
     indices,
     moment,
+    permutation_graph,
+    permutation_moment_formula,
+    unicyclic_degree_distance,
 )
 from graft_moments.cli import _emit_json
-from graft_moments.verify import _oracle_moment
+from graft_moments.verify import _comparison_oracle, _cycle_graft_oracle, _oracle_moment
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None)
 
@@ -45,9 +49,9 @@ rationals = st.fractions(min_value=0, max_value=6, max_denominator=4)
 
 
 @st.composite
-def connected_graphs(draw, max_order: int = 5) -> Graph:
+def connected_graphs(draw, max_order: int = 5, min_order: int = 1) -> Graph:
     """A random tree on 0..n-1 (vertex i hangs on an earlier one) plus extra edges."""
-    n = draw(st.integers(1, max_order))
+    n = draw(st.integers(min_order, max_order))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
     others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
@@ -149,6 +153,55 @@ def test_half_weight_gives_the_wiener_index(gw):
 def test_moment_is_linear_in_the_weight(gw, a, c):
     g, w = gw
     assert moment(g, AffineWeight(a, w, c)) == a * moment(g, w) + c * moment(g, UNIT)
+
+
+@st.composite
+def trees(draw, max_order: int = 4) -> Graph:
+    n = draw(st.integers(1, max_order))
+    return Graph(range(n), [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(4), st.data())
+def test_permutation_form_equals_the_oracle(branch, data):
+    host = data.draw(connected_graphs(branch.order, min_order=branch.order))
+    alpha, beta = data.draw(weighted(host)), data.draw(weighted(branch))
+    sigma = data.draw(st.permutations(range(1, host.order + 1)))
+    product = permutation_graph(host, branch, sigma, host_weights=alpha, branch_weights=beta)
+    assert permutation_moment_formula(host, alpha, branch, beta) == _oracle_moment(
+        product.graph, product.gamma
+    )
+
+
+@PROPERTY_SETTINGS
+@given(connected_graphs(), rooted_branches(), st.data())
+def test_concentration_form_equals_the_oracle(host, rooted, data):
+    branch, root, beta = rooted
+    alpha = data.draw(weighted(host))
+    x = data.draw(st.sampled_from(host.vertices))
+    receptors = data.draw(st.lists(st.sampled_from(host.vertices), min_size=1, max_size=3))
+    got = concentration_difference_formula(
+        host, alpha, x, receptors, branch.order, beta.total(branch)
+    )
+    assert got == _comparison_oracle(host, alpha, x, receptors, branch, root, beta)
+
+
+@st.composite
+def cycle_forests(draw) -> tuple[int, dict[int, list[tuple[Graph, int]]]]:
+    """(r, forest): up to two rooted trees at each of some vertices of C_r."""
+    r = draw(st.integers(3, 6))
+    forest = {}
+    for x in draw(st.sets(st.integers(0, r - 1))):
+        rooted = [draw(trees()) for _ in range(draw(st.integers(0, 2)))]
+        forest[x] = [(t, draw(st.sampled_from(t.vertices))) for t in rooted]
+    return r, forest
+
+
+@PROPERTY_SETTINGS
+@given(cycle_forests())
+def test_unicyclic_form_equals_the_oracle(instance):
+    cycle_order, forest = instance
+    assert unicyclic_degree_distance(cycle_order, forest) == _cycle_graft_oracle(cycle_order, forest)
 
 
 # JSON trees for the emitter: every scalar json writes, the shapes the

@@ -98,6 +98,9 @@ def test_unknown_formula_and_bad_count_are_rejected():
         run_verification("theorem99", count=1, seed=0)
     with pytest.raises(GraphFormatError):
         run_verification("theorem1", count=-1, seed=0)
+    for max_size in (0, -5):
+        with pytest.raises(GraphFormatError, match=f"max size must be at least 1, got {max_size}"):
+            run_verification("theorem1", count=1, seed=0, max_size=max_size)
 
 
 def test_report_json_shape():
