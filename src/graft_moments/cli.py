@@ -48,9 +48,9 @@ from .errors import GraftMomentsError, GraphFormatError, TooLarge
 from .graph import (
     Graph,
     _Classes,
-    _distances,
     _int_adjacency,
     _level_signatures,
+    _point_moments,
     bfs_distances,
     cycle_graph,
     graph_from_json_dict,
@@ -209,7 +209,7 @@ def _colour_orbits(g: Graph, colourings: Iterable[tuple[int, ...]]) -> Iterator[
     """
     adjacency = _int_adjacency(g)
     n = len(adjacency)
-    scaled = [[d * n for d in _distances(adjacency, i)] for i in range(n)]
+    scaled = [_point_moments(adjacency, {i: n}) for i in range(n)]  # rows of n * D
     classes = _Classes()
     label_of: dict[tuple[int, ...], int] = {}
     for colouring in colourings:

@@ -7,12 +7,12 @@ from the data its Graph object keeps.  No form builds a distance
 matrix: a factor moment M_K^b is `moments.moment`, on the row sums the
 object keeps (`_row_sums`, one pass per object however many
 attachments and forms share it), a factor total is
-`WeightFunction.total`, and a point moment costs one BFS row from its
-vertex (`_row`: `_distances` on the int adjacency the object keeps),
-which gives it by linearity, M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y)
-the row sum at y.  Weights enter as int numerators over one denominator
-(`WeightFunction.vector`), so totals, moments and point moments are int
-dot products divided once.
+`WeightFunction.total`, and every row and D*x is `graph._point_moments`
+(one BFS per nonzero entry, on the int adjacency the object keeps).  A
+row gives a point moment by linearity, M^(a*w+c)(y) = a*M^w(y) +
+c*s(y) with s(y) the row sum at y.  Weights enter as int numerators
+over one denominator (`WeightFunction.vector`), so totals, moments and
+point moments are int dot products divided once.
 Host distances between receptors come from those same rows, and
 distances on a cycle host from min(|i - j|, r - |i - j|).
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     NotATree,
     UnknownVertex,
 )
-from .graph import Graph, _check_order, _distances, _int_adjacency, _row_sums, cycle_graph
+from .graph import Graph, _check_order, _int_adjacency, _point_moments, _row_sums, cycle_graph
 from .moments import moment
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
 from .products import GraftSpec, _permutation_order, _validate_factors
@@ -73,11 +73,6 @@ def cycle_distance_row_sum(r: int) -> int:
     return (r // 2) * ((r + 1) // 2)
 
 
-def _row(g: Graph, y: int) -> list[int]:
-    """dist(y, v) for every vertex v of g, in vertex order: one BFS."""
-    return _distances(_int_adjacency(g), g.vertices.index(y))
-
-
 # -- general graft products: Theorem 1 in vector form ------------------------
 
 
@@ -91,10 +86,10 @@ def _graft_moment(
     n^T D (a + w) + sum_i [M_Ki^bi + M_Ki^(eta_i)(y_i)], eta_i =
     (N - |V_i|)*b_i + (W - B_i): n_x is the order of the product block
     over host vertex x, w_x the branch weight glued there, N the product
-    order and W the total weight.  The host term is <a + w, s> +
-    (n - 1)^T D (a + w) with s the host row sums, so only vertices with
-    n_x > 1 take a host BFS.  Receptors may repeat.  Weights are ints over
-    the least common denominator of all factors, divided once at the end.
+    order and W the total weight.  The host term is <a + w, s + D (n - 1)>
+    with s the host row sums, so only vertices with n_x > 1 take a host
+    BFS.  Receptors may repeat.  Weights are ints over the least common
+    denominator of all factors, divided once at the end.
     A branch object glued at one root several times takes one root BFS.
     """
     _validate_factors(host, ((x, branch, root) for x, branch, root, _ in attachments))
@@ -112,21 +107,18 @@ def _graft_moment(
     grand_total = sum(glued)
     product_order = sum(block_orders.values())
 
+    heavy = {x: n_x - 1 for x, n_x in enumerate(block_orders.values()) if n_x > 1}
     result = sum(map(mul, glued, _row_sums(host)))
-    adjacency = _int_adjacency(host)
-    for x, n_x in enumerate(block_orders.values()):  # x: a host position
-        if n_x > 1:
-            result += (n_x - 1) * sum(map(mul, glued, _distances(adjacency, x)))
+    result += sum(map(mul, glued, _point_moments(_int_adjacency(host), heavy)))
     # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * s_K(y),
     # with the column taken once per (branch object, root)
     columns: dict[tuple[int, int], tuple[list[int], int]] = {}
     for (_, branch, root, _), (numerators, den), total in zip(attachments, vectors, totals):
         key = (id(branch), root)
         if key not in columns:
-            y = branch.vertices.index(root)
-            row, sums = _distances(_int_adjacency(branch), y), _row_sums(branch)
-            outside = product_order - branch.order
-            columns[key] = [s + outside * d for s, d in zip(sums, row)], sums[y]
+            y, sums = branch.vertices.index(root), _row_sums(branch)
+            outside = _point_moments(_int_adjacency(branch), {y: product_order - branch.order})
+            columns[key] = list(map(add, sums, outside)), sums[y]
         column, row_total = columns[key]
         result += (unit // den) * sum(map(mul, numerators, column))
         result += (grand_total - total) * row_total
@@ -269,16 +261,14 @@ def concentration_difference_formula(
     # the branches count only by order and total weight: one vertex stands for each
     _validate_factors(host, [(receptor, _CENTER, 0) for receptor in [x, *receptors]])
     numerators, denominator = alpha.vector(host.vertices, host.degrees)
-    row_x = _row(host, x)
+    adjacency = _int_adjacency(host)
+    row_x = _point_moments(adjacency, {host.vertices.index(x): 1})
     copies = dict.fromkeys(host.vertices, 0)
     for receptor in receptors:
         copies[receptor] += 1
     # every term is linear in the receptors' rows, so they enter summed:
-    # spread = sum_i row(x_i), and moved = k * row(x) - spread for k receptors
-    spread = [0] * host.order
-    for receptor, c in copies.items():
-        if c:
-            spread = [a + c * d for a, d in zip(spread, _row(host, receptor))]
+    # spread = D * copies, and moved = k * row(x) - spread for k receptors
+    spread = _point_moments(adjacency, dict(enumerate(copies.values())))
     moved = [len(receptors) * d - a for d, a in zip(row_x, spread)]
     grown = branch_order - 1
     # sum_i [M_H^xi(x) - M_H^xi(x_i)] = grown * <alpha, moved> + B * sum(moved)
@@ -326,7 +316,7 @@ def unicyclic_degree_distance(
     result = Fraction(0)
     for _, tree, root in flattened:
         # M_T^eta(y) = outside * <d, row(y)> + (2 * outside + 2) * sum(row(y))
-        row = _row(tree, root)
+        row = _point_moments(_int_adjacency(tree), {tree.vertices.index(root): 1})
         outside = product_order - tree.order
         result += moment(tree, DEGREE) + outside * sum(map(mul, tree.degrees, row))
         result += (2 * outside + 2) * sum(row)

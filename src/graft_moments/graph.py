@@ -16,8 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -409,11 +408,12 @@ def _row_sums_by_blocks(adjacency: _Adjacency, eccentricity: int) -> tuple[int, 
         s(c) = sum_a m_a * d_B(c, a) + sum_a t_a
              = s_B(c) + sum_{m_a != 1} (m_a - 1) * d_B(c, a) + C_B,
 
-    with s_B the block's row sums from the kernel, one BFS in B per
-    vertex a of mass other than 1, and C_B = s(head) minus
-    sum_a m_a * d_B(head, a).  A bridge (head p, other vertex w) needs
-    none of that: s(w) = s(p) + n - 2 * mass(w).  A graph that is one
-    block goes to the kernel whole.
+    with s_B the block's row sums from the kernel.  So row = s_B + D_B *
+    (m - 1) is s(c) - C_B and C_B = s(head) - row(head); D_B * (m - 1)
+    is _point_moments for the vertices other than the head, one BFS in B
+    per mass other than 1, plus the up pass's BFS from the head.  A
+    bridge (head p, other vertex w) needs none of that: s(w) = s(p) + n -
+    2 * mass(w).  A graph that is one block goes to the kernel whole.
     """
     blocks = _blocks(adjacency)
     if len(blocks) <= 1:
@@ -453,14 +453,11 @@ def _row_sums_by_blocks(adjacency: _Adjacency, eccentricity: int) -> tuple[int, 
             sums[w] = sums[head] + n - 2 * mass[w]
             continue
         local, hops = data
-        masses = [mass[v] for v in block]
-        masses[0] = n - sum(masses[1:])
-        constant = sums[head] - sum(map(mul, masses, hops))
+        grown = {a: mass[v] - 1 for a, v in enumerate(block) if a}  # m - 1 off the head
+        head_grown = n - len(block) - sum(grown.values())  # m - 1 at the head
         row = _row_sums_kernel(local, max(hops))
-        for a, m in enumerate(masses):
-            if m != 1:
-                column = hops if a == 0 else _distances(local, a)
-                row = [s + (m - 1) * d for s, d in zip(row, column)]
+        row = [s + p + head_grown * d for s, p, d in zip(row, _point_moments(local, grown), hops)]
+        constant = sums[head] - row[0]
         for v, s in zip(block[1:], row[1:]):
             sums[v] = s + constant
     return tuple(sums)
@@ -482,6 +479,18 @@ def _distances(adjacency: _Adjacency, source: int) -> list[int]:
                     grown.append(w)
         frontier = grown
     return dist
+
+
+def _point_moments(adjacency: _Adjacency, x: Mapping[int, int]) -> list[int]:
+    """D*x by position: sum_v x[v] * dist(u, v) at every u, x mapping positions to ints.
+
+    One _distances BFS per nonzero entry of x; the graph must be connected.
+    """
+    moments = [0] * len(adjacency)
+    for v, c in x.items():
+        if c:
+            moments = [m + c * d for m, d in zip(moments, _distances(adjacency, v))]
+    return moments
 
 
 def _int_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -5,24 +5,25 @@ every vertex of the product graph, sum its distances into that vertex's
 row sum, and sum weight times row sum; no n x n matrix is kept.  Each
 weight is its reduced int pair p/q, p * s(v) goes into one int per
 denominator q, and one `Fraction` per distinct denominator gives the
-exact result; the weights' `value` and `vector` are not called.  `_graft_oracle` builds a graft product
-with `graft` and sums it so, weighted by its gamma unless told
-otherwise; every graft-based checker and the test suite go through it.
-The oracle shares no distance code with what it certifies:
-`moments.moment`, `moments.indices` and the closed forms take their row
-sums from the `distance_row_sums` kernel and their point-moment rows
-from the int BFS `_distances`, so a fault in either shows up as a
-mismatch instead of cancelling out; the oracle neither reads nor fills
-the int adjacency and row sums a `Graph` keeps for them.  Only connectivity validation
-(`is_connected`, when a product or a closed form checks its factors)
-runs the oracle's BFS loop on both sides.  A verifier draws random
-instances, evaluates the closed form and the oracle, and records every
-disagreement (there should be none) in a report; an instance is kept as
-its graphs, weights and numbers and written out as JSON only when it
-disagrees.  Some verifiers chain extra checks onto each instance -- the
-comparison formula must also be invariant under swapping the branch for
-another of equal order and total weight, and the proper-cycle formula
-must agree with the extended-cycle formula.
+exact result; the weights' `value` and `vector` are not called.
+`_graft_oracle` builds a graft product with `graft` and sums it so,
+weighted by its gamma unless told otherwise; every graft-based checker
+and the test suite go through it.  The oracle shares no distance code
+with what it certifies: `moments.moment`, `moments.indices` and the
+closed forms take their row sums from the `distance_row_sums` kernel and
+their point-moment rows and D*x from `graph._point_moments`, so a fault
+in either shows up as a mismatch instead of cancelling out; the oracle
+imports no private name from `graph`, and neither reads nor fills the
+int adjacency and row sums a `Graph` keeps for them.  Only connectivity
+validation (`is_connected`, when a product or a closed form checks its
+factors) runs the oracle's BFS loop on both sides.  A verifier draws
+random instances, evaluates the closed form and the oracle, and records
+every disagreement (there should be none) in a report; an instance is
+kept as its graphs, weights and numbers and written out as JSON only
+when it disagrees.  Some verifiers chain extra checks onto each instance
+-- the comparison formula must also be invariant under swapping the
+branch for another of equal order and total weight, and the proper-cycle
+formula must agree with the extended-cycle formula.
 """
 
 from __future__ import annotations

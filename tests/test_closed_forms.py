@@ -728,10 +728,13 @@ def test_graft_forms_take_each_factor_pass_once(monkeypatch, p4, diamond):
     # one row-sum pass per Graph object, shared by both forms, and one root
     # BFS per (branch object, root) in a call
     rows, passes = [], []
-    distances, kernel = closed_forms._distances, graph._row_sums_kernel
-    monkeypatch.setattr(
-        closed_forms, "_distances", lambda adjacency, y: rows.append(y) or distances(adjacency, y)
-    )
+    point_moments, kernel = closed_forms._point_moments, graph._row_sums_kernel
+
+    def recorded(adjacency, x):
+        rows.extend(y for y, c in x.items() if c)
+        return point_moments(adjacency, x)
+
+    monkeypatch.setattr(closed_forms, "_point_moments", recorded)
     monkeypatch.setattr(
         graph, "_row_sums_kernel", lambda *args: passes.append(len(args[0])) or kernel(*args)
     )

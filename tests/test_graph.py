@@ -41,6 +41,7 @@ from graft_moments.graph import (
     _int_adjacency,
     _level_signatures,
     _level_sums,
+    _point_moments,
     _row_sums_by_blocks,
     _row_sums_per_source,
 )
@@ -744,6 +745,49 @@ def test_distance_row_sums_agree_with_networkx(name, g):
     assert nx.wiener_index(h) == sum(row_sums) / 2
     for v, s in zip(g.vertices, row_sums):
         assert sum(nx.single_source_shortest_path_length(h, v).values()) == s
+
+
+def _multiplier_maps(n: int, rng: random.Random) -> list[dict[int, int]]:
+    """The empty map, then up to 6 positions each with multipliers of 1, 8 and 200 bits.
+
+    Each map has a zero and a negative multiplier (only the negative one on K1).
+    """
+    maps: list[dict[int, int]] = [{}]
+    for bits in (1, 8, 200):
+        positions = rng.sample(range(n), min(n, 6))
+        x = {p: rng.randint(-(1 << bits), 1 << bits) for p in positions}
+        x[positions[0]], x[positions[-1]] = 0, -(1 << bits)
+        maps.append(x)
+    return maps
+
+
+@pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
+def test_point_moments_are_the_matrix_product(monkeypatch, name, g):
+    entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
+    sources = []
+    distances = graph_module._distances
+    monkeypatch.setattr(
+        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
+    )
+    for x in _multiplier_maps(g.order, random.Random(name)):
+        sources.clear()
+        expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
+        assert _point_moments(adjacency, x) == expected
+        assert sources == [p for p, c in x.items() if c]  # one BFS per nonzero entry
+
+
+@pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
+def test_point_moments_agree_with_networkx(name, g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges())
+    for x in _multiplier_maps(g.order, random.Random(name)):
+        expected = [0] * g.order
+        for p, c in x.items():
+            dist = nx.single_source_shortest_path_length(h, g.vertices[p])
+            expected = [e + c * dist[v] for e, v in zip(expected, g.vertices)]
+        assert _point_moments(_int_adjacency(g), x) == expected
 
 
 # -- isomorphism classes ---------------------------------------------------

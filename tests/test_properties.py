@@ -11,11 +11,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graft_moments import (
@@ -27,8 +28,12 @@ from graft_moments import (
     ConstantWeight,
     ExplicitWeight,
     Graph,
+    bfs_distances,
     GraftSpec,
     concentration_difference_formula,
+    extended_cycle_degree_distance,
+    extended_cycle_edge_count,
+    family_graft_moment_formula,
     flower,
     flower_moment_formula,
     graft,
@@ -37,11 +42,19 @@ from graft_moments import (
     indices,
     moment,
     permutation_graph,
+    path_graph,
     permutation_moment_formula,
+    proper_cycle_degree_distance,
     unicyclic_degree_distance,
 )
 from graft_moments.cli import _emit_json
-from graft_moments.verify import _comparison_oracle, _cycle_graft_oracle, _oracle_moment
+from graft_moments.verify import (
+    _comparison_oracle,
+    _cycle_graft_oracle,
+    _cycles_oracle,
+    _graft_oracle,
+    _oracle_moment,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=50, derandomize=True, deadline=None)
 
@@ -111,6 +124,54 @@ def test_grafting_in_two_steps_equals_grafting_in_one(spec, data):
 
 
 @PROPERTY_SETTINGS
+@given(graft_specs())
+def test_graft_form_equals_the_oracle(spec):
+    assert graft_moment_formula(spec) == _graft_oracle(spec)
+
+
+@st.composite
+def families(draw):
+    """(host, alpha, family): up to three rooted branches, or none, at some host vertices."""
+    host = draw(connected_graphs())
+    family = {
+        x: [draw(rooted_branches()) for _ in range(draw(st.integers(0, 3)))]
+        for x in draw(st.sets(st.sampled_from(host.vertices)))
+    }
+    return host, draw(weighted(host)), family
+
+
+@PROPERTY_SETTINGS
+# a repeated receptor next to one with an empty branch list
+@example((path_graph(3), DEGREE, {0: [(path_graph(3), 0, UNIT), (path_graph(2), 1, DEGREE)], 2: []}))
+@given(families())
+def test_family_form_equals_the_oracle(instance):
+    host, alpha, family = instance
+    attachments = tuple(Attachment(x, *b) for x, branches in family.items() for b in branches)
+    assert family_graft_moment_formula(host, alpha, family) == _graft_oracle(
+        GraftSpec(host, attachments, alpha)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6).flatmap(lambda r: st.lists(st.integers(1, 6), min_size=r, max_size=r)))
+def test_extended_cycle_form_equals_the_oracle(branch_orders):
+    host_order = len(branch_orders)
+    pairs = [(r, extended_cycle_edge_count(r)) for r in branch_orders]
+    assert extended_cycle_degree_distance(host_order, pairs) == _cycles_oracle(
+        host_order, branch_orders
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 6).flatmap(lambda r: st.lists(st.integers(3, 6), min_size=r, max_size=r)))
+def test_proper_cycle_form_equals_the_oracle(branch_orders):
+    host_order = len(branch_orders)
+    assert proper_cycle_degree_distance(host_order, branch_orders) == _cycles_oracle(
+        host_order, branch_orders
+    )
+
+
+@PROPERTY_SETTINGS
 @given(rationals, st.lists(rooted_branches(), max_size=4))
 def test_flower_form_equals_the_oracle(center, branches):
     product = flower(center, branches)
@@ -159,6 +220,66 @@ def test_moment_is_linear_in_the_weight(gw, a, c):
 def trees(draw, max_order: int = 4) -> Graph:
     n = draw(st.integers(1, max_order))
     return Graph(range(n), [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+
+
+@st.composite
+def long_trees(draw, max_order: int = 40) -> Graph:
+    """A spine of 8 to 16 vertices from vertex 0, then leaves and two-vertex
+    tails on spine vertices, each vertex i > 0 hung on an earlier one.
+
+    Vertex 0's eccentricity is at least 7, above the bit length of any
+    order up to 63, so distance_row_sums takes these trees by their blocks.
+    """
+    spine = draw(st.integers(8, 16))
+    edges = [(i - 1, i) for i in range(1, spine)]
+    n = spine
+    for _ in range(draw(st.integers(0, (max_order - spine) // 2))):
+        at = draw(st.integers(0, spine - 1))
+        edges.append((at, n))
+        n += 1
+        if draw(st.booleans()):
+            edges.append((n - 1, n))
+            n += 1
+    return Graph(range(n), edges)
+
+
+def _reaches_the_blocks(tree: Graph) -> bool:
+    return max(bfs_distances(tree, 0).values()) > tree.order.bit_length()
+
+
+@PROPERTY_SETTINGS
+@given(long_trees())
+def test_tree_degree_distance_is_four_wiener_minus_pairs(tree):
+    # D'(T) = 4 W(T) - n(n - 1) (Klein, Mihalic, Plavsic and Trinajstic 1992)
+    assert _reaches_the_blocks(tree)
+    n = tree.order
+    assert moment(tree, DEGREE) == 4 * moment(tree, HALF) - n * (n - 1)
+
+
+# each vertex's explicit weight in twelfths from 0 to 6: int draws are fast
+twelfths = st.integers(0, 72).map(lambda k: Fraction(k, 12))
+weighted_long_trees = long_trees().flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(twelfths, min_size=t.order, max_size=t.order))
+)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_long_trees)
+def test_tree_moment_is_a_sum_over_edge_splits(tw):
+    # M^w(T) = sum over edges of n_a * W_b + n_b * W_a, the orders and total
+    # weights of the two sides (Wiener 1947; Klavzar and Gutman 1997)
+    tree, weights = tw
+    assert _reaches_the_blocks(tree)
+    n, w = tree.order, ExplicitWeight(dict(zip(tree.vertices, weights)))
+    size, below = [1] * n, weights[:]  # order and weight of the subtree at i
+    for i in reversed(range(1, n)):
+        parent = min(tree.neighbors(i))  # every vertex hangs on an earlier one
+        size[parent] += size[i]
+        below[parent] += below[i]
+    total = sum(weights)
+    assert moment(tree, w) == sum(
+        (n - size[i]) * below[i] + size[i] * (total - below[i]) for i in range(1, n)
+    )
 
 
 @PROPERTY_SETTINGS
