@@ -82,7 +82,7 @@ def _load_json_file(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge int
             raise GraphFormatError(f"{path}: {exc}") from None
 
 

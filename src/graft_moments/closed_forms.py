@@ -5,8 +5,8 @@ inputs -- factor moments, branch orders, total weights, host distances
 -- without building the product graph, reading each factor straight
 from the data its Graph object keeps.  No form builds a distance
 matrix: a factor moment M_K^b is `moments.moment`, on the row sums the
-object keeps (`_row_sums`, one pass per object however many
-attachments and forms share it), a factor total is
+object keeps (`graph.distance_row_sums`, one pass per object however
+many attachments and forms share it), a factor total is
 `WeightFunction.total`, and every row and D*x is `graph._point_moments`
 (one BFS per nonzero entry, on the int adjacency the object keeps).  A
 row gives a point moment by linearity, M^(a*w+c)(y) = a*M^w(y) +
@@ -43,7 +43,14 @@ from .errors import (
     NotATree,
     UnknownVertex,
 )
-from .graph import Graph, _check_order, _int_adjacency, _point_moments, _row_sums, cycle_graph
+from .graph import (
+    Graph,
+    _check_order,
+    _int_adjacency,
+    _point_moments,
+    cycle_graph,
+    distance_row_sums,
+)
 from .moments import moment
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
 from .products import GraftSpec, _permutation_order, _validate_factors
@@ -108,7 +115,7 @@ def _graft_moment(
     product_order = sum(block_orders.values())
 
     heavy = {x: n_x - 1 for x, n_x in enumerate(block_orders.values()) if n_x > 1}
-    result = sum(map(mul, glued, _row_sums(host)))
+    result = sum(map(mul, glued, distance_row_sums(host)))
     result += sum(map(mul, glued, _point_moments(_int_adjacency(host), heavy)))
     # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * s_K(y),
     # with the column taken once per (branch object, root)
@@ -116,7 +123,7 @@ def _graft_moment(
     for (_, branch, root, _), (numerators, den), total in zip(attachments, vectors, totals):
         key = (id(branch), root)
         if key not in columns:
-            y, sums = branch.vertices.index(root), _row_sums(branch)
+            y, sums = branch.vertices.index(root), distance_row_sums(branch)
             outside = _point_moments(_int_adjacency(branch), {y: product_order - branch.order})
             columns[key] = list(map(add, sums, outside)), sums[y]
         column, row_total = columns[key]
@@ -203,8 +210,8 @@ def permutation_moment_formula(
     return (
         r * host_moment
         + r * r * branch_moment
-        + r * branch_total * sum(_row_sums(host))
-        + (alpha.total(host) + (r - 1) * branch_total) * sum(_row_sums(branch))
+        + r * branch_total * sum(distance_row_sums(host))
+        + (alpha.total(host) + (r - 1) * branch_total) * sum(distance_row_sums(branch))
     )
 
 

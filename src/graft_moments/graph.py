@@ -6,7 +6,8 @@ plus an adjacency map with sorted neighbor tuples.  Each Graph object
 also keeps what is derived from it once asked, filled on the first call
 and never shared with an equal graph: its connectivity (is_connected),
 its int adjacency (_int_adjacency: neighbour positions as tuples) and its
-distance row sums (distance_row_sums).  An empty or disconnected graph
+distance row sums (distance_row_sums, the one function that computes
+them, by the kernel or by the blocks).  An empty or disconnected graph
 caches no row sums; it raises on every call.  Distances are hop counts
 computed by breadth-first search; no floating point anywhere.
 """
@@ -105,7 +106,7 @@ class Graph:
         # derived once per object, on first use
         self._connected: bool | None = None  # is_connected
         self._int_adj: tuple[tuple[int, ...], ...] | None = None  # _int_adjacency
-        self._sums: tuple[int, ...] | None = None  # _row_sums
+        self._sums: tuple[int, ...] | None = None  # distance_row_sums
 
     # -- basic accessors ------------------------------------------------
 
@@ -275,46 +276,44 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 def distance_row_sums(g: Graph) -> tuple[int, ...]:
     """Distance row sums s(v) in vertex order, keeping no n x n matrix.
 
-    Vertices are renumbered 0..n-1 once.  A BFS from the first vertex
-    checks connectivity (same errors and messages as distance_matrix)
-    and gives its eccentricity e0; the diameter D lies in [e0, 2*e0].
+    Vertices are renumbered 0..n-1 once.  A probe BFS from the first
+    vertex checks connectivity (same errors and messages as
+    distance_matrix), gives its eccentricity e0 (the diameter D lies in
+    [e0, 2*e0]) and is row 0, so s(0) is its sum.
 
     Fixed rule: if e0 <= n.bit_length(), the whole graph goes to the
-    kernel (_row_sums_kernel); otherwise it goes by its blocks
-    (_row_sums_by_blocks), which hands a graph that is one block back to
-    the kernel.  A small e0 means few bit-parallel passes over the whole
-    graph; a large one usually means long tree-like parts, where the
-    blocks are small.  Measured with CPython 3.11 (whole kernel -> this
-    rule): random graphs of order 150 to 560 with e0 = 4 to 6 stay on
-    the kernel; 64 graft products of order 150 to 1,852 with path, cycle
-    and tree branches (e0 = 9 to 61) all take the blocks, 0.37 s -> 0.13
-    s in all; path-3000 2.4 s -> 6 ms; a random tree of order 3,000 83 ->
-    8 ms, of order 10,000 about 25 ms; a random order-1,500 block with
-    three 300-vertex paths attached 0.75 s -> 7 ms; 3,900 random graphs
-    and trees of order 2 to 40 take the same 0.25 to 0.32 s.  A cycle
-    gains nothing: it is one block, and pays only the block search on top.
+    kernel (_row_sums_kernel); otherwise _blocks splits it, and a graph
+    of two or more blocks goes by them (_row_sums_by_blocks, rerooted
+    from s(0)) while one block goes to the kernel.  A small e0 means few
+    bit-parallel passes over the whole graph; a large one usually means
+    long tree-like parts, where the blocks are small.  Measured with
+    CPython 3.11 (whole kernel -> this rule): random graphs of order 150
+    to 560 with e0 = 4 to 6 stay on the kernel; 64 graft products of
+    order 150 to 1,852 with path, cycle and tree branches (e0 = 9 to 61)
+    all take the blocks, 0.37 s -> 0.13 s in all; path-3000 2.4 s -> 6
+    ms; a random tree of order 3,000 83 -> 8 ms, of order 10,000 about 25
+    ms; a random order-1,500 block with three 300-vertex paths attached
+    0.75 s -> 7 ms; 3,900 random graphs and trees of order 2 to 40 take
+    the same 0.25 to 0.32 s.  A cycle gains nothing: it is one block, and
+    pays only the block search on top.
 
     The sums are computed once per Graph object and kept on it.
     """
-    return _row_sums(g)
-
-
-def _row_sums(g: Graph) -> tuple[int, ...]:
-    """distance_row_sums(g): g's kept row sums, computed on the first call."""
     sums = g._sums
     if sums is None:
         adjacency = _int_adjacency(g)
         n = len(adjacency)
         if n == 0:
             raise EmptyGraph("distance matrix of the empty graph")
-        dist = _distances(adjacency, 0)
-        reached, eccentricity = n - dist.count(-1), max(dist)
+        probe = _distances(adjacency, 0)
+        reached, eccentricity = n - probe.count(-1), max(probe)
         if reached != n:
             raise DisconnectedGraph(
                 f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
             )
-        if eccentricity > n.bit_length():
-            sums = _row_sums_by_blocks(adjacency, eccentricity)
+        blocks = _blocks(adjacency) if eccentricity > n.bit_length() else []
+        if len(blocks) > 1:
+            sums = _row_sums_by_blocks(adjacency, blocks, sum(probe))
         else:
             sums = _row_sums_kernel(adjacency, eccentricity)
         g._sums = sums
@@ -394,16 +393,18 @@ def _blocks(adjacency: _Adjacency) -> list[list[int]]:
     return blocks
 
 
-def _row_sums_by_blocks(adjacency: _Adjacency, eccentricity: int) -> tuple[int, ...]:
+def _row_sums_by_blocks(
+    adjacency: _Adjacency, blocks: list[list[int]], s0: int
+) -> tuple[int, ...]:
     """Row sums from each block's own row sums, rerooted over the block-cut tree.
 
-    The graph is the graft product of its blocks (_blocks), glued at cut
-    vertices, and a shortest path between two vertices of a block stays
-    in it.  Up pass, blocks from the leaves: mass(v) counts the vertices
-    hanging below v (v included) and below(v) sums their distances to v.
-    Down pass from s(0) = below(0): every vertex u of the graph hangs on
-    one vertex a of a block B, with mass m_a (for the head, n minus the
-    masses of the others) and distance sum t_a, so for c in B
+    The graph is connected with s(0) = s0, and blocks are its _blocks,
+    two or more: it is their graft product, glued at cut vertices, and a
+    shortest path between two vertices of a block stays in it.  Up pass,
+    blocks from the leaves: mass(v) counts the vertices hanging below v,
+    v included.  Down pass from s(0): every vertex u of the graph hangs
+    on one vertex a of a block B, with mass m_a (for the head, n minus
+    the masses of the others) and distance sum t_a, so for c in B
 
         s(c) = sum_a m_a * d_B(c, a) + sum_a t_a
              = s_B(c) + sum_{m_a != 1} (m_a - 1) * d_B(c, a) + C_B,
@@ -411,48 +412,27 @@ def _row_sums_by_blocks(adjacency: _Adjacency, eccentricity: int) -> tuple[int, 
     with s_B the block's row sums from the kernel.  So row = s_B + D_B *
     (m - 1) is s(c) - C_B and C_B = s(head) - row(head); D_B * (m - 1)
     is _point_moments for the vertices other than the head, one BFS in B
-    per mass other than 1, plus the up pass's BFS from the head.  A
-    bridge (head p, other vertex w) needs none of that: s(w) = s(p) + n -
-    2 * mass(w).  A graph that is one block goes to the kernel whole.
+    per mass other than 1, plus a BFS from the head, which also gives
+    the kernel its eccentricity.  An edge with both ends in B belongs to
+    B, so B's own adjacency keeps the neighbours found in its slot map.
+    A bridge (head p, other vertex w) needs none of that: s(w) = s(p) +
+    n - 2 * mass(w).
     """
-    blocks = _blocks(adjacency)
-    if len(blocks) <= 1:
-        return _row_sums_kernel(adjacency, eccentricity)
     n = len(adjacency)
-    owner = [-1] * n  # the block in which a vertex is not the head
-    for b, block in enumerate(blocks):
-        for v in block[1:]:
-            owner[v] = b
     mass = [1] * n
-    below = [0] * n
-    inside = []  # per block: its own adjacency and distances from its head
-    for b, block in enumerate(blocks):
-        head = block[0]
-        if len(block) == 2:
-            w = block[1]
-            mass[head] += mass[w]
-            below[head] += mass[w] + below[w]
-            inside.append(None)
-            continue
-        slot = {v: i for i, v in enumerate(block)}
-        local = [
-            [slot[w] for w in adjacency[v] if owner[w] == b or w == head] for v in block
-        ]
-        hops = _distances(local, 0)
-        for v, d in zip(block[1:], hops[1:]):
-            mass[head] += mass[v]
-            below[head] += mass[v] * d + below[v]
-        inside.append((local, hops))
+    for block in blocks:
+        mass[block[0]] += sum([mass[v] for v in block[1:]])
 
     sums = [0] * n
-    sums[0] = below[0]
-    for block, data in zip(reversed(blocks), reversed(inside)):
+    sums[0] = s0
+    for block in reversed(blocks):
         head = block[0]
-        if data is None:
-            w = block[1]
-            sums[w] = sums[head] + n - 2 * mass[w]
+        if len(block) == 2:
+            sums[block[1]] = sums[head] + n - 2 * mass[block[1]]
             continue
-        local, hops = data
+        slot = {v: i for i, v in enumerate(block)}
+        local = [[slot[w] for w in adjacency[v] if w in slot] for v in block]
+        hops = _distances(local, 0)
         grown = {a: mass[v] - 1 for a, v in enumerate(block) if a}  # m - 1 off the head
         head_grown = n - len(block) - sum(grown.values())  # m - 1 at the head
         row = _row_sums_kernel(local, max(hops))
@@ -485,12 +465,17 @@ def _point_moments(adjacency: _Adjacency, x: Mapping[int, int]) -> list[int]:
     """D*x by position: sum_v x[v] * dist(u, v) at every u, x mapping positions to ints.
 
     One _distances BFS per nonzero entry of x; the graph must be connected.
+    The first nonzero row starts the sum, as it is for a multiplier of 1.
     """
-    moments = [0] * len(adjacency)
+    moments = None
     for v, c in x.items():
         if c:
-            moments = [m + c * d for m, d in zip(moments, _distances(adjacency, v))]
-    return moments
+            row = _distances(adjacency, v)
+            if moments is None:
+                moments = row if c == 1 else [c * d for d in row]
+            else:
+                moments = [m + c * d for m, d in zip(moments, row)]
+    return [0] * len(adjacency) if moments is None else moments
 
 
 def _int_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -252,7 +252,7 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh, object_pairs_hook=unique_keys)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge int
                 raise GraphFormatError(f"bad weight file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise GraphFormatError(f"weight file {path} must hold an object")

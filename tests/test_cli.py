@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -128,6 +129,34 @@ def test_indices_bad_json_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "indices", str(path))
     assert code == 2
     assert "error:" in err
+
+
+MALFORMED_FILES = {
+    "not-utf8": b'{"vertices": [0, 1], "edges": [[0, 1]], "\xff": 0}',
+    "nested-200000": b"[" * 200_000,
+    "int-5000-digits": b"9" * 5_000,
+}
+JSON_READERS = {
+    "indices-graph": lambda bad, good: ["indices", bad],
+    "graft-spec": lambda bad, good: ["graft", bad],
+    "isomoment-host": lambda bad, good: ["isomoment", bad, good],
+    "weight-file": lambda bad, good: ["indices", good, "--weights", f"file:{bad}"],
+}
+
+
+@pytest.mark.parametrize("reader", JSON_READERS)
+@pytest.mark.parametrize("content", MALFORMED_FILES)
+def test_a_malformed_json_file_is_input_error(tmp_path, capsys, content, reader):
+    # a decode error, a nesting too deep to parse and an int past CPython's
+    # digit limit are malformed input (exit 2), not a crash
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(MALFORMED_FILES[content])
+    good = graph_file(tmp_path, path_graph(2))
+    code, out, err = run_cli(capsys, *JSON_READERS[reader](str(bad), good))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if content != "int-5000-digits" or hasattr(sys, "get_int_max_str_digits"):
+        assert str(bad) in err  # else the int parses and the shape check rejects it
 
 
 def test_indices_missing_file_is_input_error(tmp_path, capsys):

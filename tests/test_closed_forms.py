@@ -408,7 +408,7 @@ def test_comparison_sums_no_row_sums(monkeypatch, p3, p4):
     def refuse(*args):
         raise AssertionError("the concentration form summed row sums")
 
-    monkeypatch.setattr(closed_forms, "_row_sums", refuse)
+    monkeypatch.setattr(closed_forms, "distance_row_sums", refuse)
     assert concentration_difference_formula(p3, UNIT, 1, [0, 2], 2, 2) == -14
     branch_weight = ConstantWeight(Fraction(7, 5))  # total 7 on 5 vertices
     expected = _comparison_oracle(p4, DEGREE, 1, [0, 3, 3], path_graph(5), 2, branch_weight)

@@ -29,6 +29,8 @@ from graft_moments import (
     ExplicitWeight,
     Graph,
     bfs_distances,
+    distance_matrix,
+    distance_row_sums,
     GraftSpec,
     concentration_difference_formula,
     extended_cycle_degree_distance,
@@ -48,6 +50,7 @@ from graft_moments import (
     unicyclic_degree_distance,
 )
 from graft_moments.cli import _emit_json
+from graft_moments.graph import _blocks, _int_adjacency
 from graft_moments.verify import (
     _comparison_oracle,
     _cycle_graft_oracle,
@@ -243,8 +246,9 @@ def long_trees(draw, max_order: int = 40) -> Graph:
     return Graph(range(n), edges)
 
 
-def _reaches_the_blocks(tree: Graph) -> bool:
-    return max(bfs_distances(tree, 0).values()) > tree.order.bit_length()
+def _reaches_the_blocks(g: Graph) -> bool:
+    """Whether the first vertex's eccentricity sends distance_row_sums to _blocks."""
+    return max(bfs_distances(g, g.vertices[0]).values()) > g.order.bit_length()
 
 
 @PROPERTY_SETTINGS
@@ -254,6 +258,57 @@ def test_tree_degree_distance_is_four_wiener_minus_pairs(tree):
     assert _reaches_the_blocks(tree)
     n = tree.order
     assert moment(tree, DEGREE) == 4 * moment(tree, HALF) - n * (n - 1)
+
+
+@st.composite
+def glued_graphs(draw) -> Graph:
+    """Connected pieces glued at cut vertices, a long pendant path, vertices shuffled.
+
+    Up to five pieces (C3 to C8, K4, connected_graphs draws), each glued
+    by one of its vertices onto a random vertex already placed, so a block
+    may hold several cut vertices.  The path has 14 to 20 vertices and
+    the order stays below 64, so every vertex's eccentricity is at least
+    7, above the order's bit length.  The vertex order is shuffled, so the
+    first vertex may be a cut vertex, inside a big block, or a leaf.
+    """
+    edges: list[tuple[int, int]] = []
+    n = 1
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["cycle", "k4", "drawn"]))
+        if kind == "cycle":
+            k = draw(st.integers(3, 8))
+            piece = [(i, (i + 1) % k) for i in range(k)]
+        elif kind == "k4":
+            k, piece = 4, [(u, v) for v in range(4) for u in range(v)]
+        else:
+            drawn = draw(connected_graphs(6, min_order=2))
+            k, piece = drawn.order, list(drawn.edges())
+        place = [draw(st.integers(0, n - 1)), *range(n, n + k - 1)]
+        edges += [(place[u], place[v]) for u, v in piece]
+        n += k - 1
+    length = draw(st.integers(14, 20))
+    edges += [(draw(st.integers(0, n - 1)), n)] + [(i, i + 1) for i in range(n, n + length - 1)]
+    n += length
+    return Graph(draw(st.permutations(range(n))), edges)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+# the first vertex is the pendant path's leaf; C5 and K4 share vertex 2
+@example(
+    Graph(
+        range(21, -1, -1),
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(u, v) for v in (2, 5, 6, 7) for u in (2, 5, 6, 7) if u < v]
+        + [(i, i + 1) for i in range(7, 21)],
+    )
+)
+@given(glued_graphs())
+def test_row_sums_by_blocks_equal_the_matrix(g):
+    # s(0) comes from the probe BFS and each block's adjacency keeps only
+    # its own edges: both show in the rerooted sums
+    assert _reaches_the_blocks(g)
+    assert len(_blocks(_int_adjacency(g))) > 1
+    assert distance_row_sums(g) == distance_matrix(g).row_sums
 
 
 # each vertex's explicit weight in twelfths from 0 to 6: int draws are fast
