@@ -421,7 +421,7 @@ def _row_sums_by_blocks(
     n = len(adjacency)
     mass = [1] * n
     for block in blocks:
-        mass[block[0]] += sum([mass[v] for v in block[1:]])
+        mass[block[0]] = sum(map(mass.__getitem__, block))
 
     sums = [0] * n
     sums[0] = s0
@@ -565,7 +565,7 @@ def _level_signatures(adjacency: _Adjacency) -> tuple[list[int], list[int]]:
 
 DEFAULT_ISO_CAP = 16
 
-# a _level_signatures int, or a tuple from cli._colour_orbits
+# a _level_signatures int, or a tuple from isomoment._colour_orbits
 _Signature = int | tuple[int, ...]
 # One step per vertex: its signature, and the earlier steps that placed
 # its neighbours.

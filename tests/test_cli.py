@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 
 from graft_moments import cli
 from graft_moments import graph as graph_module
+from graft_moments import isomoment as isomoment_module
 from graft_moments import moments as moments_module
 from graft_moments import products as products_module
 from graft_moments import verify as verify_module
@@ -505,7 +507,7 @@ def test_isomoment_draws_sigmas_as_it_builds_products(tmp_path, capsys, monkeypa
     drawn = []
     drawn_at_first_pass = []
     permutations = itertools.permutations
-    level_signatures = cli._level_signatures
+    level_signatures = isomoment_module._level_signatures
 
     def counting_permutations(*args):
         for sigma in permutations(*args):
@@ -518,7 +520,7 @@ def test_isomoment_draws_sigmas_as_it_builds_products(tmp_path, capsys, monkeypa
         return level_signatures(adjacency)
 
     monkeypatch.setattr(itertools, "permutations", counting_permutations)
-    monkeypatch.setattr(cli, "_level_signatures", first_pass)
+    monkeypatch.setattr(isomoment_module, "_level_signatures", first_pass)
     code, out, _ = run_cli(
         capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
     )
@@ -551,7 +553,7 @@ ISOMOMENT_PAIRS = [
 
 
 def _signatures_and_row_sums(result) -> tuple[list, list[int]]:
-    """What one cli._level_signatures call gives: signatures and row sums."""
+    """What one isomoment._level_signatures call gives: signatures and row sums."""
     return result
 
 
@@ -569,8 +571,8 @@ def test_isomoment_product_passes_match_built_products(
     weight_functions = [parse_weight_spec(spec) for spec in specs]
     # each pass's adjacency, signatures and row sums, and the moments summed from them
     passes = []
-    level_signatures = cli._level_signatures
-    weighted_sum = cli._weighted_sum
+    level_signatures = isomoment_module._level_signatures
+    weighted_sum = isomoment_module._weighted_sum
 
     def recording_signatures(adjacency):
         result = level_signatures(adjacency)
@@ -582,8 +584,8 @@ def test_isomoment_product_passes_match_built_products(
         passes[-1][3].append(value)
         return value
 
-    monkeypatch.setattr(cli, "_level_signatures", recording_signatures)
-    monkeypatch.setattr(cli, "_weighted_sum", recording_sum)
+    monkeypatch.setattr(isomoment_module, "_level_signatures", recording_signatures)
+    monkeypatch.setattr(isomoment_module, "_weighted_sum", recording_sum)
     host_path = graph_file(tmp_path, host, "host.json")
     branch_path = graph_file(tmp_path, branch, "branch.json")
     # the file: weight gives every sigma its own pass, in enumeration order
@@ -627,7 +629,8 @@ def test_isomoment_builds_a_graph_only_per_class(tmp_path, capsys, monkeypatch):
         (graph_module, "isomorphism_classes"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-        monkeypatch.setattr(cli, name, refuse, raising=False)
+        for user in (cli, isomoment_module):
+            monkeypatch.setattr(user, name, refuse, raising=False)
     code, out, _ = run_cli(
         capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
     )
@@ -687,6 +690,24 @@ def test_isomoment_caps_the_sample_at_full_enumeration_size(tmp_path, capsys, mo
     assert err == (
         "error: --count 40000 at order 9 asks for 3240000 product vertices, "
         "over the 2580480 of full enumeration at order 8\n"
+    )
+
+
+def test_isomoment_sample_budget_is_inclusive(tmp_path, capsys, monkeypatch):
+    # with full enumeration up to order 4 the budget is 4! * 4**2 = 384
+    # product vertices: 6 sigmas of order 8 fill it exactly, 7 go over
+    monkeypatch.setattr(cli, "FULL_ENUMERATION_MAX", 4)
+    host = graph_file(tmp_path, path_graph(8), "host.json")
+    branch = graph_file(tmp_path, path_graph(8), "branch.json")
+    code, out, err = run_cli(capsys, "isomoment", host, branch, "--count", "6")
+    assert code == 0
+    assert json.loads(out)["permutations"] == 6
+    assert err == "warning: 8! permutations is too many; sampling 6 seeded permutations\n"
+    code, out, err = run_cli(capsys, "isomoment", host, branch, "--count", "7")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: --count 7 at order 8 asks for 448 product vertices, "
+        "over the 384 of full enumeration at order 4\n"
     )
 
 
@@ -752,7 +773,7 @@ def _orbit_cases() -> list[Graph]:
 
 @pytest.mark.parametrize("g", _orbit_cases())
 def test_root_orbits_are_the_automorphism_orbits(g):
-    assert cli._root_orbits(g) == _brute_force_orbits(g)
+    assert isomoment_module._root_orbits(g) == _brute_force_orbits(g)
 
 
 # sha256 of the stdout printed while every sigma still had its own pass;
@@ -796,13 +817,13 @@ def test_isomoment_symmetric_branch_stdout_is_golden(tmp_path, capsys, branch, c
 
 def _count_level_signatures(monkeypatch) -> list[int]:
     calls = []
-    level_signatures = cli._level_signatures
+    level_signatures = isomoment_module._level_signatures
 
     def counting(adjacency):
         calls.append(len(adjacency))
         return level_signatures(adjacency)
 
-    monkeypatch.setattr(cli, "_level_signatures", counting)
+    monkeypatch.setattr(isomoment_module, "_level_signatures", counting)
     return calls
 
 
@@ -865,7 +886,7 @@ def test_orbit_labels_are_the_host_orbits_of_the_words(host, branch):
     orbit = _brute_force_orbits(branch)
     automorphisms = _automorphisms(host)
     sigmas = list(itertools.permutations(range(1, host.order + 1)))
-    labels = list(cli._orbit_labels(host, branch, sigmas))
+    labels = list(isomoment_module._orbit_labels(host, branch, sigmas))
     # two words share an orbit when their least images under Aut(host) agree
     least = [
         min(tuple(orbit[sigma[i] - 1] for i in p) for p in automorphisms) for sigma in sigmas
@@ -890,6 +911,50 @@ def test_isomoment_orbit_labels_keep_the_per_sigma_classes(tmp_path, capsys, hos
     )
     assert code == 0
     assert json.loads(by_label)["classes"] == json.loads(per_sigma)["classes"]
+
+
+# -- the isomoment engine as a library, against networkx ------------------------
+
+def _networkx_classes(host: Graph, branch: Graph) -> list[list[tuple[int, ...]]]:
+    """The sigmas of each class of isomorphic built products, by networkx, as first met."""
+    nx = pytest.importorskip("networkx")
+    classes: dict[tuple, list[tuple[object, list]]] = {}  # by degrees and neighbour degrees
+    found = []
+    for sigma in itertools.permutations(range(1, host.order + 1)):
+        product = permutation_graph(host, branch, sigma).graph
+        g = nx.Graph(product.edges())
+        g.add_nodes_from(product.vertices)
+        key = tuple(sorted((g.degree[v], tuple(sorted(g.degree[w] for w in g[v]))) for v in g))
+        bucket = classes.setdefault(key, [])
+        members = next((m for rep, m in bucket if nx.is_isomorphic(rep, g)), None)
+        if members is None:
+            members = []
+            bucket.append((g, members))
+            found.append(members)
+        members.append(sigma)
+    return found
+
+
+@pytest.mark.parametrize("host,branch", ISOMOMENT_PAIRS)
+def test_classify_partitions_the_sigmas_as_networkx_does(tmp_path, host, branch):
+    r = host.order
+    expected = _networkx_classes(host, branch)
+    ones = write_json(tmp_path / "w.json", {str(v): "1" for v in range(r * r)})
+    by_label = {"unit": parse_weight_spec("unit"), "degree": parse_weight_spec("degree")}
+    per_sigma = {f"file:{ones}": parse_weight_spec(f"file:{ones}")}
+    for weights in (by_label, per_sigma):
+        sigmas = itertools.permutations(range(1, r + 1))
+        kept, _ = isomoment_module.classify(host, branch, weights, sigmas)
+        # the first sigma of each class, in enumeration order, and its size
+        assert [(sigma, size) for sigma, _, size in kept] == [
+            (members[0], len(members)) for members in expected
+        ]
+        assert sum(size for _, _, size in kept) == math.factorial(r)
+    # every sigma shares a class with the first of its networkx class
+    for members in expected:
+        for sigma in members[1:]:
+            kept, _ = isomoment_module.classify(host, branch, by_label, [members[0], sigma])
+            assert [size for _, _, size in kept] == [2]
 
 
 # -- JSON emit ------------------------------------------------------------------

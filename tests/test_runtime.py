@@ -8,7 +8,8 @@ from pathlib import Path
 
 import graft_moments
 
-SOURCES = sorted(Path(graft_moments.__file__).parent.glob("*.py"))
+PACKAGE = Path(graft_moments.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported_modules(path: Path) -> list[tuple[int, str]]:
@@ -34,17 +35,21 @@ def test_every_import_is_relative_or_standard_library():
 
 
 
-def _code_names(path: Path) -> list[tuple[int, str, bool]]:
-    """(line, name, from .graph) for every name, attribute and imported name in a file's code."""
+def _code_names(path: Path) -> list[tuple[int, str, str | None]]:
+    """(line, name, source) for every name, attribute and imported name in a file's code.
+
+    source is the package module a name is imported from (".graph" gives
+    "graph"), else None.
+    """
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Name):
-            found.append((node.lineno, node.id, False))
+            found.append((node.lineno, node.id, None))
         elif isinstance(node, ast.Attribute):
-            found.append((node.lineno, node.attr, False))
+            found.append((node.lineno, node.attr, None))
         elif isinstance(node, ast.ImportFrom):
-            from_graph = node.level == 1 and node.module == "graph"
-            found += [(node.lineno, alias.name, from_graph) for alias in node.names]
+            source = node.module if node.level == 1 else None
+            found += [(node.lineno, alias.name, source) for alias in node.names]
     return found
 
 
@@ -56,7 +61,32 @@ def test_the_bfs_kernels_stay_inside_graph():
         f"{path.name}:{line}: {name}"
         for path in SOURCES
         if path.name != "graph.py"
-        for line, name, from_graph in _code_names(path)
-        if name in kernels or (path.name == "verify.py" and from_graph and name.startswith("_"))
+        for line, name, source in _code_names(path)
+        if name in kernels or (path.name == "verify.py" and source == "graph" and name.startswith("_"))
     ]
     assert stray == []
+
+
+def test_the_isomoment_engine_stays_out_of_cli():
+    # cli parses arguments and writes JSON; the orbit labels and the class
+    # loop live in isomoment, and cli reaches them through its public classify
+    private = {
+        name
+        for module in ("graph", "moments", "weights")
+        for _, name, _ in _code_names(PACKAGE / f"{module}.py")
+        if name.startswith("_") and name != "_" and not name.startswith("__")
+    }
+    stray = [
+        f"cli.py:{line}: {name}"
+        for line, name, source in _code_names(PACKAGE / "cli.py")
+        if name in private or (source in ("graph", "moments", "weights") and name.startswith("_"))
+    ]
+    assert stray == []
+    engine = {"_colour_orbits", "_root_orbits", "_orbit_labels"}
+    defined = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in engine
+    ]
+    assert sorted(defined) == sorted(("isomoment.py", name) for name in engine)
