@@ -65,10 +65,10 @@ def _json_text(obj: object, pad: str = "\n") -> str:
     pad is a newline and that indentation.  With an indent, json.dumps
     runs its pure-Python encoder, so the shapes printed most take a
     faster road: a list of plain ints is one join, a list of [int, int]
-    pairs (edge lists) fills one template, and any other flat container of
-    scalars goes through the C encoder, given the item separator the
-    indent would have written.  Anything else recurses, with keys and
-    scalars written as json writes them.
+    pairs (edge lists; each pair a list or a tuple) fills one template,
+    and any other flat container of scalars goes through the C encoder,
+    given the item separator the indent would have written.  Anything
+    else recurses, with keys and scalars written as json writes them.
     """
     if isinstance(obj, (list, tuple)):
         brackets, values = "[]", obj
@@ -90,7 +90,7 @@ def _json_text(obj: object, pad: str = "\n") -> str:
         body = sep.join(map(str, obj))
     elif (
         is_list
-        and types == {list}
+        and types <= {list, tuple}
         and all(len(v) == 2 and type(v[0]) is int and type(v[1]) is int for v in obj)
     ):
         deeper = inner + "  "
@@ -217,7 +217,8 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
                     "size": size,
                     "graph": {  # neighbour lists are sorted, so the edges are too
                         "vertices": list(range(len(adjacency))),
-                        "edges": [[u, w] for u, ws in enumerate(adjacency) for w in ws if u < w],
+                        # tuples of ints, which the cyclic GC does not track
+                        "edges": [(u, w) for u, ws in enumerate(adjacency) for w in ws if u < w],
                     },
                 }
                 for sigma, adjacency, size in kept

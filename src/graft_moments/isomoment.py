@@ -7,21 +7,22 @@ colours the host, and sigmas whose coloured hosts are isomorphic share a
 label and give isomorphic products, with equal degree and constant-weight
 moments.  Sigmas are drawn and labelled one at a time; the sigma that
 opens a label gets the pass: the product's int adjacency comes straight
-from the factors, and one bit-parallel BFS of all sources gives every
-vertex's level sizes packed into one int (its isomorphism signature) and
-its row sum, from which every moment is summed in ints.  A class keeps
-only what is printed: its first sigma, adjacency and size.  A file: weight is not
-isomorphism-invariant; with one, each sigma is its own label.  No product
-becomes a Graph.
+from the factors, and so does every vertex's level sizes packed into one
+int (its isomorphism signature) and its row sum, composed from the
+factors' distance rows (_product_signatures), with no BFS of the
+product.  Every moment is summed from them in ints.  A class keeps only
+what is printed: its first sigma, adjacency and size.  A file: weight is
+not isomorphism-invariant; with one, each sigma is its own label.  No
+product becomes a Graph.
 """
 
 from __future__ import annotations
 
 import itertools
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graph import Graph, _Classes, _int_adjacency, _level_signatures, _point_moments
+from .graph import Graph, _Classes, _int_adjacency, _point_moments
 from .moments import _weighted_sum
 from .products import _permutation_adjacencies
 from .weights import ConstantWeight, DegreeWeight, WeightFunction
@@ -68,6 +69,76 @@ def _orbit_labels(host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]) -
     return _colour_orbits(host, (tuple(orbit[s - 1] for s in sigma) for sigma in sigmas))
 
 
+def _product_signatures(
+    host: Graph, branch: Graph
+) -> Callable[[Sequence[int]], tuple[list[int], list[int]]]:
+    """Each sigma's product signatures and row sums, composed from the factors' distance rows.
+
+    The returned function's value at sigma equals
+    _level_signatures(build(sigma)) for build from
+    _permutation_adjacencies, in its vertex numbering, without a BFS of
+    the product.  A shortest path between two branch copies runs
+    root to root (the graft distance decomposition behind Theorem 1), so
+    for u at branch position p of copy i, rooted at rho = sigma(i) - 1,
+    and v at position q of copy j != i,
+
+        d(u, v) = d_K(p, rho) + d_H(i, j) + d_K(sigma(j) - 1, q).
+
+    A signature is u's vertex Hosoya polynomial sum_v T**d(u, v)
+    (Hosoya, Discrete Appl. Math. 19, 1988) at T = 2**width, above its
+    row sum in the low bits.  With A(q) = sum_q' T**d_K(q, q') it is
+
+        A(p) + T**d_K(p, rho) * sum_{j != i} T**d_H(i, j) * A(sigma(j) - 1)
+
+    and the row sum is s_K(p) + r(r-1) d_K(p, rho) + r s_H(i) +
+    sum_{j != i} s_K(sigma(j) - 1): r*r shift-adds per sigma over
+    tables built once from one BFS per factor vertex.
+    """
+    r = host.order
+    n = r * r
+    width, low = n.bit_length(), (n * n).bit_length()
+    mask = (1 << low) - 1
+    host_rows = [_point_moments(_int_adjacency(host), {i: 1}) for i in range(r)]
+    branch_rows = [_point_moments(_int_adjacency(branch), {p: 1}) for p in range(r)]
+    branch_sums = [sum(row) for row in branch_rows]
+    # A(q) in the level fields, above the row sum
+    profiles = [sum(1 << (low + width * d) for d in row) for row in branch_rows]
+    # per host vertex i: every other copy's level shift T**d_H(i, j), and
+    # r s_H(i) + sum_j s_K(sigma(j) - 1), the same sum for every sigma
+    cross_shifts = [
+        [(j, width * d) for j, d in enumerate(row) if j != i] for i, row in enumerate(host_rows)
+    ]
+    bases = [r * sum(row) + sum(branch_sums) for row in host_rows]
+    # per root position rho: each vertex's own terms, less s_K(rho) (the
+    # j = i term of bases), and its level shift T**d_K(p, rho); the root
+    # first, then the non-roots in branch order, as build numbers them
+    layouts = [
+        [
+            (
+                profiles[p] + branch_sums[p] - branch_sums[rho] + r * (r - 1) * row[p],
+                width * row[p],
+            )
+            for p in (rho, *(p for p in range(r) if p != rho))
+        ]
+        for rho, row in enumerate(branch_rows)
+    ]
+
+    def compose(sigma: Sequence[int]) -> tuple[list[int], list[int]]:
+        at_roots = [profiles[s - 1] for s in sigma]
+        roots = []
+        non_roots = []
+        for i, s in enumerate(sigma):
+            cross = sum([at_roots[j] << shift for j, shift in cross_shifts[i]])
+            base = bases[i]
+            root, *rest = [own + (cross << shift) + base for own, shift in layouts[s - 1]]
+            roots.append(root)
+            non_roots += rest
+        signatures = roots + non_roots
+        return signatures, [s & mask for s in signatures]
+
+    return compose
+
+
 def classify(
     host: Graph, branch: Graph, weight_functions: Mapping[str, WeightFunction], sigmas: Iterable
 ) -> tuple[list[list], dict[str, set]]:
@@ -77,6 +148,7 @@ def classify(
     as the loop goes; each spec's moments are the set its products take.
     """
     build = _permutation_adjacencies(host, branch)
+    product_signatures = _product_signatures(host, branch)
 
     # sigmas sharing a label give isomorphic products with equal moments;
     # with a weight that is not isomorphism-invariant, each is its own label
@@ -93,7 +165,7 @@ def classify(
     for sigma, label in zip(sigmas, labels):
         if label == len(class_of):
             adjacency = build(sigma)
-            signatures, row_sums = _level_signatures(adjacency)
+            signatures, row_sums = product_signatures(sigma)
             degrees = [len(nbrs) for nbrs in adjacency]
             for seen, weights in zip(values.values(), weight_functions.values()):
                 seen.add(_weighted_sum(weights, vertices, degrees, row_sums))

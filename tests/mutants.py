@@ -57,6 +57,21 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "composed-cross-copy-term-r-squared", "isomoment.py",
+        "r * (r - 1) * row[p]", "r * r * row[p]",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "composed-level-shift-off-by-one", "isomoment.py",
+        "width * row[p],", "width * (row[p] + 1),",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "composed-cross-copies-include-own", "isomoment.py",
+        "for j, d in enumerate(row) if j != i]", "for j, d in enumerate(row)]",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "up-pass-without-head-mass", "graph.py",
         "sum(map(mass.__getitem__, block))", "sum(map(mass.__getitem__, block[1:]))",
         ("test_graph.py", "test_properties.py"),

@@ -29,6 +29,7 @@ from graft_moments import (
 from graft_moments.cli import SEED_ENV_VAR, main
 from graft_moments.graph import (
     _int_adjacency,
+    _level_signatures,
     bfs_distances,
     complete_graph,
     cycle_graph,
@@ -414,6 +415,17 @@ def test_isomoment_needs_a_weight_spec(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: no weight specs given\n")
 
 
+@pytest.fixture
+def no_product_bfs(monkeypatch):
+    """Make every bit-parallel BFS raise: isomoment composes its products' signatures."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isomoment ran a BFS of a product")
+
+    monkeypatch.setattr(graph_module, "_level_sums", refuse)
+    monkeypatch.setattr(isomoment_module, "_level_signatures", refuse, raising=False)
+
+
 # sha256 of the stdout printed before isomorphism classes were bucketed by
 # vertex signatures; class order, sigmas, sizes and graphs must not move
 ISOMOMENT_GOLDEN = [
@@ -432,6 +444,7 @@ ISOMOMENT_GOLDEN = [
 ]
 
 
+@pytest.mark.usefixtures("no_product_bfs")
 @pytest.mark.parametrize("host,branch,classes,digest", ISOMOMENT_GOLDEN)
 def test_isomoment_stdout_is_golden(tmp_path, capsys, host, branch, classes, digest):
     host_path = write_json(tmp_path / "host.json", host)
@@ -457,6 +470,7 @@ ISOMOMENT_R6_BRANCH = {
 }
 
 
+@pytest.mark.usefixtures("no_product_bfs")
 def test_isomoment_r6_stdout_is_golden(tmp_path, capsys):
     host_path = write_json(tmp_path / "host.json", ISOMOMENT_R6_HOST)
     branch_path = write_json(tmp_path / "branch.json", ISOMOMENT_R6_BRANCH)
@@ -485,6 +499,7 @@ ISOMOMENT_R7_BRANCH = {
 }
 
 
+@pytest.mark.usefixtures("no_product_bfs")
 def test_isomoment_r7_stdout_is_golden(tmp_path, capsys):
     host_path = write_json(tmp_path / "host.json", ISOMOMENT_R7_HOST)
     branch_path = write_json(tmp_path / "branch.json", ISOMOMENT_R7_BRANCH)
@@ -507,20 +522,25 @@ def test_isomoment_draws_sigmas_as_it_builds_products(tmp_path, capsys, monkeypa
     drawn = []
     drawn_at_first_pass = []
     permutations = itertools.permutations
-    level_signatures = isomoment_module._level_signatures
+    product_signatures = isomoment_module._product_signatures
 
     def counting_permutations(*args):
         for sigma in permutations(*args):
             drawn.append(sigma)
             yield sigma
 
-    def first_pass(adjacency):
-        if not drawn_at_first_pass:
-            drawn_at_first_pass.append(len(drawn))
-        return level_signatures(adjacency)
+    def first_pass(host, branch):
+        signatures = product_signatures(host, branch)
+
+        def recording(sigma):
+            if not drawn_at_first_pass:
+                drawn_at_first_pass.append(len(drawn))
+            return signatures(sigma)
+
+        return recording
 
     monkeypatch.setattr(itertools, "permutations", counting_permutations)
-    monkeypatch.setattr(isomoment_module, "_level_signatures", first_pass)
+    monkeypatch.setattr(isomoment_module, "_product_signatures", first_pass)
     code, out, _ = run_cli(
         capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
     )
@@ -552,9 +572,23 @@ ISOMOMENT_PAIRS = [
 ] + _random_pairs(20)
 
 
-def _signatures_and_row_sums(result) -> tuple[list, list[int]]:
-    """What one isomoment._level_signatures call gives: signatures and row sums."""
-    return result
+def _record_product_passes(monkeypatch) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Each product pass classify makes: its sigma, signatures and row sums, in call order."""
+    passes = []
+    product_signatures = isomoment_module._product_signatures
+
+    def recording(host, branch):
+        signatures = product_signatures(host, branch)
+
+        def record(sigma):
+            result = signatures(sigma)
+            passes.append((tuple(sigma), *result))
+            return result
+
+        return record
+
+    monkeypatch.setattr(isomoment_module, "_product_signatures", recording)
+    return passes
 
 
 @pytest.mark.parametrize("host,branch", ISOMOMENT_PAIRS)
@@ -569,22 +603,30 @@ def test_isomoment_product_passes_match_built_products(
     )
     specs = ["unit", "half", "degree", "const:7/3", f"file:{file_weights}"]
     weight_functions = [parse_weight_spec(spec) for spec in specs]
-    # each pass's adjacency, signatures and row sums, and the moments summed from them
-    passes = []
-    level_signatures = isomoment_module._level_signatures
+    # each pass's sigma, signatures and row sums, the adjacency built for
+    # it, and the moments summed from them
+    passes = _record_product_passes(monkeypatch)
+    built = []
+    moments = []
+    permutation_adjacencies = isomoment_module._permutation_adjacencies
     weighted_sum = isomoment_module._weighted_sum
 
-    def recording_signatures(adjacency):
-        result = level_signatures(adjacency)
-        passes.append((adjacency, *_signatures_and_row_sums(result), []))
-        return result
+    def recording_builder(*factors):
+        build = permutation_adjacencies(*factors)
+
+        def recording_build(sigma):
+            built.append(build(sigma))
+            moments.append([])
+            return built[-1]
+
+        return recording_build
 
     def recording_sum(*args):
         value = weighted_sum(*args)
-        passes[-1][3].append(value)
+        moments[-1].append(value)
         return value
 
-    monkeypatch.setattr(isomoment_module, "_level_signatures", recording_signatures)
+    monkeypatch.setattr(isomoment_module, "_permutation_adjacencies", recording_builder)
     monkeypatch.setattr(isomoment_module, "_weighted_sum", recording_sum)
     host_path = graph_file(tmp_path, host, "host.json")
     branch_path = graph_file(tmp_path, branch, "branch.json")
@@ -596,13 +638,17 @@ def test_isomoment_product_passes_match_built_products(
     sigmas = itertools.permutations(range(1, r + 1))
     # (signature, level sizes) of every vertex of every product: all have order r*r
     pairs = set()
-    for sigma, (adjacency, signatures, row_sums, moments) in zip(sigmas, passes, strict=True):
+    for sigma, (drawn, signatures, row_sums), adjacency, values in zip(
+        sigmas, passes, built, moments, strict=True
+    ):
         product = permutation_graph(host, branch, sigma).graph
+        assert drawn == sigma
         assert adjacency == _int_adjacency(product)
+        assert (signatures, row_sums) == _level_signatures(adjacency)
         levels = [Counter(bfs_distances(product, v).values()) for v in product.vertices]
         pairs.update(zip(signatures, (tuple(c[d] for d in range(len(c))) for c in levels)))
         assert list(row_sums) == [sum(d * size for d, size in c.items()) for c in levels]
-        assert moments == [moment(product, w) for w in weight_functions]
+        assert values == [moment(product, w) for w in weight_functions]
     # equal signatures exactly when the level sizes are equal
     assert len({s for s, _ in pairs}) == len({sizes for _, sizes in pairs}) == len(pairs)
 
@@ -800,6 +846,7 @@ SYMMETRIC_GOLDEN = [
 ]
 
 
+@pytest.mark.usefixtures("no_product_bfs")
 @pytest.mark.parametrize(
     "branch,classes,digest", SYMMETRIC_GOLDEN, ids=["cycle", "star", "path"]
 )
@@ -815,30 +862,18 @@ def test_isomoment_symmetric_branch_stdout_is_golden(tmp_path, capsys, branch, c
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _count_level_signatures(monkeypatch) -> list[int]:
-    calls = []
-    level_signatures = isomoment_module._level_signatures
-
-    def counting(adjacency):
-        calls.append(len(adjacency))
-        return level_signatures(adjacency)
-
-    monkeypatch.setattr(isomoment_module, "_level_signatures", counting)
-    return calls
-
-
 def test_isomoment_takes_one_pass_per_word(tmp_path, capsys, monkeypatch):
     # C_8 is vertex-transitive: all 8! sigmas share one word
     r = 8
     host = graph_file(tmp_path, path_graph(r), "host.json")
     branch = graph_file(tmp_path, cycle_graph(r), "branch.json")
-    calls = _count_level_signatures(monkeypatch)
+    passes = _record_product_passes(monkeypatch)
     code, out, _ = run_cli(capsys, "isomoment", host, branch, "--weights", "unit,degree")
     assert code == 0
     payload = json.loads(out)
     assert payload["permutations"] == 40320
     assert [c["size"] for c in payload["classes"]] == [40320]
-    assert len(calls) <= r
+    assert len(passes) <= r
 
 
 def test_isomoment_weight_file_takes_one_pass_per_sigma(tmp_path, capsys, monkeypatch):
@@ -848,10 +883,11 @@ def test_isomoment_weight_file_takes_one_pass_per_sigma(tmp_path, capsys, monkey
     w = write_json(tmp_path / "w.json", {str(v): f"{v % 3}/2" for v in range(r * r)})
     code, unit_out, _ = run_cli(capsys, "isomoment", host, branch)
     assert code == 0
-    calls = _count_level_signatures(monkeypatch)
+    passes = _record_product_passes(monkeypatch)
     code, out, _ = run_cli(capsys, "isomoment", host, branch, "--weights", f"file:{w}")
     assert code == 0
-    assert calls == [r * r] * 24  # the products, and never the branch
+    assert [sigma for sigma, _, _ in passes] == list(itertools.permutations(range(1, r + 1)))
+    assert [len(signatures) for _, signatures, _ in passes] == [r * r] * 24
     assert json.loads(out)["classes"] == json.loads(unit_out)["classes"]
 
 
@@ -874,11 +910,39 @@ def test_isomoment_takes_one_pass_per_host_orbit(tmp_path, capsys, monkeypatch, 
     # own word, and the 720 words fall into 60 orbits of 12
     host = graph_file(tmp_path, cycle_graph(6), "host.json")
     branch_path = graph_file(tmp_path, branch, "branch.json")
-    calls = _count_level_signatures(monkeypatch)
+    passes = _record_product_passes(monkeypatch)
     code, out, _ = run_cli(capsys, "isomoment", host, branch_path, "--weights", "unit,degree")
     assert code == 0
     assert len(json.loads(out)["classes"]) == classes
-    assert calls.count(36) == classes
+    assert [len(signatures) for _, signatures, _ in passes] == [36] * classes
+
+
+def _sampled_composition_pairs() -> list[tuple[Graph, Graph]]:
+    rng = random.Random(909)
+    return [
+        tuple(_relabeled(random_connected_graph(rng, r), rng) for _ in range(2))
+        for r in (7, 8)
+    ]
+
+
+@pytest.mark.parametrize(
+    "host,branch",
+    HOST_ORBIT_PAIRS
+    + [(graph_from_json_dict(ISOMOMENT_R6_HOST), graph_from_json_dict(ISOMOMENT_R6_BRANCH))]
+    + _sampled_composition_pairs(),
+)
+def test_product_signatures_are_the_built_products_level_signatures(host, branch):
+    # every sigma up to r = 6, 300 seeded sigmas at r = 7 and 8
+    r = host.order
+    rng = random.Random(r)
+    if r <= 6:
+        sigmas = list(itertools.permutations(range(1, r + 1)))
+    else:
+        sigmas = [tuple(rng.sample(range(1, r + 1), r)) for _ in range(300)]
+    build = products_module._permutation_adjacencies(host, branch)
+    signatures = isomoment_module._product_signatures(host, branch)
+    for sigma in sigmas:
+        assert signatures(sigma) == _level_signatures(build(sigma)), sigma
 
 
 @pytest.mark.parametrize("host,branch", HOST_ORBIT_PAIRS)

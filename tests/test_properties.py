@@ -381,8 +381,9 @@ def test_unicyclic_form_equals_the_oracle(instance):
 
 
 # JSON trees for the emitter: every scalar json writes, the shapes the
-# emitter has a fast road for (int lists, [int, int] pair lists), and those
-# shapes spoiled by a bool, a tuple or a third item
+# emitter has a fast road for (int lists, [int, int] pair lists with the
+# pairs as lists, tuples or both), and those shapes spoiled by a bool or a
+# third item
 json_text = st.text() | st.text(st.sampled_from('a"\\/\n\t\x00\x7f\u00e9\u2028\U0001f600'))
 json_ints = st.integers() | st.integers(-(2**200), 2**200)
 json_scalars = st.none() | st.booleans() | json_ints | st.floats() | json_text
@@ -393,7 +394,8 @@ json_trees = st.recursive(
     | st.lists(json_ints, max_size=8)
     | st.lists(json_ints | st.booleans(), max_size=8)
     | st.lists(int_pairs, max_size=6)
-    | st.lists(st.tuples(json_ints, json_ints), max_size=4),
+    | st.lists(st.tuples(json_ints, json_ints), max_size=4)
+    | st.lists(st.tuples(json_ints, json_ints) | int_pairs, max_size=4),
     lambda children: st.lists(children, max_size=5)
     | st.tuples(children, children)
     | st.dictionaries(json_keys, children, max_size=5),
