@@ -6,10 +6,10 @@ rooted copies; sigma's word (the orbits of sigma(1), ..., sigma(r))
 colours the host, and sigmas whose coloured hosts are isomorphic share a
 label and give isomorphic products, with equal degree and constant-weight
 moments.  Sigmas are drawn and labelled one at a time; the sigma that
-opens a label gets the pass: the product's int adjacency comes straight
-from the factors, and so does every vertex's level sizes packed into one
-int (its isomorphism signature) and its row sum, composed from the
-factors' distance rows (_product_signatures), with no BFS of the
+opens a label gets the pass (_permutation_products): one loop over the
+product's vertices gives its int adjacency, every vertex's level sizes
+packed into one int (its isomorphism signature) and its row sum, all
+from the factors' adjacency and distance rows, with no BFS of the
 product.  Every moment is summed from them in ints.  A class keeps only
 what is printed: its first sigma, adjacency and size.  A file: weight is
 not isomorphism-invariant; with one, each sigma is its own label.  No
@@ -22,9 +22,9 @@ import itertools
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graph import Graph, _Classes, _int_adjacency, _point_moments
+from .graph import Graph, _check_order, _Classes, _int_adjacency, _point_moments
 from .moments import _weighted_sum
-from .products import _permutation_adjacencies
+from .products import _permutation_order
 from .weights import ConstantWeight, DegreeWeight, WeightFunction
 
 
@@ -69,18 +69,24 @@ def _orbit_labels(host: Graph, branch: Graph, sigmas: Iterable[Sequence[int]]) -
     return _colour_orbits(host, (tuple(orbit[s - 1] for s in sigma) for sigma in sigmas))
 
 
-def _product_signatures(
-    host: Graph, branch: Graph
-) -> Callable[[Sequence[int]], tuple[list[int], list[int]]]:
-    """Each sigma's product signatures and row sums, composed from the factors' distance rows.
+# a product's int adjacency, its vertices' signatures and their row sums
+_Product = tuple[tuple[tuple[int, ...], ...], list[int], list[int]]
 
-    The returned function's value at sigma equals
-    _level_signatures(build(sigma)) for build from
-    _permutation_adjacencies, in its vertex numbering, without a BFS of
-    the product.  A shortest path between two branch copies runs
-    root to root (the graft distance decomposition behind Theorem 1), so
-    for u at branch position p of copy i, rooted at rho = sigma(i) - 1,
-    and v at position q of copy j != i,
+
+def _permutation_products(host: Graph, branch: Graph) -> Callable[[Sequence[int]], _Product]:
+    """Each sigma's product int adjacency, signatures and row sums, from the factors alone.
+
+    The orders and factors are checked as permutation_graph checks them,
+    then the product order r*r against MAX_ORDER, before any table is
+    built.  The returned function's value at sigma, a permutation of
+    1..r, is (adjacency, *_level_signatures(adjacency)) for adjacency =
+    _int_adjacency(permutation_graph(host, branch, sigma).graph): host
+    positions 0..r-1, then copy i's non-root vertices in branch order
+    from r + i*(r-1), neighbour lists sorted.  There is no BFS of the
+    product.  A shortest path between two branch copies runs root to
+    root (the graft distance decomposition behind Theorem 1), so for u at
+    branch position p of copy i, rooted at rho = sigma(i) - 1, and v at
+    position q of copy j != i,
 
         d(u, v) = d_K(p, rho) + d_H(i, j) + d_K(sigma(j) - 1, q).
 
@@ -91,13 +97,16 @@ def _product_signatures(
         A(p) + T**d_K(p, rho) * sum_{j != i} T**d_H(i, j) * A(sigma(j) - 1)
 
     and the row sum is s_K(p) + r(r-1) d_K(p, rho) + r s_H(i) +
-    sum_{j != i} s_K(sigma(j) - 1): r*r shift-adds per sigma over
-    tables built once from one BFS per factor vertex.
+    sum_{j != i} s_K(sigma(j) - 1): one loop over the r*r vertices per
+    sigma, over tables built once from one BFS per factor vertex.
     """
-    r = host.order
+    r = _permutation_order(host, branch)
     n = r * r
+    _check_order(n)
     width, low = n.bit_length(), (n * n).bit_length()
     mask = (1 << low) - 1
+    host_adjacency = [tuple(sorted(nbrs)) for nbrs in _int_adjacency(host)]
+    branch_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(branch)]
     host_rows = [_point_moments(_int_adjacency(host), {i: 1}) for i in range(r)]
     branch_rows = [_point_moments(_int_adjacency(branch), {p: 1}) for p in range(r)]
     branch_sums = [sum(row) for row in branch_rows]
@@ -109,12 +118,16 @@ def _product_signatures(
         [(j, width * d) for j, d in enumerate(row) if j != i] for i, row in enumerate(host_rows)
     ]
     bases = [r * sum(row) + sum(branch_sums) for row in host_rows]
-    # per root position rho: each vertex's own terms, less s_K(rho) (the
-    # j = i term of bases), and its level shift T**d_K(p, rho); the root
-    # first, then the non-roots in branch order, as build numbers them
+    # per root position rho, each branch vertex p in product order (the
+    # root, then the non-roots in branch order): whether p touches the
+    # root, its other neighbours' copy offsets (a non-root q sits at
+    # offset q or q - 1), its own terms less s_K(rho) (the j = i term of
+    # bases), and its level shift T**d_K(p, rho)
     layouts = [
         [
             (
+                rho in branch_adjacency[p],
+                [q - (q > rho) for q in branch_adjacency[p] if q != rho],
                 profiles[p] + branch_sums[p] - branch_sums[rho] + r * (r - 1) * row[p],
                 width * row[p],
             )
@@ -123,20 +136,26 @@ def _product_signatures(
         for rho, row in enumerate(branch_rows)
     ]
 
-    def compose(sigma: Sequence[int]) -> tuple[list[int], list[int]]:
+    def products(sigma: Sequence[int]) -> _Product:
         at_roots = [profiles[s - 1] for s in sigma]
-        roots = []
-        non_roots = []
+        rows = []
+        signatures = []
         for i, s in enumerate(sigma):
+            offset = r + i * (r - 1)
             cross = sum([at_roots[j] << shift for j, shift in cross_shifts[i]])
             base = bases[i]
-            root, *rest = [own + (cross << shift) + base for own, shift in layouts[s - 1]]
-            roots.append(root)
-            non_roots += rest
-        signatures = roots + non_roots
-        return signatures, [s & mask for s in signatures]
+            for touches_root, others, own, shift in layouts[s - 1]:
+                row = [offset + q for q in others]
+                rows.append((i, *row) if touches_root else tuple(row))
+                signatures.append(own + (cross << shift) + base)
+        # copy i's root is host vertex i: the roots first, then the rest
+        roots = [nbrs + row for nbrs, row in zip(host_adjacency, rows[::r])]
+        root_signatures = signatures[::r]
+        del rows[::r], signatures[::r]
+        signatures[:0] = root_signatures
+        return (*roots, *rows), signatures, [s & mask for s in signatures]
 
-    return compose
+    return products
 
 
 def classify(
@@ -147,8 +166,7 @@ def classify(
     The sigmas, permutations of 1..r for r the common order, are drawn
     as the loop goes; each spec's moments are the set its products take.
     """
-    build = _permutation_adjacencies(host, branch)
-    product_signatures = _product_signatures(host, branch)
+    products = _permutation_products(host, branch)
 
     # sigmas sharing a label give isomorphic products with equal moments;
     # with a weight that is not isomorphism-invariant, each is its own label
@@ -164,8 +182,7 @@ def classify(
     kept: list[list] = []  # per class: its first sigma, adjacency and size
     for sigma, label in zip(sigmas, labels):
         if label == len(class_of):
-            adjacency = build(sigma)
-            signatures, row_sums = product_signatures(sigma)
+            adjacency, signatures, row_sums = products(sigma)
             degrees = [len(nbrs) for nbrs in adjacency]
             for seen, weights in zip(values.values(), weight_functions.values()):
                 seen.add(_weighted_sum(weights, vertices, degrees, row_sums))

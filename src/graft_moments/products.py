@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -254,56 +254,6 @@ def permutation_graph(
         for x, s in zip(host.vertices, sigma)
     )
     return graft(GraftSpec(host, attachments, host_weights))
-
-
-def _permutation_adjacencies(
-    host: Graph, branch: Graph
-) -> Callable[[Sequence[int]], tuple[tuple[int, ...], ...]]:
-    """A builder of each sigma's permutation-product int adjacency, without a Graph.
-
-    Position v of a built adjacency is product vertex v of
-    permutation_graph's numbering (host positions 0..r-1, then copy i's
-    non-root vertices in branch order from r + i*(r-1)), and neighbour
-    lists are sorted, so build(sigma) equals
-    _int_adjacency(permutation_graph(host, branch, sigma).graph).  The
-    orders and factors are checked as permutation_graph checks them, then
-    the product order r*r against MAX_ORDER, here, before any product is
-    built.  Each sigma must be a permutation of 1..r.
-    """
-    r = _permutation_order(host, branch)
-    _check_order(r * r)
-    host_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(host)]
-    branch_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(branch)]
-    # per root position: the copy offsets of the root's neighbours, and for
-    # each non-root vertex whether it touches the root plus its other
-    # neighbours' offsets (a non-root vertex p sits at offset p or p - 1)
-    layouts = []
-    for root, root_nbrs in enumerate(branch_adjacency):
-        offsets = [p - (p > root) for p in range(r)]
-        layouts.append(
-            (
-                [offsets[q] for q in root_nbrs],
-                [
-                    (root in nbrs, [offsets[q] for q in nbrs if q != root])
-                    for p, nbrs in enumerate(branch_adjacency)
-                    if p != root
-                ],
-            )
-        )
-
-    def build(sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        adjacency = []
-        copies = []
-        for i, s in enumerate(sigma):
-            root_offsets, rest = layouts[s - 1]
-            base = r + i * (r - 1)
-            adjacency.append((*host_adjacency[i], *[base + o for o in root_offsets]))
-            for touches_root, others in rest:
-                row = [base + o for o in others]
-                copies.append((i, *row) if touches_root else tuple(row))
-        return (*adjacency, *copies)
-
-    return build
 
 
 def hierarchical_product(

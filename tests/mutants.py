@@ -72,6 +72,16 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "product-offsets-not-shifted-past-root", "isomoment.py",
+        "q - (q > rho)", "q",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "product-vertices-lose-their-root", "isomoment.py",
+        "(i, *row) if touches_root else tuple(row)", "tuple(row)",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "up-pass-without-head-mass", "graph.py",
         "sum(map(mass.__getitem__, block))", "sum(map(mass.__getitem__, block[1:]))",
         ("test_graph.py", "test_properties.py"),
@@ -165,6 +175,13 @@ EQUIVALENT = [
             "sums.get(q, 0) + p * row_sum", "sums.get(q, 0) + abs(p) * row_sum", (),
         ),
         "every weight's _at rejects a negative numerator, so p is never negative",
+    ),
+    (
+        Mutant(
+            "product-offsets-shifted-at-root", "isomoment.py",
+            "q - (q > rho)", "q - (q >= rho)", (),
+        ),
+        "q = rho is filtered out before the offset is taken",
     ),
 ]
 

@@ -522,7 +522,7 @@ def test_isomoment_draws_sigmas_as_it_builds_products(tmp_path, capsys, monkeypa
     drawn = []
     drawn_at_first_pass = []
     permutations = itertools.permutations
-    product_signatures = isomoment_module._product_signatures
+    permutation_products = isomoment_module._permutation_products
 
     def counting_permutations(*args):
         for sigma in permutations(*args):
@@ -530,17 +530,17 @@ def test_isomoment_draws_sigmas_as_it_builds_products(tmp_path, capsys, monkeypa
             yield sigma
 
     def first_pass(host, branch):
-        signatures = product_signatures(host, branch)
+        products = permutation_products(host, branch)
 
         def recording(sigma):
             if not drawn_at_first_pass:
                 drawn_at_first_pass.append(len(drawn))
-            return signatures(sigma)
+            return products(sigma)
 
         return recording
 
     monkeypatch.setattr(itertools, "permutations", counting_permutations)
-    monkeypatch.setattr(isomoment_module, "_product_signatures", first_pass)
+    monkeypatch.setattr(isomoment_module, "_permutation_products", first_pass)
     code, out, _ = run_cli(
         capsys, "isomoment", host_path, branch_path, "--weights", "unit,degree"
     )
@@ -572,22 +572,25 @@ ISOMOMENT_PAIRS = [
 ] + _random_pairs(20)
 
 
-def _record_product_passes(monkeypatch) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
-    """Each product pass classify makes: its sigma, signatures and row sums, in call order."""
+def _record_product_passes(monkeypatch) -> list[tuple[tuple[int, ...], tuple, list, list]]:
+    """Each product pass classify makes, in call order.
+
+    A pass is its sigma, adjacency, signatures and row sums.
+    """
     passes = []
-    product_signatures = isomoment_module._product_signatures
+    permutation_products = isomoment_module._permutation_products
 
     def recording(host, branch):
-        signatures = product_signatures(host, branch)
+        products = permutation_products(host, branch)
 
         def record(sigma):
-            result = signatures(sigma)
+            result = products(sigma)
             passes.append((tuple(sigma), *result))
             return result
 
         return record
 
-    monkeypatch.setattr(isomoment_module, "_product_signatures", recording)
+    monkeypatch.setattr(isomoment_module, "_permutation_products", recording)
     return passes
 
 
@@ -603,30 +606,17 @@ def test_isomoment_product_passes_match_built_products(
     )
     specs = ["unit", "half", "degree", "const:7/3", f"file:{file_weights}"]
     weight_functions = [parse_weight_spec(spec) for spec in specs]
-    # each pass's sigma, signatures and row sums, the adjacency built for
-    # it, and the moments summed from them
+    # each pass's sigma, adjacency, signatures and row sums, and the
+    # moments summed from them
     passes = _record_product_passes(monkeypatch)
-    built = []
-    moments = []
-    permutation_adjacencies = isomoment_module._permutation_adjacencies
+    moments: dict[int, list] = {}  # by pass
     weighted_sum = isomoment_module._weighted_sum
-
-    def recording_builder(*factors):
-        build = permutation_adjacencies(*factors)
-
-        def recording_build(sigma):
-            built.append(build(sigma))
-            moments.append([])
-            return built[-1]
-
-        return recording_build
 
     def recording_sum(*args):
         value = weighted_sum(*args)
-        moments[-1].append(value)
+        moments.setdefault(len(passes) - 1, []).append(value)
         return value
 
-    monkeypatch.setattr(isomoment_module, "_permutation_adjacencies", recording_builder)
     monkeypatch.setattr(isomoment_module, "_weighted_sum", recording_sum)
     host_path = graph_file(tmp_path, host, "host.json")
     branch_path = graph_file(tmp_path, branch, "branch.json")
@@ -638,8 +628,8 @@ def test_isomoment_product_passes_match_built_products(
     sigmas = itertools.permutations(range(1, r + 1))
     # (signature, level sizes) of every vertex of every product: all have order r*r
     pairs = set()
-    for sigma, (drawn, signatures, row_sums), adjacency, values in zip(
-        sigmas, passes, built, moments, strict=True
+    for sigma, (drawn, adjacency, signatures, row_sums), values in zip(
+        sigmas, passes, moments.values(), strict=True
     ):
         product = permutation_graph(host, branch, sigma).graph
         assert drawn == sigma
@@ -886,8 +876,8 @@ def test_isomoment_weight_file_takes_one_pass_per_sigma(tmp_path, capsys, monkey
     passes = _record_product_passes(monkeypatch)
     code, out, _ = run_cli(capsys, "isomoment", host, branch, "--weights", f"file:{w}")
     assert code == 0
-    assert [sigma for sigma, _, _ in passes] == list(itertools.permutations(range(1, r + 1)))
-    assert [len(signatures) for _, signatures, _ in passes] == [r * r] * 24
+    assert [sigma for sigma, _, _, _ in passes] == list(itertools.permutations(range(1, r + 1)))
+    assert [len(signatures) for _, _, signatures, _ in passes] == [r * r] * 24
     assert json.loads(out)["classes"] == json.loads(unit_out)["classes"]
 
 
@@ -914,7 +904,7 @@ def test_isomoment_takes_one_pass_per_host_orbit(tmp_path, capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, "isomoment", host, branch_path, "--weights", "unit,degree")
     assert code == 0
     assert len(json.loads(out)["classes"]) == classes
-    assert [len(signatures) for _, signatures, _ in passes] == [36] * classes
+    assert [len(signatures) for _, _, signatures, _ in passes] == [36] * classes
 
 
 def _sampled_composition_pairs() -> list[tuple[Graph, Graph]]:
@@ -939,10 +929,11 @@ def test_product_signatures_are_the_built_products_level_signatures(host, branch
         sigmas = list(itertools.permutations(range(1, r + 1)))
     else:
         sigmas = [tuple(rng.sample(range(1, r + 1), r)) for _ in range(300)]
-    build = products_module._permutation_adjacencies(host, branch)
-    signatures = isomoment_module._product_signatures(host, branch)
+    products = isomoment_module._permutation_products(host, branch)
     for sigma in sigmas:
-        assert signatures(sigma) == _level_signatures(build(sigma)), sigma
+        adjacency, signatures, row_sums = products(sigma)
+        assert adjacency == _int_adjacency(permutation_graph(host, branch, sigma).graph), sigma
+        assert (signatures, row_sums) == _level_signatures(adjacency), sigma
 
 
 @pytest.mark.parametrize("host,branch", HOST_ORBIT_PAIRS)
