@@ -8,24 +8,24 @@ matrix: a factor moment M_K^b is `moments.moment`, on the row sums the
 object keeps (`graph.distance_row_sums`, one pass per object however
 many attachments and forms share it), a factor total is
 `WeightFunction.total`, and every row and D*x is `graph._point_moments`
-(one BFS per nonzero entry, on the int adjacency the object keeps).  A
-row gives a point moment by linearity, M^(a*w+c)(y) = a*M^w(y) +
-c*s(y) with s(y) the row sum at y.  Weights enter as int numerators
-over one denominator (`WeightFunction.vector`), so totals, moments and
-point moments are int dot products divided once.
-Host distances between receptors come from those same rows, and
-distances on a cycle host from min(|i - j|, r - |i - j|).
+(on the int adjacency the object keeps: one BFS per nonzero entry, or
+one slide round a cycle).  A row gives a point moment by linearity,
+M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Weights
+enter as int numerators over one denominator (`WeightFunction.vector`),
+so totals, moments and point moments are int dot products divided once.
+Host distances between receptors come from those same rows, and the
+cycle forms' r^T D m from the same D*x on C_r.
 
 Theorem 1 is evaluated once, in its vector form (_graft_moment): the
-graft, family and flower forms only hand it their attachments, a flower
-being the graft product on a one-vertex host.  Likewise the sigma
-corollaries (unit moment, mean distance, degree distance) are weight
-choices of the one permutation-product formula.  Every formula is
-certified against the brute-force oracle (build the product, run BFS
-from every vertex, sum) by the verify module and the test suite;
-agreement is exact, never approximate.  The oracle runs none of the
-distance code above; only the factor checks (`_validate_factors`) share
-its BFS loop.
+graft, family, flower and unicyclic forms only hand it their
+attachments (a flower's host is one vertex, a unicyclic host a cycle).
+Likewise the sigma corollaries (unit moment, mean distance, degree
+distance) are weight choices of the one permutation-product formula.
+Every formula is certified against the brute-force oracle (build the
+product, run BFS from every vertex, sum) by the verify module and the
+test suite; agreement is exact, never approximate.  The oracle runs
+none of the distance code above; only the factor checks
+(`_validate_factors`) share its BFS loop.
 """
 
 from __future__ import annotations
@@ -297,7 +297,8 @@ def unicyclic_degree_distance(
 
     sum_T M_T^d + sum_T M_T^(eta_T)(y_T) + 2 n^T D n, where n_x counts the
     product vertices over cycle vertex x and eta_T = (N - |V_T|)(d + 2) + 2
-    for N the product order.  Branches must be trees.
+    for N the product order.  Branches must be trees.  It is _graft_moment
+    with degree weights: a + w = 2 + 2(n_x - 1) = 2 n_x at cycle vertex x.
     """
     if cycle_order < 3:
         raise InvalidExtendedCycle(
@@ -310,53 +311,19 @@ def unicyclic_degree_distance(
             raise UnknownVertex(f"forest receptor {x!r} is not a cycle vertex")
         flattened.extend((x, tree, root) for tree, root in branches)
     _validate_factors(host, flattened)
-    block_orders = {x: 1 for x in host.vertices}
     for x, tree, _ in flattened:
         if tree.edge_count != tree.order - 1:
             raise NotATree(
                 f"branch at {x!r} has {tree.edge_count} edges "
                 f"on {tree.order} vertices"
             )
-        block_orders[x] += tree.order - 1
-    product_order = sum(block_orders.values())
-
-    result = Fraction(0)
-    for _, tree, root in flattened:
-        # M_T^eta(y) = outside * <d, row(y)> + (2 * outside + 2) * sum(row(y))
-        row = _point_moments(_int_adjacency(tree), {tree.vertices.index(root): 1})
-        outside = product_order - tree.order
-        result += moment(tree, DEGREE) + outside * sum(map(mul, tree.degrees, row))
-        result += (2 * outside + 2) * sum(row)
-    n = list(block_orders.values())
-    return result + 2 * _cycle_quadratic(n, n)
+    return _graft_moment(host, DEGREE, [(x, tree, root, DEGREE) for x, tree, root in flattened])
 
 
 def _cycle_quadratic(u: Sequence[int], v: Sequence[int]) -> int:
-    """u^T D v for D the distance matrix of C_r, r = len(u), in O(r).
-
-    dist(i, j) = min(k, r - k) for k = (j - i) mod r; this holds for r = 1
-    and r = 2 too.  (Dv)_i is slid from i to i + 1: vertex i + k comes one
-    step nearer for 1 <= k <= floor(r/2), goes one step farther for k = 0
-    (unless r = 1) and for k > ceil(r/2), and stays put for k = (r + 1)/2
-    when r is odd.  The window sums come from prefix sums of v twice over.
-    """
-    r = len(u)
-    v = list(v)
-    prefix = [0]
-    for x in v + v:
-        prefix.append(prefix[-1] + x)
-    near, far = r // 2, (r + 1) // 2 + 1
-    grow_here = min(1, r - 1)
-    dv = sum(min(k, r - k) * x for k, x in enumerate(v))
-    total = 0
-    for i, x in enumerate(u):
-        total += x * dv
-        dv += (
-            grow_here * v[i]
-            - (prefix[i + near + 1] - prefix[i + 1])
-            + (prefix[i + r] - prefix[i + far])
-        )
-    return total
+    """u^T D v for D the distance matrix of C_r, r = len(u); cycle_graph gives P_r for r < 3."""
+    moments = _point_moments(_int_adjacency(cycle_graph(len(u))), dict(enumerate(v)))
+    return sum(map(mul, u, moments))
 
 
 def _extended_degree(r: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -294,8 +295,7 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
     ms; a random tree of order 3,000 83 -> 8 ms, of order 10,000 about 25
     ms; a random order-1,500 block with three 300-vertex paths attached
     0.75 s -> 7 ms; 3,900 random graphs and trees of order 2 to 40 take
-    the same 0.25 to 0.32 s.  A cycle gains nothing: it is one block, and
-    pays only the block search on top.
+    the same 0.25 to 0.32 s.  A cycle is one block: the kernel slides it.
 
     The sums are computed once per Graph object and kept on it.
     """
@@ -335,12 +335,13 @@ def _row_sums_kernel(adjacency: _Adjacency, eccentricity: int) -> tuple[int, ...
     1,500).  The bound is where that ratio reaches 1 for D = 2*e0, so the
     bit-parallel branch is not picked where it is predicted slower; when
     D = e0 the per-source branch it falls back to takes at most about
-    twice as long.  Small graphs break that model: the ratio is 0.55 to
-    0.66 on C_10 to C_64 and 0.58 on a 2 x 32 grid (D = n/2), 0.71 on
-    C_100 and 1.05 on C_128, so order 64 and below always goes
-    bit-parallel; the small cycle blocks of graft products land there.
+    twice as long.  Small graphs break that model (0.58 on a 2 x 32 grid,
+    D = n/2; 0.55 to 1.05 on C_10 to C_128), so order 64 and below always
+    goes bit-parallel.  A cycle's row sums are D*1 from _point_moments.
     """
     n = len(adjacency)
+    if _ring(adjacency) is not None:
+        return tuple(_point_moments(adjacency, dict.fromkeys(range(n), 1)))
     if n <= 64 or eccentricity * (n + 1200) <= 600 * n:
         return tuple(_level_sums(adjacency, lambda d: d))
     return _row_sums_per_source(adjacency)
@@ -411,10 +412,11 @@ def _row_sums_by_blocks(
 
     with s_B the block's row sums from the kernel.  So row = s_B + D_B *
     (m - 1) is s(c) - C_B and C_B = s(head) - row(head); D_B * (m - 1)
-    is _point_moments for the vertices other than the head, one BFS in B
-    per mass other than 1, plus a BFS from the head, which also gives
-    the kernel its eccentricity.  An edge with both ends in B belongs to
-    B, so B's own adjacency keeps the neighbours found in its slot map.
+    is _point_moments for the vertices other than the head (one BFS in B
+    per mass other than 1, or one slide if B is a cycle), plus a BFS from
+    the head, which also gives the kernel its eccentricity.  An edge with
+    both ends in B belongs to B, so B's own adjacency keeps the
+    neighbours found in its slot map.
     A bridge (head p, other vertex w) needs none of that: s(w) = s(p) +
     n - 2 * mass(w).
     """
@@ -461,12 +463,40 @@ def _distances(adjacency: _Adjacency, source: int) -> list[int]:
     return dist
 
 
+def _ring(adjacency: _Adjacency) -> list[int] | None:
+    """A cycle's positions in cyclic order from 0, else None; the graph must be connected."""
+    if len(adjacency) < 3 or any(len(nbrs) != 2 for nbrs in adjacency):
+        return None
+    ring = [0, adjacency[0][0]]
+    while len(ring) < len(adjacency):
+        a, b = adjacency[ring[-1]]
+        ring.append(b if a == ring[-2] else a)
+    return ring
+
+
 def _point_moments(adjacency: _Adjacency, x: Mapping[int, int]) -> list[int]:
     """D*x by position: sum_v x[v] * dist(u, v) at every u, x mapping positions to ints.
 
-    One _distances BFS per nonzero entry of x; the graph must be connected.
-    The first nonzero row starts the sum, as it is for a multiplier of 1.
+    The graph must be connected.  A cycle slides D*x round its ring in
+    O(n): from ring[i] to ring[i + 1], the vertex k steps ahead comes one
+    step nearer for 1 <= k <= n // 2 and one step farther for k = 0 and
+    k > (n + 1) // 2, with window sums from prefix sums of v, the entries
+    of x in ring order, twice round.  Any other graph takes one
+    _distances BFS per nonzero entry of x; the first nonzero row starts
+    the sum, as it is for a multiplier of 1.
     """
+    ring = _ring(adjacency)
+    if ring is not None:
+        n = len(ring)
+        v = [x.get(p, 0) for p in ring]
+        prefix = list(accumulate(v + v, initial=0))
+        near, far = n // 2, (n + 1) // 2 + 1
+        slid = sum(min(k, n - k) * c for k, c in enumerate(v))
+        moments = [0] * n
+        for i, p in enumerate(ring):
+            moments[p] = slid
+            slid += v[i] - prefix[i + near + 1] + prefix[i + 1] + prefix[i + n] - prefix[i + far]
+        return moments
     moments = None
     for v, c in x.items():
         if c:

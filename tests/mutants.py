@@ -116,10 +116,24 @@ MUTANTS = [
         ("test_closed_forms.py",),
     ),
     Mutant(
-        "unicyclic-root-row-negated", "closed_forms.py",
-        "row = _point_moments(_int_adjacency(tree), {tree.vertices.index(root): 1})",
-        "row = _point_moments(_int_adjacency(tree), {tree.vertices.index(root): -1})",
+        "unicyclic-branches-unit-weighted", "closed_forms.py",
+        "(x, tree, root, DEGREE)", "(x, tree, root, UNIT)",
         ("test_closed_forms.py",),
+    ),
+    Mutant(
+        "slide-far-window-one-step-early", "graph.py",
+        "near, far = n // 2, (n + 1) // 2 + 1", "near, far = n // 2, (n + 1) // 2",
+        ("test_graph.py",),
+    ),
+    Mutant(
+        "slide-near-window-one-step-long", "graph.py",
+        "- prefix[i + near + 1] + prefix[i + 1]", "- prefix[i + near + 2] + prefix[i + 1]",
+        ("test_graph.py",),
+    ),
+    Mutant(
+        "ring-walk-steps-back", "graph.py",
+        "ring.append(b if a == ring[-2] else a)", "ring.append(a if a == ring[-2] else b)",
+        ("test_graph.py",),
     ),
     Mutant(
         "point-moments-drop-negative-multipliers", "graph.py",
@@ -161,13 +175,6 @@ EQUIVALENT = [
             "width, low = n.bit_length(),", "width, low = (n - 1).bit_length(),", (),
         ),
         "a level size at distance 1 or more is at most n - 1, which n - 1 bits hold",
-    ),
-    (
-        Mutant(
-            "cycle-slide-always-grows", "closed_forms.py",
-            "grow_here = min(1, r - 1)", "grow_here = 1", (),
-        ),
-        "only r = 1 differs, and there the slid value is never read",
     ),
     (
         Mutant(

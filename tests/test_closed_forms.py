@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -497,6 +498,15 @@ def test_unicyclic_matches_oracle_randomly():
         assert unicyclic_degree_distance(cycle_order, forest) == _cycle_graft_oracle(
             cycle_order, forest
         )
+
+
+def test_unicyclic_bare_cycle_at_the_cap_is_linear_time():
+    # 2 n^T D n with n = 1 is 2 r theta_r; Theorem 1's core reads the host's
+    # row sums, which one BFS per cycle vertex gave in tens of seconds
+    r = 10_000
+    start = time.perf_counter()
+    assert unicyclic_degree_distance(r, {}) == 2 * r * cycle_distance_row_sum(r) == 5 * 10**11
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unicyclic_rejects_bad_input(c3, k2):

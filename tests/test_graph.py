@@ -482,6 +482,7 @@ def _block_cases() -> list[tuple[str, Graph]]:
 KERNEL_CASES = _kernel_cases()
 BLOCK_CASES = _block_cases()
 ROW_SUM_CASES = KERNEL_CASES + BLOCK_CASES
+CYCLE_CASES = {"c3", "cycle-4", "cycle-9", "cycle-40", "cycle-120", "cactus-1"}
 
 
 def _eccentricity(adjacency: list[list[int]]) -> int:
@@ -584,22 +585,41 @@ def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
     assert distance_row_sums(g) == expected
 
 
-@pytest.mark.parametrize("n", [3, 10, 30, 64])
-def test_small_cycles_take_the_bit_parallel_kernel(monkeypatch, n):
+def _refuse_the_whole_graph_kernels(monkeypatch) -> None:
     def refuse(*args):
-        raise AssertionError("the per-source kernel ran")
+        raise AssertionError("a bit-parallel or per-source kernel ran")
 
-    monkeypatch.setattr(graph_module, "_row_sums_per_source", refuse)
+    for kernel in ("_level_sums", "_row_sums_per_source"):
+        monkeypatch.setattr(graph_module, kernel, refuse)
+
+
+@pytest.mark.parametrize("n", [3, 10, 30, 64])
+def test_small_cycles_take_the_cyclic_slide(monkeypatch, n):
+    _refuse_the_whole_graph_kernels(monkeypatch)
     assert distance_row_sums(cycle_graph(n)) == (n * n // 4,) * n
 
 
-def test_larger_cycles_keep_the_per_source_kernel(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the per-source kernel ran")
+def _ladder(rungs: int) -> Graph:
+    """P_2 x P_rungs: two paths with vertex i of one joined to vertex i of the other."""
+    edges = [(i, i + rungs) for i in range(rungs)]
+    for start in (0, rungs):
+        edges += [(start + i, start + i + 1) for i in range(rungs - 1)]
+    return Graph(range(2 * rungs), edges)
 
-    monkeypatch.setattr(graph_module, "_row_sums_per_source", refuse)
-    with pytest.raises(AssertionError, match="per-source"):
-        distance_row_sums(cycle_graph(65))
+
+def test_larger_cycles_take_the_cyclic_slide_but_a_ladder_goes_per_source(monkeypatch):
+    ladder = _ladder(100)
+    expected = distance_matrix(ladder).row_sums
+    sources = []
+    per_source = graph_module._row_sums_per_source
+    monkeypatch.setattr(
+        graph_module, "_row_sums_per_source", lambda adj: sources.append(1) or per_source(adj)
+    )
+    assert distance_row_sums(ladder) == expected  # one block, not a cycle
+    assert sources == [1]
+    _refuse_the_whole_graph_kernels(monkeypatch)
+    for n in (65, 500):
+        assert distance_row_sums(cycle_graph(n)) == (n * n // 4,) * n
 
 
 def _queue_bfs(g: Graph, source: int) -> dict[int, int]:
@@ -776,7 +796,8 @@ def test_point_moments_are_the_matrix_product(monkeypatch, name, g):
         sources.clear()
         expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
         assert _point_moments(adjacency, x) == expected
-        assert sources == [p for p, c in x.items() if c]  # one BFS per nonzero entry
+        # a cycle slides D*x round its ring; any other graph takes one BFS per nonzero entry
+        assert sources == ([] if name in CYCLE_CASES else [p for p, c in x.items() if c])
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
@@ -791,6 +812,47 @@ def test_point_moments_agree_with_networkx(name, g):
             dist = nx.single_source_shortest_path_length(h, g.vertices[p])
             expected = [e + c * dist[v] for e, v in zip(expected, g.vertices)]
         assert _point_moments(_int_adjacency(g), x) == expected
+
+
+def _cycle_with_trees(r: int, trees: list[tuple[int, Graph]]) -> Graph:
+    """C_r with each (cycle vertex, tree) pair glued at the tree's vertex 0."""
+    return graft(GraftSpec(cycle_graph(r), [Attachment(x, tree, 0) for x, tree in trees])).graph
+
+
+def _cycle_gate_cases() -> list[tuple[str, Graph]]:
+    """C_3 to C_200, cycles with pendant trees and chains of cycles (cacti)."""
+    rng = random.Random(303)
+    cases = [(f"cycle-{r}", cycle_graph(r)) for r in range(3, 201)]
+    for r, k in ((3, 1), (8, 5), (37, 20), (150, 60)):
+        trees = [(rng.randrange(r), random_tree(rng, rng.randint(2, 12))) for _ in range(k)]
+        cases.append((f"cycle-{r}-trees-{k}", _cycle_with_trees(r, trees)))
+    pendants = [(x, path_graph(2)) for x in range(60)]
+    cases.append(("cycle-60-pendant-everywhere", _cycle_with_trees(60, pendants)))
+    cases += [(f"cycle-chain-{k}", _cactus(rng, k)) for k in (2, 9, 30, 70)]
+    return cases
+
+
+CYCLE_GATE_CASES = _cycle_gate_cases()
+
+
+def test_the_cyclic_slide_is_the_matrix_product_on_cycles_and_cacti():
+    for name, g in CYCLE_GATE_CASES:
+        matrix = distance_matrix(g)
+        assert distance_row_sums(g) == matrix.row_sums, name
+        for x in _multiplier_maps(g.order, random.Random(name)):
+            expected = [sum(c * row[p] for p, c in x.items()) for row in matrix.entries]
+            assert _point_moments(_int_adjacency(g), x) == expected, name
+
+
+def test_the_cyclic_slide_agrees_with_networkx_on_cycles_and_cacti():
+    nx = pytest.importorskip("networkx")
+    for name, g in CYCLE_GATE_CASES:
+        h = nx.Graph(list(g.edges()))
+        dist = dict(nx.all_pairs_shortest_path_length(h))
+        assert distance_row_sums(g) == tuple(sum(dist[v].values()) for v in g.vertices), name
+        for x in _multiplier_maps(g.order, random.Random(name)):
+            expected = [sum(c * dist[u][g.vertices[p]] for p, c in x.items()) for u in g.vertices]
+            assert _point_moments(_int_adjacency(g), x) == expected, name
 
 
 # -- isomorphism classes ---------------------------------------------------
