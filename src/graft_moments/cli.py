@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .closed_forms import cycle_distance_row_sum
 from .errors import GraftMomentsError, GraphFormatError, TooLarge
-from .graph import bfs_distances, cycle_graph, graph_from_json_dict
+from .graph import bfs_distances, cycle_graph, graph_from_json_dict, read_json
 from .isomoment import classify
 from .moments import indices
 from .products import (
@@ -46,14 +46,6 @@ FULL_ENUMERATION_MAX = 8
 # theta takes about max_r**3 / 3 BFS steps: --max-r 400 ran 8.8 s and
 # 750 ran 58 s (CPython 3.11, 2 shared cores); 10,000 would run for days
 THETA_MAX_R = 750
-
-
-def _load_json_file(path: str) -> object:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge int
-            raise GraphFormatError(f"{path}: {exc}") from None
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -140,7 +132,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def cmd_indices(args: argparse.Namespace) -> int:
-    graph = graph_from_json_dict(_load_json_file(args.graph))
+    graph = graph_from_json_dict(read_json(args.graph))
     weights = parse_weight_spec(args.weights)
     report = indices(graph, weights)
     _emit_json(report.to_json_dict())
@@ -149,7 +141,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
 
 def cmd_graft(args: argparse.Namespace) -> int:
     spec = graft_spec_from_json_dict(
-        _load_json_file(args.spec),
+        read_json(args.spec),
         base_dir=os.path.dirname(os.path.abspath(args.spec)),
     )
     product = graft(spec)
@@ -167,8 +159,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_isomoment(args: argparse.Namespace) -> int:
-    host = graph_from_json_dict(_load_json_file(args.host))
-    branch = graph_from_json_dict(_load_json_file(args.branch))
+    host = graph_from_json_dict(read_json(args.host))
+    branch = graph_from_json_dict(read_json(args.branch))
     r = _equal_orders(host, branch)
     weight_specs = [w.strip() for w in args.weights.split(",") if w.strip()]
     if not weight_specs:

@@ -53,7 +53,7 @@ from .graph import (
 )
 from .moments import moment
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
-from .products import GraftSpec, _permutation_order, _validate_factors
+from .products import _CENTER, GraftSpec, _permutation_order, _validate_factors
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
 Family = Mapping[int, Sequence[tuple[Graph, int, WeightFunction]]]
@@ -167,9 +167,6 @@ def family_graft_moment_formula(
         alpha,
         [(x, b, root, beta) for x, bs in family.items() for b, root, beta in bs],
     )
-
-
-_CENTER = Graph([0], [])  # a flower's host
 
 
 def flower_moment_formula(

@@ -14,6 +14,7 @@ computed by breadth-first search; no floating point anywhere.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -323,21 +324,21 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
 def _row_sums_kernel(adjacency: _Adjacency, eccentricity: int) -> tuple[int, ...]:
     """Row sums of a connected graph whose vertex 0 has this eccentricity.
 
-    Fixed rule: if n <= 64 or e0 * (n + 1200) <= 600 * n, every source
-    is searched at once by the bit-parallel BFS (Akiba, Iwata and
-    Yoshida, SIGMOD 2013), D passes over n-bit sets; otherwise each
-    source gets its own level-synchronous BFS.  The bound is e0 <= n/2.5
-    at n = 300, n/3.7 at n = 1,000 and n/19 at n = 10,000.  Measured with
-    CPython 3.11 on paths, cycles, grids, random trees and random graphs
-    of order 40 to 10,000, the bit-parallel time over the per-source time
-    is about (D/n) * (1 + n/1200): 0.02 to 0.17 on random graphs and
-    trees, 0.96 on a 10 x 1000 grid (D = 1,008), 1.3 on C_3000 (D =
-    1,500).  The bound is where that ratio reaches 1 for D = 2*e0, so the
-    bit-parallel branch is not picked where it is predicted slower; when
-    D = e0 the per-source branch it falls back to takes at most about
-    twice as long.  Small graphs break that model (0.58 on a 2 x 32 grid,
-    D = n/2; 0.55 to 1.05 on C_10 to C_128), so order 64 and below always
-    goes bit-parallel.  A cycle's row sums are D*1 from _point_moments.
+    A cycle's row sums are D*1 from _point_moments's cyclic slide, so
+    rings never reach this rule: if n <= 64 or e0 * (n + 1200) <= 600 * n,
+    every source is searched at once by the bit-parallel BFS (Akiba,
+    Iwata and Yoshida, SIGMOD 2013), D passes over n-bit sets; otherwise
+    each source gets its own level-synchronous BFS.  The bound is e0 <=
+    n/2.5 at n = 300, n/3.7 at n = 1,000 and n/19 at n = 10,000.
+    Measured with CPython 3.11 on paths, grids, random trees and random
+    graphs of order 40 to 10,000, the bit-parallel time over the
+    per-source time is about (D/n) * (1 + n/1200): 0.02 to 0.17 on random
+    graphs and trees, 0.96 on a 10 x 1000 grid (D = 1,008).  The bound is
+    where that ratio reaches 1 for D = 2*e0, so the bit-parallel branch
+    is not picked where it is predicted slower; when D = e0 the
+    per-source branch it falls back to takes at most about twice as long.
+    Small graphs break that model (0.58 on a 2 x 32 grid, D = n/2), so
+    order 64 and below always goes bit-parallel.
     """
     n = len(adjacency)
     if _ring(adjacency) is not None:
@@ -801,6 +802,28 @@ def diamond_graph() -> Graph:
 
 
 # -- JSON ----------------------------------------------------------------
+
+
+def read_json(path: str) -> object:
+    """The JSON value in a UTF-8 file: a graph, a graft spec or a weight file.
+
+    Bad JSON or UTF-8, nesting too deep, an int past CPython's digit limit
+    and a key repeated in any object raise GraphFormatError "path: why".
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as exc:
+            raise GraphFormatError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a repeated key would silently keep its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return obj
 
 
 def graph_from_json_dict(obj: object) -> Graph:

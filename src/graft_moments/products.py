@@ -149,6 +149,10 @@ def graft(spec: GraftSpec) -> GraftProduct:
 # -- named constructions --------------------------------------------------
 
 
+# a flower's host and a binomial tree's start: graft copies a host's adjacency
+_CENTER = Graph([0], [])
+
+
 def _as_attachments(
     receptors: Sequence[int],
     branches: Sequence[tuple],
@@ -205,10 +209,9 @@ def flower(
     branches: Sequence[tuple],
 ) -> GraftProduct:
     """All branch roots identified with a single center vertex (id 0)."""
-    center = Graph([0], [])
     attachments = _as_attachments([0] * len(branches), branches)
     return graft(
-        GraftSpec(center, tuple(attachments), ConstantWeight(center_weight))
+        GraftSpec(_CENTER, tuple(attachments), ConstantWeight(center_weight))
     )
 
 
@@ -306,7 +309,7 @@ def binomial_tree(n: int) -> Graph:
     """Iterated hierarchical product of single edges: 2**n vertices."""
     if n < 0:
         raise GraphFormatError("binomial tree index must be nonnegative")
-    tree = Graph([0], [])
+    tree = _CENTER
     edge = Graph([0, 1], [(0, 1)])
     for _ in range(n):
         tree = hierarchical_product(tree, edge, 0).graph
@@ -375,8 +378,9 @@ _ParsedBranches = dict[tuple[int, int], list[tuple[dict, Graph]]]
 def _shared_branch(raw: object, parsed: _ParsedBranches) -> Graph:
     """graph_from_json_dict(raw), or the Graph of an earlier branch written alike.
 
-    An earlier branch is reused when it equals raw and both give every
-    vertex id and edge endpoint as an exact int, so [0, true] stays apart
+    An earlier branch is reused when it equals raw and raw gives every
+    vertex id and edge endpoint as an exact int (the earlier one passed
+    graph_from_json_dict, which takes ints only), so [0, true] stays apart
     from [0, 1] (and a tuple from a list, which never equals it).  The
     parsed branches are bucketed by their vertex and edge counts.
     """
@@ -386,7 +390,7 @@ def _shared_branch(raw: object, parsed: _ParsedBranches) -> Graph:
         return graph_from_json_dict(raw)  # raises its own message
     bucket = parsed.setdefault((len(vertices), len(edges)), [])
     for earlier, g in bucket:
-        if earlier == raw and _exact_ints(earlier) and _exact_ints(raw):
+        if earlier == raw and _exact_ints(raw):
             return g
     g = graph_from_json_dict(raw)
     bucket.append((raw, g))

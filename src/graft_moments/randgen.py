@@ -4,7 +4,8 @@ Everything here is a pure function of the supplied random.Random, so a
 fixed seed reproduces the exact same instances (and therefore the exact
 same verification transcript).  Graphs are built as a random spanning
 tree plus extra edges; rationals keep numerators <= 20 and denominators
-<= 5 so intermediate values stay readable.
+<= 5 so intermediate values stay readable, and graft specs and flowers
+glue at most 4 branches.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+from .closed_forms import extended_cycle_edge_count
 from .graph import Graph, _check_order
 from .products import Attachment, GraftSpec
 from .weights import (
@@ -26,13 +28,9 @@ from .weights import (
 )
 
 
-def random_rational(
-    rng: random.Random, *, max_numerator: int = 20, max_denominator: int = 5
-) -> Fraction:
+def random_rational(rng: random.Random) -> Fraction:
     """Small nonnegative rational."""
-    return Fraction(
-        rng.randint(0, max_numerator), rng.randint(1, max_denominator)
-    )
+    return Fraction(rng.randint(0, 20), rng.randint(1, 5))
 
 
 def _tree_edges(rng: random.Random, order: int) -> list[tuple[int, int]]:
@@ -104,12 +102,11 @@ def random_graft_spec(
     rng: random.Random,
     *,
     max_host: int = 12,
-    max_branches: int = 4,
     max_branch_order: int = 8,
     allow_repeated_receptors: bool = False,
 ) -> GraftSpec:
     host = random_connected_graph(rng, rng.randint(1, max_host))
-    branch_count = rng.randint(0, max_branches)
+    branch_count = rng.randint(0, 4)
     if allow_repeated_receptors:
         receptors = [rng.choice(host.vertices) for _ in range(branch_count)]
     else:
@@ -128,10 +125,10 @@ def random_graft_spec(
 
 
 def random_flower_branches(
-    rng: random.Random, *, max_branches: int = 4, max_branch_order: int = 6
+    rng: random.Random, *, max_branch_order: int = 6
 ) -> list[tuple[Graph, int, WeightFunction]]:
     branches = []
-    for _ in range(rng.randint(1, max_branches)):
+    for _ in range(rng.randint(1, 4)):
         branch = random_connected_graph(rng, rng.randint(1, max_branch_order))
         branches.append(
             (branch, rng.choice(branch.vertices), random_weight_function(rng, branch))
@@ -197,8 +194,6 @@ def random_extended_cycle_instance(
     rng: random.Random, *, max_host: int = 8, max_branch_order: int = 8
 ) -> tuple[int, list[tuple[int, int]]]:
     """(host order, per-vertex (r, m) pairs) over the whole extended range."""
-    from .closed_forms import extended_cycle_edge_count
-
     host_order = rng.randint(1, max_host)
     pairs = []
     for _ in range(host_order):

@@ -13,7 +13,6 @@ built, and `vector` the only place a common denominator is formed.
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 from math import gcd, lcm
@@ -26,7 +25,7 @@ from .errors import (
     NegativeWeight,
     UnknownVertex,
 )
-from .graph import Graph
+from .graph import Graph, read_json
 
 Rational = Fraction
 Pair = tuple[int, int]
@@ -224,9 +223,9 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
     """Parse "unit" | "half" | "degree" | "const:p/q" | "file:PATH".
 
     A weight file is a JSON object mapping vertex ids to "p/q" strings;
-    each key is an id as str(int) writes it, and no key repeats, so no
-    vertex is named twice.  Relative paths resolve against base_dir
-    (default: the process cwd).
+    each key is an id as str(int) writes it, and read_json refuses a
+    repeated key, so no vertex is named twice.  Relative paths resolve
+    against base_dir (default: the process cwd).
     """
     if not isinstance(spec, str):
         raise GraphFormatError(f"weight spec must be a string, got {spec!r}")
@@ -242,18 +241,7 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
         path = spec[len("file:"):]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-
-        def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-            obj = dict(pairs)
-            if len(obj) != len(pairs):
-                raise GraphFormatError(f"weight file {path} repeats a key")
-            return obj
-
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh, object_pairs_hook=unique_keys)
-            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, huge int
-                raise GraphFormatError(f"bad weight file {path}: {exc}") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise GraphFormatError(f"weight file {path} must hold an object")
         values = {}

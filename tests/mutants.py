@@ -82,6 +82,23 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "product-row-sums-by-bfs", "isomoment.py",
+        "            adjacency, signatures, row_sums = products(sigma)\n",
+        "            adjacency, signatures, _ = products(sigma)\n"
+        "            row_sums = _point_moments(adjacency, dict.fromkeys(vertices, 1))\n",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "reader-keeps-a-repeated-key", "graph.py",
+        "json.load(fh, object_pairs_hook=_unique_keys)", "json.load(fh)",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "reader-lets-deep-nesting-crash", "graph.py",
+        "except (ValueError, RecursionError) as exc:", "except ValueError as exc:",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "up-pass-without-head-mass", "graph.py",
         "sum(map(mass.__getitem__, block))", "sum(map(mass.__getitem__, block[1:]))",
         ("test_graph.py", "test_properties.py"),

@@ -98,7 +98,7 @@ def test_indices_rejects_a_weight_file_that_is_not_json(tmp_path, capsys):
         json.loads(weights.read_text())
     code, out, err = run_cli(capsys, "indices", path, "--weights", f"file:{weights}")
     assert (code, out) == (2, "")
-    assert err == f"error: bad weight file {weights}: {parse_error.value}\n"
+    assert err == f"error: {weights}: {parse_error.value}\n"
 
 
 def test_indices_single_vertex(tmp_path, capsys):
@@ -160,6 +160,62 @@ def test_a_malformed_json_file_is_input_error(tmp_path, capsys, content, reader)
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     if content != "int-5000-digits" or hasattr(sys, "get_int_max_str_digits"):
         assert str(bad) in err  # else the int parses and the shape check rejects it
+
+
+P2 = '{"vertices": [0, 1], "edges": [[0, 1]]}'
+# read keeping each key's last value, as json does, every case below is
+# well formed: this graph is P2, the spec's host is P2, the root is 0
+GRAPH_TWICE = '{"vertices": [0, 1], "edges": [], "edges": [[0, 1]]}'
+
+
+def spec_text(attachment: str) -> str:
+    return f'{{"host": {P2}, "attachments": [{attachment}]}}'
+
+
+# case: (the repeated key, bad.json's text, argv given bad.json, a good
+# graph file and a good spec file whose one attachment weighs by bad.json)
+REPEATED_KEYS = {
+    "indices-graph": ("edges", GRAPH_TWICE, lambda bad, graph, spec: ["indices", bad]),
+    "isomoment-host": ("edges", GRAPH_TWICE, lambda bad, graph, spec: ["isomoment", bad, graph]),
+    "isomoment-branch": ("edges", GRAPH_TWICE, lambda bad, graph, spec: ["isomoment", graph, bad]),
+    "spec": (
+        "host",
+        f'{{"host": {{"vertices": [0], "edges": []}}, "host": {P2}}}',
+        lambda bad, graph, spec: ["graft", bad],
+    ),
+    "spec-host": ("edges", f'{{"host": {GRAPH_TWICE}}}', lambda bad, graph, spec: ["graft", bad]),
+    "spec-attachment": (
+        "root",
+        spec_text(f'{{"receptor": 0, "branch": {P2}, "root": 5, "root": 0}}'),
+        lambda bad, graph, spec: ["graft", bad],
+    ),
+    "spec-branch": (
+        "edges",
+        spec_text(f'{{"receptor": 0, "branch": {GRAPH_TWICE}, "root": 0}}'),
+        lambda bad, graph, spec: ["graft", bad],
+    ),
+    "weight-file": (
+        "1",
+        '{"0": "1", "1": "2", "1": "3"}',
+        lambda bad, graph, spec: ["indices", graph, "--weights", f"file:{bad}"],
+    ),
+    "spec-weights": ("1", '{"0": "1", "1": "2", "1": "3"}', lambda bad, graph, spec: ["graft", spec]),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_KEYS)
+def test_a_key_repeated_in_any_input_object_is_input_error(tmp_path, capsys, case):
+    # json keeps a repeated key's last value; every file the commands read
+    # refuses it instead, naming the file and the key
+    key, text, argv = REPEATED_KEYS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    graph = graph_file(tmp_path, path_graph(2))
+    spec = tmp_path / "spec.json"
+    weighed = f'{{"receptor": 0, "branch": {P2}, "root": 0, "weights": "file:bad.json"}}'
+    spec.write_text(spec_text(weighed))
+    code, out, err = run_cli(capsys, *argv(str(bad), graph, str(spec)))
+    assert (code, out, err) == (2, "", f"error: {bad}: repeated key {key!r}\n")
 
 
 def test_indices_missing_file_is_input_error(tmp_path, capsys):
@@ -417,13 +473,32 @@ def test_isomoment_needs_a_weight_spec(tmp_path, capsys):
 
 @pytest.fixture
 def no_product_bfs(monkeypatch):
-    """Make every bit-parallel BFS raise: isomoment composes its products' signatures."""
+    """Make every BFS of a product raise: isomoment composes its products' signatures and row sums.
+
+    The bit-parallel pass is refused outright, and a one-source BFS on an
+    adjacency of the product's order r*r (r >= 2), so the factors' rows,
+    of order r, are still taken.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("isomoment ran a BFS of a product")
 
+    orders = []  # r of each permutation product isomoment checks
+    permutation_order = products_module._permutation_order
+    distances = graph_module._distances
+
+    def recorded_order(host, branch):
+        orders.append(permutation_order(host, branch))
+        return orders[-1]
+
+    def factor_distances(adjacency, source):
+        if orders and len(adjacency) == orders[-1] ** 2 > 1:
+            refuse()
+        return distances(adjacency, source)
+
     monkeypatch.setattr(graph_module, "_level_sums", refuse)
-    monkeypatch.setattr(isomoment_module, "_level_signatures", refuse, raising=False)
+    monkeypatch.setattr(graph_module, "_distances", factor_distances)
+    monkeypatch.setattr(isomoment_module, "_permutation_order", recorded_order)
 
 
 # sha256 of the stdout printed before isomorphism classes were bucketed by
