@@ -132,7 +132,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def cmd_indices(args: argparse.Namespace) -> int:
-    graph = graph_from_json_dict(read_json(args.graph))
+    graph = read_json(args.graph, graph_from_json_dict)
     weights = parse_weight_spec(args.weights)
     report = indices(graph, weights)
     _emit_json(report.to_json_dict())
@@ -140,10 +140,8 @@ def cmd_indices(args: argparse.Namespace) -> int:
 
 
 def cmd_graft(args: argparse.Namespace) -> int:
-    spec = graft_spec_from_json_dict(
-        read_json(args.spec),
-        base_dir=os.path.dirname(os.path.abspath(args.spec)),
-    )
+    base_dir = os.path.dirname(os.path.abspath(args.spec))
+    spec = read_json(args.spec, lambda obj: graft_spec_from_json_dict(obj, base_dir=base_dir))
     product = graft(spec)
     _emit_json(graft_product_to_json_dict(product), out=args.out)
     return 0
@@ -159,8 +157,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_isomoment(args: argparse.Namespace) -> int:
-    host = graph_from_json_dict(read_json(args.host))
-    branch = graph_from_json_dict(read_json(args.branch))
+    host = read_json(args.host, graph_from_json_dict)
+    branch = read_json(args.branch, graph_from_json_dict)
     r = _equal_orders(host, branch)
     weight_specs = [w.strip() for w in args.weights.split(",") if w.strip()]
     if not weight_specs:

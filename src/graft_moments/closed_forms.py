@@ -8,13 +8,14 @@ matrix: a factor moment M_K^b is `moments.moment`, on the row sums the
 object keeps (`graph.distance_row_sums`, one pass per object however
 many attachments and forms share it), a factor total is
 `WeightFunction.total`, and every row and D*x is `graph._point_moments`
-(on the int adjacency the object keeps: one BFS per nonzero entry, or
-one slide round a cycle).  A row gives a point moment by linearity,
-M^(a*w+c)(y) = a*M^w(y) + c*s(y) with s(y) the row sum at y.  Weights
-enter as int numerators over one denominator (`WeightFunction.vector`),
-so totals, moments and point moments are int dot products divided once.
-Host distances between receptors come from those same rows, and the
-cycle forms' r^T D m from the same D*x on C_r.
+(on the int adjacency the object keeps: one BFS for a single entry, a
+slide round a cycle, one pass over the blocks of a tree-like graph).  A
+row gives a point moment by linearity, M^(a*w+c)(y) = a*M^w(y) + c*s(y)
+with s(y) the row sum at y.  Weights enter as int numerators over one
+denominator (`WeightFunction.vector`), so totals, moments and point
+moments are int dot products divided once.  Host distances between
+receptors come from those same rows, and the cycle forms' r^T D m from
+the same D*x on C_r.
 
 Theorem 1 is evaluated once, in its vector form (_graft_moment): the
 graft, family, flower and unicyclic forms only hand it their
@@ -94,9 +95,10 @@ def _graft_moment(
     (N - |V_i|)*b_i + (W - B_i): n_x is the order of the product block
     over host vertex x, w_x the branch weight glued there, N the product
     order and W the total weight.  The host term is <a + w, s + D (n - 1)>
-    with s the host row sums, so only vertices with n_x > 1 take a host
-    BFS.  Receptors may repeat.  Weights are ints over the least common
-    denominator of all factors, divided once at the end.
+    with s the host row sums; D (n - 1) is one _point_moments pass (its
+    probe BFS alone on a tree host it splits into blocks).  Receptors may
+    repeat.  Weights are ints over the least common denominator of all
+    factors, divided once at the end.
     A branch object glued at one root several times takes one root BFS.
     """
     _validate_factors(host, ((x, branch, root) for x, branch, root, _ in attachments))

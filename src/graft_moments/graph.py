@@ -6,10 +6,10 @@ plus an adjacency map with sorted neighbor tuples.  Each Graph object
 also keeps what is derived from it once asked, filled on the first call
 and never shared with an equal graph: its connectivity (is_connected),
 its int adjacency (_int_adjacency: neighbour positions as tuples) and its
-distance row sums (distance_row_sums, the one function that computes
-them, by the kernel or by the blocks).  An empty or disconnected graph
-caches no row sums; it raises on every call.  Distances are hop counts
-computed by breadth-first search; no floating point anywhere.
+distance row sums (distance_row_sums: D*1 from _point_moments, the one
+dispatcher for every D*x).  An empty or disconnected graph caches no row
+sums; it raises on every call.  Distances are hop counts computed by
+breadth-first search; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -33,11 +34,11 @@ from .errors import (
 # O(n) row sums plus at most three lists of n-bit ints (about 37 MB at
 # n = 10,000) while they run; each Graph then keeps only its int
 # adjacency, O(n + m), and its O(n) row sums.  The block route of
-# distance_row_sums adds O(n + m) lists and runs the kernel on one block
-# at a time.  Its block search is iterative, so a path or tree of this
-# order takes tens of milliseconds.  The verify oracle and theta keep one BFS dict at a
-# time; no command builds the O(n^2) distance matrix (about 800 MB of
-# tuples at n = 10,000), which stays for tests and library users.
+# _point_moments adds O(n + m) lists and runs the kernel on one block at
+# a time; its block search is iterative, so D*x on a path or tree of this
+# order takes tens of milliseconds.  The verify oracle and theta keep one
+# BFS dict at a time; no command builds the O(n^2) distance matrix (about
+# 800 MB of tuples at n = 10,000), which stays for tests and library users.
 MAX_ORDER = 10_000
 
 
@@ -272,33 +273,15 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(order, tuple(rows))
 
 
-# -- row sums without the matrix ------------------------------------------
+# -- row sums and D*x without the matrix -----------------------------------
 
 
 def distance_row_sums(g: Graph) -> tuple[int, ...]:
     """Distance row sums s(v) in vertex order, keeping no n x n matrix.
 
-    Vertices are renumbered 0..n-1 once.  A probe BFS from the first
-    vertex checks connectivity (same errors and messages as
-    distance_matrix), gives its eccentricity e0 (the diameter D lies in
-    [e0, 2*e0]) and is row 0, so s(0) is its sum.
-
-    Fixed rule: if e0 <= n.bit_length(), the whole graph goes to the
-    kernel (_row_sums_kernel); otherwise _blocks splits it, and a graph
-    of two or more blocks goes by them (_row_sums_by_blocks, rerooted
-    from s(0)) while one block goes to the kernel.  A small e0 means few
-    bit-parallel passes over the whole graph; a large one usually means
-    long tree-like parts, where the blocks are small.  Measured with
-    CPython 3.11 (whole kernel -> this rule): random graphs of order 150
-    to 560 with e0 = 4 to 6 stay on the kernel; 64 graft products of
-    order 150 to 1,852 with path, cycle and tree branches (e0 = 9 to 61)
-    all take the blocks, 0.37 s -> 0.13 s in all; path-3000 2.4 s -> 6
-    ms; a random tree of order 3,000 83 -> 8 ms, of order 10,000 about 25
-    ms; a random order-1,500 block with three 300-vertex paths attached
-    0.75 s -> 7 ms; 3,900 random graphs and trees of order 2 to 40 take
-    the same 0.25 to 0.32 s.  A cycle is one block: the kernel slides it.
-
-    The sums are computed once per Graph object and kept on it.
+    A probe BFS from the first vertex checks connectivity (same errors
+    and messages as distance_matrix); the sums are D*1 from _point_moments,
+    which takes the probe as row 0, once per Graph object, kept on it.
     """
     sums = g._sums
     if sums is None:
@@ -307,45 +290,112 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
         if n == 0:
             raise EmptyGraph("distance matrix of the empty graph")
         probe = _distances(adjacency, 0)
-        reached, eccentricity = n - probe.count(-1), max(probe)
+        reached = n - probe.count(-1)
         if reached != n:
             raise DisconnectedGraph(
                 f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
             )
-        blocks = _blocks(adjacency) if eccentricity > n.bit_length() else []
-        if len(blocks) > 1:
-            sums = _row_sums_by_blocks(adjacency, blocks, sum(probe))
-        else:
-            sums = _row_sums_kernel(adjacency, eccentricity)
-        g._sums = sums
+        sums = g._sums = tuple(_point_moments(adjacency, dict.fromkeys(range(n), 1), probe))
     return sums
 
 
-def _row_sums_kernel(adjacency: _Adjacency, eccentricity: int) -> tuple[int, ...]:
-    """Row sums of a connected graph whose vertex 0 has this eccentricity.
+def _point_moments(
+    adjacency: _Adjacency, x: Mapping[int, int], probe: list[int] | None = None
+) -> list[int]:
+    """D*x by position: sum_v x[v] * dist(u, v) at every u, x mapping positions to ints.
 
-    A cycle's row sums are D*1 from _point_moments's cyclic slide, so
-    rings never reach this rule: if n <= 64 or e0 * (n + 1200) <= 600 * n,
-    every source is searched at once by the bit-parallel BFS (Akiba,
-    Iwata and Yoshida, SIGMOD 2013), D passes over n-bit sets; otherwise
-    each source gets its own level-synchronous BFS.  The bound is e0 <=
-    n/2.5 at n = 300, n/3.7 at n = 1,000 and n/19 at n = 10,000.
-    Measured with CPython 3.11 on paths, grids, random trees and random
-    graphs of order 40 to 10,000, the bit-parallel time over the
-    per-source time is about (D/n) * (1 + n/1200): 0.02 to 0.17 on random
-    graphs and trees, 0.96 on a 10 x 1000 grid (D = 1,008).  The bound is
-    where that ratio reaches 1 for D = 2*e0, so the bit-parallel branch
-    is not picked where it is predicted slower; when D = e0 the
-    per-source branch it falls back to takes at most about twice as long.
-    Small graphs break that model (0.58 on a 2 x 32 grid, D = n/2), so
-    order 64 and below always goes bit-parallel.
+    The one dispatcher for D*x on a connected graph, row sums (x = 1)
+    included; probe, if given, is the _distances row from 0.  Routes, in
+    order: at most one nonzero entry takes one BFS, or none; a cycle
+    slides (_slide); if the probe's eccentricity e0 (the diameter lies in
+    [e0, 2*e0]) exceeds n.bit_length(), _blocks splits the graph and two
+    or more blocks go by them; otherwise the whole graph is _one_block.
+    A small e0 means few bit-parallel passes, a large one usually long
+    tree-like parts with small blocks.  Measured for x = 1 with CPython
+    3.11 (whole kernel -> this rule): 64 graft products of order 150 to
+    1,852 (e0 = 9 to 61) 0.37 -> 0.13 s in all; path-3000 2.4 s -> 6 ms;
+    a random tree of order 3,000 83 -> 8 ms; random graphs of order 150
+    to 560 (e0 = 4 to 6) and 3,900 of order 2 to 40 keep their times.
+
+    The blocks: the graph is their graft product, glued at cut vertices;
+    a shortest path between two vertices of a block, and every edge
+    between them, stays in it.  Up pass, blocks from the leaves: mass(v)
+    sums x over the vertices hanging below v, v included, so mass(0) is
+    the total X.  Down pass from (D*x)(0), the probe's dot product with
+    x: each vertex hangs on one vertex a of a block B, with mass M_a (at
+    the head, X minus the others' masses), so D*x on B is D_B*M plus
+    (D*x)(head) - (D_B*M)(head).  For x = 1, M is the vertex counts m and
+    D_B*m = s_B + D_B*(m - 1) keeps the kernel and is sparse where little
+    hangs: _one_block takes c * s_B + D_B*(M - c), c = 1 for row sums and
+    0 otherwise, and a cycle block slides M - c, s_B being constant on
+    it.  A bridge (head p, other vertex w) is one step, (D*x)(w) =
+    (D*x)(p) + X - 2 * mass(w), so a tree takes the probe alone.
     """
     n = len(adjacency)
-    if _ring(adjacency) is not None:
-        return tuple(_point_moments(adjacency, dict.fromkeys(range(n), 1)))
-    if n <= 64 or eccentricity * (n + 1200) <= 600 * n:
-        return tuple(_level_sums(adjacency, lambda d: d))
-    return _row_sums_per_source(adjacency)
+    c = 1 if len(x) == n and set(x.values()) == {1} else 0
+    nonzero = x if c else {v: k for v, k in x.items() if k}
+    if len(nonzero) < 2:  # one plain BFS, or none
+        for v, k in nonzero.items():
+            row = _distances(adjacency, v)
+            return row if k == 1 else [k * d for d in row]
+        return [0] * n
+    ring = _ring(adjacency)
+    if ring is not None:
+        return _slide(ring, nonzero)
+    probe = probe or _distances(adjacency, 0)
+    blocks = _blocks(adjacency) if max(probe) > n.bit_length() else []
+    if len(blocks) < 2:
+        return _one_block(adjacency, c, {} if c else nonzero, probe)
+
+    mass = [x.get(v, 0) for v in range(n)]
+    moments = [0] * n
+    moments[0] = sum(map(mul, probe, mass))
+    for block in blocks:
+        mass[block[0]] = sum(map(mass.__getitem__, block))
+    total = mass[0]
+    for block in reversed(blocks):
+        head = block[0]
+        if len(block) == 2:
+            moments[block[1]] = moments[head] + total - 2 * mass[block[1]]
+            continue
+        slot = {v: i for i, v in enumerate(block)}
+        local = [[slot[w] for w in adjacency[v] if w in slot] for v in block]
+        extra = {a: mass[v] - c for a, v in enumerate(block) if a}  # M - c
+        extra[0] = total - sum(extra.values()) - c * len(block)
+        ring = _ring(local)
+        row = _slide(ring, extra) if ring else _one_block(local, c, extra, _distances(local, 0))
+        constant = moments[head] - row[0]
+        for v, s in zip(block[1:], row[1:]):
+            moments[v] = s + constant
+    return moments
+
+
+def _one_block(adjacency: _Adjacency, c: int, x: Mapping[int, int], row0: list[int]) -> list[int]:
+    """c * s + D*x for c in {0, 1}: s the row sums of a connected graph that is no cycle.
+
+    D*x takes one BFS per nonzero entry, row0, the _distances row from
+    0, standing in for the one there.  s is bit-parallel (Akiba, Iwata and
+    Yoshida, SIGMOD 2013: D passes over n-bit sets) if n <= 64 or e0 *
+    (n + 1200) <= 600 * n, e0 = max(row0), else one BFS per source.
+    Measured with CPython 3.11 on paths, grids, random trees and random
+    graphs of order 40 to 10,000, bit-parallel over per-source time is
+    about (D/n) * (1 + n/1200), 0.02 to 0.96; the bound is where that
+    reaches 1 for D = 2*e0, so for D = e0 the per-source fallback takes
+    at most about twice as long.  Small graphs break the model (0.58 on a
+    2 x 32 grid), so order 64 and below always goes bit-parallel.
+    """
+    n = len(adjacency)
+    if not c:
+        moments = [0] * n
+    elif n <= 64 or max(row0) * (n + 1200) <= 600 * n:
+        moments = _level_sums(adjacency, lambda d: d)
+    else:
+        moments = list(_row_sums_per_source(adjacency))
+    for v, k in x.items():
+        if k:
+            row = row0 if v == 0 else _distances(adjacency, v)
+            moments = [m + k * d for m, d in zip(moments, row)]
+    return moments
 
 
 def _blocks(adjacency: _Adjacency) -> list[list[int]]:
@@ -395,57 +445,6 @@ def _blocks(adjacency: _Adjacency) -> list[list[int]]:
     return blocks
 
 
-def _row_sums_by_blocks(
-    adjacency: _Adjacency, blocks: list[list[int]], s0: int
-) -> tuple[int, ...]:
-    """Row sums from each block's own row sums, rerooted over the block-cut tree.
-
-    The graph is connected with s(0) = s0, and blocks are its _blocks,
-    two or more: it is their graft product, glued at cut vertices, and a
-    shortest path between two vertices of a block stays in it.  Up pass,
-    blocks from the leaves: mass(v) counts the vertices hanging below v,
-    v included.  Down pass from s(0): every vertex u of the graph hangs
-    on one vertex a of a block B, with mass m_a (for the head, n minus
-    the masses of the others) and distance sum t_a, so for c in B
-
-        s(c) = sum_a m_a * d_B(c, a) + sum_a t_a
-             = s_B(c) + sum_{m_a != 1} (m_a - 1) * d_B(c, a) + C_B,
-
-    with s_B the block's row sums from the kernel.  So row = s_B + D_B *
-    (m - 1) is s(c) - C_B and C_B = s(head) - row(head); D_B * (m - 1)
-    is _point_moments for the vertices other than the head (one BFS in B
-    per mass other than 1, or one slide if B is a cycle), plus a BFS from
-    the head, which also gives the kernel its eccentricity.  An edge with
-    both ends in B belongs to B, so B's own adjacency keeps the
-    neighbours found in its slot map.
-    A bridge (head p, other vertex w) needs none of that: s(w) = s(p) +
-    n - 2 * mass(w).
-    """
-    n = len(adjacency)
-    mass = [1] * n
-    for block in blocks:
-        mass[block[0]] = sum(map(mass.__getitem__, block))
-
-    sums = [0] * n
-    sums[0] = s0
-    for block in reversed(blocks):
-        head = block[0]
-        if len(block) == 2:
-            sums[block[1]] = sums[head] + n - 2 * mass[block[1]]
-            continue
-        slot = {v: i for i, v in enumerate(block)}
-        local = [[slot[w] for w in adjacency[v] if w in slot] for v in block]
-        hops = _distances(local, 0)
-        grown = {a: mass[v] - 1 for a, v in enumerate(block) if a}  # m - 1 off the head
-        head_grown = n - len(block) - sum(grown.values())  # m - 1 at the head
-        row = _row_sums_kernel(local, max(hops))
-        row = [s + p + head_grown * d for s, p, d in zip(row, _point_moments(local, grown), hops)]
-        constant = sums[head] - row[0]
-        for v, s in zip(block[1:], row[1:]):
-            sums[v] = s + constant
-    return tuple(sums)
-
-
 def _distances(adjacency: _Adjacency, source: int) -> list[int]:
     """Hop counts from source to every vertex, by position (-1 if unreached)."""
     dist = [-1] * len(adjacency)
@@ -475,38 +474,23 @@ def _ring(adjacency: _Adjacency) -> list[int] | None:
     return ring
 
 
-def _point_moments(adjacency: _Adjacency, x: Mapping[int, int]) -> list[int]:
-    """D*x by position: sum_v x[v] * dist(u, v) at every u, x mapping positions to ints.
+def _slide(ring: list[int], x: Mapping[int, int]) -> list[int]:
+    """D*x by position on a cycle in O(n), ring its positions in cyclic order from 0 (_ring).
 
-    The graph must be connected.  A cycle slides D*x round its ring in
-    O(n): from ring[i] to ring[i + 1], the vertex k steps ahead comes one
-    step nearer for 1 <= k <= n // 2 and one step farther for k = 0 and
-    k > (n + 1) // 2, with window sums from prefix sums of v, the entries
-    of x in ring order, twice round.  Any other graph takes one
-    _distances BFS per nonzero entry of x; the first nonzero row starts
-    the sum, as it is for a multiplier of 1.
+    From ring[i] to ring[i + 1], the vertex k steps ahead comes one step
+    nearer for 1 <= k <= n // 2 and one step farther for k = 0 and k >
+    (n + 1) // 2: window sums of prefix sums of x in ring order, twice round.
     """
-    ring = _ring(adjacency)
-    if ring is not None:
-        n = len(ring)
-        v = [x.get(p, 0) for p in ring]
-        prefix = list(accumulate(v + v, initial=0))
-        near, far = n // 2, (n + 1) // 2 + 1
-        slid = sum(min(k, n - k) * c for k, c in enumerate(v))
-        moments = [0] * n
-        for i, p in enumerate(ring):
-            moments[p] = slid
-            slid += v[i] - prefix[i + near + 1] + prefix[i + 1] + prefix[i + n] - prefix[i + far]
-        return moments
-    moments = None
-    for v, c in x.items():
-        if c:
-            row = _distances(adjacency, v)
-            if moments is None:
-                moments = row if c == 1 else [c * d for d in row]
-            else:
-                moments = [m + c * d for m, d in zip(moments, row)]
-    return [0] * len(adjacency) if moments is None else moments
+    n = len(ring)
+    v = [x.get(p, 0) for p in ring]
+    prefix = list(accumulate(v + v, initial=0))
+    near, far = n // 2, (n + 1) // 2 + 1
+    slid = sum(min(k, n - k) * c for k, c in enumerate(v))
+    moments = [0] * n
+    for i, p in enumerate(ring):
+        moments[p] = slid
+        slid += v[i] - prefix[i + near + 1] + prefix[i + 1] + prefix[i + n] - prefix[i + far]
+    return moments
 
 
 def _int_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -804,17 +788,29 @@ def diamond_graph() -> Graph:
 # -- JSON ----------------------------------------------------------------
 
 
-def read_json(path: str) -> object:
-    """The JSON value in a UTF-8 file: a graph, a graft spec or a weight file.
+class _FileError(GraphFormatError):
+    """An input error read_json worded "path: why"; an outer read_json passes it on."""
 
-    Bad JSON or UTF-8, nesting too deep, an int past CPython's digit limit
-    and a key repeated in any object raise GraphFormatError "path: why".
+
+def read_json(path: str, parse: Callable[[object], object]) -> object:
+    """The JSON value in a UTF-8 file, as parse makes it: a graph, a graft spec or a weight file.
+
+    Bad JSON or UTF-8, nesting too deep, an int past CPython's digit
+    limit, a key repeated in any object and every GraphFormatError from
+    parse raise GraphFormatError "path: why"; one from a file that parse
+    reads in turn (a spec's weight file) names that file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
-            raise GraphFormatError(f"{path}: {exc}") from None
+            raise _FileError(f"{path}: {exc}") from None
+    try:
+        return parse(obj)
+    except _FileError:
+        raise
+    except GraphFormatError as exc:
+        raise _FileError(f"{path}: {exc}") from None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -10,8 +10,8 @@ exact result; the weights' `value` and `vector` are not called.
 weighted by its gamma unless told otherwise; every graft-based checker
 and the test suite go through it.  The oracle shares no distance code
 with what it certifies: `moments.moment`, `moments.indices` and the
-closed forms take their row sums from the `distance_row_sums` kernel and
-their point-moment rows and D*x from `graph._point_moments`, so a fault
+closed forms take their row sums (`distance_row_sums`, D*1), their
+point-moment rows and D*x from `graph._point_moments`, so a fault
 in either shows up as a mismatch instead of cancelling out; the oracle
 imports no private name from `graph`, and neither reads nor fills the
 int adjacency and row sums a `Graph` keeps for them.  Only connectivity

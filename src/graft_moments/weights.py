@@ -241,24 +241,27 @@ def parse_weight_spec(spec: str, *, base_dir: str | None = None) -> WeightFuncti
         path = spec[len("file:"):]
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise GraphFormatError(f"weight file {path} must hold an object")
-        values = {}
-        for key, text in raw.items():
-            try:
-                vertex = int(key)
-            except ValueError:
-                vertex = None
-            # "01", "+1", " 1" and "1_0" would alias (or invent) a vertex id
-            if str(vertex) != key:
-                raise GraphFormatError(
-                    f"weight file {path} keys must be integer vertex ids "
-                    f"written plainly, got {key!r}"
-                )
-            values[vertex] = _parse_pair(text)
-        return ExplicitWeight._from_pairs(values)
+        return read_json(path, _weight_file)
     raise GraphFormatError(f"unknown weight spec {spec!r}")
+
+
+def _weight_file(raw: object) -> ExplicitWeight:
+    """The weights of a weight file's JSON value."""
+    if not isinstance(raw, dict):
+        raise GraphFormatError("weight file JSON must be an object")
+    values = {}
+    for key, text in raw.items():
+        try:
+            vertex = int(key)
+        except ValueError:
+            vertex = None
+        # "01", "+1", " 1" and "1_0" would alias (or invent) a vertex id
+        if str(vertex) != key:
+            raise GraphFormatError(
+                f"weight file keys must be integer vertex ids written plainly, got {key!r}"
+            )
+        values[vertex] = _parse_pair(text)
+    return ExplicitWeight._from_pairs(values)
 
 
 def describe_weight(w: WeightFunction) -> object:

@@ -99,14 +99,25 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "reader-renames-a-nested-file-error", "graph.py",
+        "    except _FileError:\n        raise\n", "",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "reader-leaves-shape-errors-unnamed", "graph.py",
+        "    except GraphFormatError as exc:\n        raise _FileError",
+        "    except ValueError as exc:\n        raise _FileError",
+        ("test_cli.py",),
+    ),
+    Mutant(
         "up-pass-without-head-mass", "graph.py",
         "sum(map(mass.__getitem__, block))", "sum(map(mass.__getitem__, block[1:]))",
         ("test_graph.py", "test_properties.py"),
     ),
     Mutant(
         "s0-from-the-last-row", "graph.py",
-        "_row_sums_by_blocks(adjacency, blocks, sum(probe))",
-        "_row_sums_by_blocks(adjacency, blocks, sum(_distances(adjacency, n - 1)))",
+        "moments[0] = sum(map(mul, probe, mass))",
+        "moments[0] = sum(map(mul, _distances(adjacency, n - 1), mass))",
         ("test_graph.py", "test_properties.py"),
     ),
     Mutant(
@@ -117,8 +128,19 @@ MUTANTS = [
     ),
     Mutant(
         "head-mass-off-by-one", "graph.py",
-        "head_grown = n - len(block) - sum(grown.values())",
-        "head_grown = n - len(block) - sum(grown.values()) + 1",
+        "extra[0] = total - sum(extra.values()) - c * len(block)",
+        "extra[0] = total - sum(extra.values()) - c * len(block) + 1",
+        ("test_graph.py", "test_properties.py"),
+    ),
+    Mutant(
+        "head-x-mass-without-what-lies-above", "graph.py",
+        "extra[0] = total - sum(extra.values()) - c * len(block)",
+        "extra[0] = mass[head] - c",
+        ("test_graph.py", "test_properties.py"),
+    ),
+    Mutant(
+        "x-mass-bridge-step-counts-the-far-side-once", "graph.py",
+        "total - 2 * mass[block[1]]", "total - mass[block[1]]",
         ("test_graph.py", "test_properties.py"),
     ),
     Mutant(
@@ -154,14 +176,13 @@ MUTANTS = [
     ),
     Mutant(
         "point-moments-drop-negative-multipliers", "graph.py",
-        "        if c:\n            row = _distances(adjacency, v)",
-        "        if c > 0:\n            row = _distances(adjacency, v)",
+        "{v: k for v, k in x.items() if k}", "{v: k for v, k in x.items() if k > 0}",
         ("test_graph.py",),
     ),
     Mutant(
         "point-moments-keep-only-the-last-entry", "graph.py",
-        "moments = [m + c * d for m, d in zip(moments, row)]",
-        "moments = [c * d for d in row]",
+        "moments = [m + k * d for m, d in zip(moments, row)]",
+        "moments = [k * d for d in row]",
         ("test_graph.py",),
     ),
     Mutant(

@@ -76,7 +76,7 @@ def test_indices_p4_degree(tmp_path, capsys):
 def test_indices_rejects_a_vertex_id_that_is_not_an_int(tmp_path, capsys):
     path = write_json(tmp_path / "g.json", {"vertices": ["a"], "edges": []})
     code, out, err = run_cli(capsys, "indices", path)
-    assert (code, out, err) == (2, "", "error: vertex ids must be integers, got 'a'\n")
+    assert (code, out, err) == (2, "", f"error: {path}: vertex ids must be integers, got 'a'\n")
 
 
 def test_indices_rejects_a_weight_file_key_that_is_not_an_id(tmp_path, capsys):
@@ -85,8 +85,7 @@ def test_indices_rejects_a_weight_file_key_that_is_not_an_id(tmp_path, capsys):
     code, out, err = run_cli(capsys, "indices", path, "--weights", f"file:{weights}")
     assert (code, out) == (2, "")
     assert err == (
-        f"error: weight file {weights} keys must be integer vertex ids "
-        "written plainly, got 'a'\n"
+        f"error: {weights}: weight file keys must be integer vertex ids written plainly, got 'a'\n"
     )
 
 
@@ -218,6 +217,80 @@ def test_a_key_repeated_in_any_input_object_is_input_error(tmp_path, capsys, cas
     assert (code, out, err) == (2, "", f"error: {bad}: repeated key {key!r}\n")
 
 
+# case: (bad.json's text, argv given bad.json, a good graph file and a good
+# spec file whose one attachment weighs by bad.json, what is wrong with it)
+SHAPE_ERRORS = {
+    "indices-graph": ("[]", lambda bad, graph, spec: ["indices", bad], "graph JSON must be an object"),
+    "indices-vertex-id": (
+        '{"vertices": ["a"], "edges": []}',
+        lambda bad, graph, spec: ["indices", bad],
+        "vertex ids must be integers, got 'a'",
+    ),
+    "isomoment-host-edge": (
+        '{"vertices": [0, 1], "edges": [[0, 0]]}',
+        lambda bad, graph, spec: ["isomoment", bad, graph],
+        "self-loop at vertex 0",
+    ),
+    "isomoment-branch-key": (
+        '{"vertices": [0, 1], "edges": [], "extra": 1}',
+        lambda bad, graph, spec: ["isomoment", graph, bad],
+        "unexpected graph keys: ['extra']",
+    ),
+    "spec": ("[]", lambda bad, graph, spec: ["graft", bad], "graft spec JSON must be an object"),
+    "spec-host": (
+        '{"host": {"vertices": [0, 0], "edges": []}}',
+        lambda bad, graph, spec: ["graft", bad],
+        "duplicate vertex ids",
+    ),
+    "spec-host-weights": (
+        f'{{"host": {P2}, "host_weights": "cubic"}}',
+        lambda bad, graph, spec: ["graft", bad],
+        "unknown weight spec 'cubic'",
+    ),
+    "spec-attachment": (
+        spec_text(f'{{"receptor": 0, "branch": {P2}}}'),
+        lambda bad, graph, spec: ["graft", bad],
+        "attachment is missing ['root']",
+    ),
+    "spec-branch": (
+        spec_text('{"receptor": 0, "branch": {"vertices": [0, 1], "edges": [[0, 2]]}, "root": 0}'),
+        lambda bad, graph, spec: ["graft", bad],
+        "edge (0, 2) has an unknown endpoint",
+    ),
+    "weight-file": (
+        "[1]",
+        lambda bad, graph, spec: ["indices", graph, "--weights", f"file:{bad}"],
+        "weight file JSON must be an object",
+    ),
+    "weight-file-value": (
+        '{"0": 3, "1": "1"}',
+        lambda bad, graph, spec: ["indices", graph, "--weights", f"file:{bad}"],
+        "expected a rational string, got 3",
+    ),
+    "spec-weight-file": (
+        '{"0": "1", "x": "1"}',
+        lambda bad, graph, spec: ["graft", spec],
+        "weight file keys must be integer vertex ids written plainly, got 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_ERRORS)
+def test_a_shape_error_in_any_input_file_names_the_file(tmp_path, capsys, case):
+    # a well-formed JSON file of the wrong shape is input error worded as
+    # the reader words a decode error: the file, then what is wrong; a spec's
+    # weight file is named itself
+    text, argv, why = SHAPE_ERRORS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    graph = graph_file(tmp_path, path_graph(2))
+    spec = tmp_path / "spec.json"
+    weighed = f'{{"receptor": 0, "branch": {P2}, "root": 0, "weights": "file:bad.json"}}'
+    spec.write_text(spec_text(weighed))
+    code, out, err = run_cli(capsys, *argv(str(bad), graph, str(spec)))
+    assert (code, out, err) == (2, "", f"error: {bad}: {why}\n")
+
+
 def test_indices_missing_file_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "indices", str(tmp_path / "absent.json"))
     assert code == 2
@@ -328,7 +401,7 @@ def test_graft_rejects_a_bool_vertex_id(tmp_path, capsys, field):
     path = write_json(tmp_path / "spec.json", spec)
     code, out, err = run_cli(capsys, "graft", path)
     assert (code, out) == (2, "")
-    assert err.endswith("error: receptor and root must be integer vertex ids\n")
+    assert err == f"error: {path}: receptor and root must be integer vertex ids\n"
 
 
 def test_graft_disconnected_host_is_domain_error(tmp_path, capsys):
@@ -361,7 +434,7 @@ def test_graft_disconnected_host_is_domain_error(tmp_path, capsys):
 def test_graft_rejects_a_malformed_spec(tmp_path, capsys, change, message):
     path = write_json(tmp_path / "spec.json", dict(COALESCENCE_SPEC, **change))
     code, out, err = run_cli(capsys, "graft", path)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 # -- verify --------------------------------------------------------------------

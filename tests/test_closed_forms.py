@@ -56,6 +56,7 @@ from graft_moments.randgen import (
     random_graft_spec,
     random_permutation_instance,
     random_proper_cycle_instance,
+    random_tree,
     random_unicyclic_instance,
 )
 from graft_moments import closed_forms, graph, products
@@ -738,15 +739,16 @@ def test_graft_forms_take_each_factor_pass_once(monkeypatch, p4, diamond):
     # one row-sum pass per Graph object, shared by both forms, and one root
     # BFS per (branch object, root) in a call
     rows, passes = [], []
-    point_moments, kernel = closed_forms._point_moments, graph._row_sums_kernel
+    point_moments = closed_forms._point_moments
 
     def recorded(adjacency, x):
         rows.extend(y for y, c in x.items() if c)
         return point_moments(adjacency, x)
 
     monkeypatch.setattr(closed_forms, "_point_moments", recorded)
+    # distance_row_sums takes D*1 from graph's own _point_moments
     monkeypatch.setattr(
-        graph, "_row_sums_kernel", lambda *args: passes.append(len(args[0])) or kernel(*args)
+        graph, "_point_moments", lambda *args: passes.append(len(args[0])) or point_moments(*args)
     )
     c5 = cycle_graph(5)
     spec = GraftSpec(
@@ -768,6 +770,22 @@ def test_graft_forms_take_each_factor_pass_once(monkeypatch, p4, diamond):
     family = attachments_by_receptor(spec)
     assert family_graft_moment_formula(diamond, DEGREE, family) == expected
     assert rows == [0, 2, 3, 1, 3, 0] * 2 and sorted(passes) == [4, 4, 5]
+
+
+def test_a_tree_host_term_takes_the_probe_not_a_bfs_per_host_vertex(monkeypatch):
+    # the K2 rooted product of a random tree: every host vertex is heavy, and
+    # D*(n - 1) on the host takes the block route, so the count does not grow with n
+    host = random_tree(random.Random(5), 2000)
+    k2 = path_graph(2)
+    spec = GraftSpec(host, [Attachment(x, k2, 0, DEGREE) for x in host.vertices], DEGREE)
+    sources = []
+    distances = graph._distances
+    monkeypatch.setattr(graph, "_distances", lambda adj, v: sources.append(v) or distances(adj, v))
+    value = graft_moment_formula(spec)
+    assert len(sources) <= 4
+    monkeypatch.undo()
+    product = graft(spec)
+    assert value == moment(product.graph, product.gamma)
 
 
 # -- cross-check against networkx distances --------------------------------------

@@ -43,7 +43,7 @@ from graft_moments.graph import (
     _level_signatures,
     _level_sums,
     _point_moments,
-    _row_sums_by_blocks,
+    _ring,
     _row_sums_per_source,
 )
 from graft_moments.closed_forms import permutation_unit_moment
@@ -557,13 +557,12 @@ def test_distance_row_sums_match_the_matrix(name, g):
     adjacency = _int_adjacency(g)
     assert tuple(_level_sums(adjacency, lambda d: d)) == expected
     assert _row_sums_per_source(adjacency) == expected
-    blocks = _blocks(adjacency)
-    if len(blocks) > 1:  # one block goes to the kernel, checked above
-        assert _row_sums_by_blocks(adjacency, blocks, expected[0]) == expected
+    # D*1 by the dispatcher, which then takes its own probe
+    assert _point_moments(adjacency, dict.fromkeys(range(g.order), 1)) == list(expected)
 
 
 def test_the_route_rule_splits_the_kernel_cases():
-    # the block route is certified above on graphs from both sides of the rule
+    # the row sums above and the D*x below are certified on graphs from both sides of the rule
     sides = {
         name: _eccentricity(_int_adjacency(g)) > g.order.bit_length() for name, g in ROW_SUM_CASES
     }
@@ -580,7 +579,7 @@ def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
     def refuse(*args):
         raise AssertionError("a whole-graph kernel ran")
 
-    for kernel in ("_row_sums_kernel", "_level_sums", "_row_sums_per_source"):
+    for kernel in ("_one_block", "_level_sums", "_row_sums_per_source"):
         monkeypatch.setattr(graph_module, kernel, refuse)
     assert distance_row_sums(g) == expected
 
@@ -731,9 +730,9 @@ def test_the_kept_int_adjacency_cannot_be_changed():
 
 def test_row_sums_are_summed_once_per_graph_object(monkeypatch):
     passes = []
-    kernel = graph_module._row_sums_kernel
+    point_moments = graph_module._point_moments
     monkeypatch.setattr(
-        graph_module, "_row_sums_kernel", lambda *args: passes.append(1) or kernel(*args)
+        graph_module, "_point_moments", lambda *args: passes.append(1) or point_moments(*args)
     )
     g = cycle_graph(6)
     expected = distance_matrix(g).row_sums
@@ -771,17 +770,38 @@ def test_distance_row_sums_agree_with_networkx(name, g):
 
 
 def _multiplier_maps(n: int, rng: random.Random) -> list[dict[int, int]]:
-    """The empty map, then up to 6 positions each with multipliers of 1, 8 and 200 bits.
+    """The empty map, an all-zero map, then sparse and dense maps of 1, 8 and 200 bits.
 
-    Each map has a zero and a negative multiplier (only the negative one on K1).
+    A sparse map has up to 6 positions, with a zero and a negative
+    multiplier (only the negative one on K1).  A dense map has every
+    position nonzero, of either sign, and one negative.
     """
-    maps: list[dict[int, int]] = [{}]
+    maps: list[dict[int, int]] = [{}, dict.fromkeys(range(n), 0)]
     for bits in (1, 8, 200):
         positions = rng.sample(range(n), min(n, 6))
         x = {p: rng.randint(-(1 << bits), 1 << bits) for p in positions}
         x[positions[0]], x[positions[-1]] = 0, -(1 << bits)
         maps.append(x)
+    for bits in (1, 8, 200):
+        x = {p: rng.choice((-1, 1)) * rng.randint(1, 1 << bits) for p in range(n)}
+        x[rng.randrange(n)] = -(1 << bits)
+        maps.append(x)
     return maps
+
+
+def _routes_by_blocks(g: Graph) -> bool:
+    adjacency = _int_adjacency(g)
+    return _eccentricity(adjacency) > g.order.bit_length() and len(_blocks(adjacency)) > 1
+
+
+def _block_rows(adjacency: list[list[int]]) -> int:
+    """How many vertices lie in blocks that are neither a bridge nor a cycle, counted per block."""
+    rows = 0
+    for block in _blocks(adjacency):
+        slot = {v: i for i, v in enumerate(block)}
+        local = [[slot[w] for w in adjacency[v] if w in slot] for v in block]
+        rows += len(block) if len(block) > 2 and _ring(local) is None else 0
+    return rows
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
@@ -796,8 +816,31 @@ def test_point_moments_are_the_matrix_product(monkeypatch, name, g):
         sources.clear()
         expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
         assert _point_moments(adjacency, x) == expected
-        # a cycle slides D*x round its ring; any other graph takes one BFS per nonzero entry
-        assert sources == ([] if name in CYCLE_CASES else [p for p, c in x.items() if c])
+        nonzero = [p for p, c in x.items() if c]
+        if len(nonzero) < 2:  # one plain BFS, or none
+            assert sources == nonzero
+        elif name in CYCLE_CASES:  # the slide round the ring
+            assert sources == []
+        elif not _routes_by_blocks(g):  # the probe, standing in for position 0's row
+            assert sources == [0] + [p for p in nonzero if p]
+        else:  # the probe, then rows inside the blocks only, whatever x is
+            assert sources[0] == 0 and len(sources) <= 1 + _block_rows(adjacency)
+
+
+def test_dense_point_moments_on_a_tree_take_only_the_probe(monkeypatch):
+    tree = random_tree(random.Random(20), 400)
+    entries, adjacency = distance_matrix(tree).entries, _int_adjacency(tree)
+    assert _eccentricity(adjacency) > tree.order.bit_length()
+    sources = []
+    distances = graph_module._distances
+    monkeypatch.setattr(
+        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
+    )
+    for x in _multiplier_maps(tree.order, random.Random(20))[-3:]:  # the dense maps
+        sources.clear()
+        expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
+        assert _point_moments(adjacency, x) == expected
+        assert sources == [0]
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])

@@ -305,7 +305,7 @@ def test_weight_file_texts_fail_as_before(tmp_path, text):
         _reference_rational(text)
     with pytest.raises(GraphFormatError) as got:
         _weight_file(tmp_path, ["1/2", text])
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"{tmp_path / 'w.json'}: {expected.value}"
     if isinstance(text, str):
         with pytest.raises(GraphFormatError) as got:
             parse_rational(text)
