@@ -9,7 +9,7 @@ gives the Wiener index, the degree weight gives the degree distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -58,15 +58,7 @@ class MomentReport:
     hyper_wiener_paper: Fraction
 
     def to_json_dict(self) -> dict[str, str]:
-        return {
-            "moment": format_rational(self.moment),
-            "mean_distance": format_rational(self.mean_distance),
-            "wiener": format_rational(self.wiener),
-            "degree_distance": format_rational(self.degree_distance),
-            "zagreb1": format_rational(self.zagreb1),
-            "mti": format_rational(self.mti),
-            "hyper_wiener_paper": format_rational(self.hyper_wiener_paper),
-        }
+        return {f.name: format_rational(getattr(self, f.name)) for f in fields(self)}
 
 
 def indices(g: Graph, weights: WeightFunction = UNIT) -> MomentReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 
@@ -123,11 +123,7 @@ class Mismatch:
     instance: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "expected": self.expected,
-            "got": self.got,
-            "instance": self.instance,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -89,6 +89,16 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     Mutant(
+        "duplicate-ids-pass", "graph.py",
+        "if len(neighbor_sets) != len(vertex_list):", "if len(neighbor_sets) > len(vertex_list):",
+        ("test_graph.py",),
+    ),
+    Mutant(
+        "edge-of-three-escapes-as-value-error", "graph.py",
+        "except (TypeError, ValueError):", "except TypeError:",
+        ("test_graph.py", "test_cli.py"),
+    ),
+    Mutant(
         "reader-keeps-a-repeated-key", "graph.py",
         "json.load(fh, object_pairs_hook=_unique_keys)", "json.load(fh)",
         ("test_cli.py",),
@@ -213,6 +223,13 @@ EQUIVALENT = [
             "width, low = n.bit_length(),", "width, low = (n - 1).bit_length(),", (),
         ),
         "a level size at distance 1 or more is at most n - 1, which n - 1 bits hold",
+    ),
+    (
+        Mutant(
+            "duplicate-ids-check-reversed", "graph.py",
+            "if len(neighbor_sets) != len(vertex_list):", "if len(neighbor_sets) < len(vertex_list):", (),
+        ),
+        "the neighbour map has one key per distinct id, so it is never longer than the id list",
     ),
     (
         Mutant(

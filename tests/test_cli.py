@@ -73,6 +73,20 @@ def test_indices_p4_degree(tmp_path, capsys):
     assert payload["hyper_wiener_paper"] == "10/1"
 
 
+def test_indices_stdout_is_pinned_byte_for_byte(tmp_path, capsys):
+    # K_{1,3} centred at 9 on ids out of order: every index in field order,
+    # two-space indent, one trailing newline
+    star = {"vertices": [7, 3, 9, 1], "edges": [[9, 7], [9, 3], [9, 1]]}
+    path = write_json(tmp_path / "star.json", star)
+    code, out, err = run_cli(capsys, "indices", path, "--weights", "const:2/7")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "moment": "36/7",\n  "mean_distance": "9/8",\n  "wiener": "9/1",\n'
+        '  "degree_distance": "24/1",\n  "zagreb1": "12/1",\n  "mti": "36/1",\n'
+        '  "hyper_wiener_paper": "21/2"\n}\n'
+    )
+
+
 def test_indices_rejects_a_vertex_id_that_is_not_an_int(tmp_path, capsys):
     path = write_json(tmp_path / "g.json", {"vertices": ["a"], "edges": []})
     code, out, err = run_cli(capsys, "indices", path)
@@ -226,6 +240,12 @@ SHAPE_ERRORS = {
         lambda bad, graph, spec: ["indices", bad],
         "vertex ids must be integers, got 'a'",
     ),
+    # a file and Graph(...) word a bad edge alike
+    "indices-edge": (
+        '{"vertices": [0, 1, 2], "edges": [[0, 1, 2]]}',
+        lambda bad, graph, spec: ["indices", bad],
+        "edge [0, 1, 2] is not a pair",
+    ),
     "isomoment-host-edge": (
         '{"vertices": [0, 1], "edges": [[0, 0]]}',
         lambda bad, graph, spec: ["isomoment", bad, graph],
@@ -256,6 +276,11 @@ SHAPE_ERRORS = {
         spec_text('{"receptor": 0, "branch": {"vertices": [0, 1], "edges": [[0, 2]]}, "root": 0}'),
         lambda bad, graph, spec: ["graft", bad],
         "edge (0, 2) has an unknown endpoint",
+    ),
+    "spec-branch-edge": (
+        spec_text('{"receptor": 0, "branch": {"vertices": [0, 1, 2], "edges": [[0, 1, 2]]}, "root": 0}'),
+        lambda bad, graph, spec: ["graft", bad],
+        "edge [0, 1, 2] is not a pair",
     ),
     "weight-file": (
         "[1]",

@@ -207,6 +207,8 @@ def test_isomorphism_cap():
     big = path_graph(17)
     with pytest.raises(TooLarge):
         are_isomorphic(big, big)
+    with pytest.raises(TooLarge, match=r"^isomorphism test capped at order 16; got 17$"):
+        are_isomorphic(path_graph(3), big)
     assert are_isomorphic(big, big, cap=17)
 
 
