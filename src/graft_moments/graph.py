@@ -31,14 +31,15 @@ from .errors import (
 )
 
 # Caps every graph's order.  moment, indices and the closed forms keep
-# O(n) row sums plus at most three lists of n-bit ints (about 37 MB at
-# n = 10,000) while they run; each Graph then keeps only its int
-# adjacency, O(n + m), and its O(n) row sums.  The block route of
-# _point_moments adds O(n + m) lists and runs the kernel on one block at
-# a time; its block search is iterative, so D*x on a path or tree of this
-# order takes tens of milliseconds.  The verify oracle and theta keep one
-# BFS dict at a time; no command builds the O(n^2) distance matrix (about
-# 800 MB of tuples at n = 10,000), which stays for tests and library users.
+# O(n) row sums plus at most two lists of n-bit ints and the bit planes
+# of x (about 27 MB at n = 10,000) while they run; each Graph then keeps
+# only its int adjacency, O(n + m), and its O(n) row sums.  The block
+# route of _point_moments adds O(n + m) lists and runs the kernel on one
+# block at a time; its block search is iterative, so D*x on a path or
+# tree of this order takes tens of milliseconds.  The verify oracle and
+# theta keep one BFS dict at a time; no command builds the O(n^2)
+# distance matrix (about 800 MB of tuples at n = 10,000), which stays
+# for tests and library users.
 MAX_ORDER = 10_000
 
 
@@ -72,6 +73,8 @@ class Graph:
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {edge!r} is not a pair") from None
             if type(u) is not int or type(v) is not int:  # int subclasses but bool pass
+                if isinstance(edge, (str, dict)):  # two characters or two keys
+                    raise GraphFormatError(f"edge {edge!r} is not a pair")
                 for x in (u, v):
                     if not isinstance(x, int) or isinstance(x, bool):
                         raise GraphFormatError(f"edge endpoints must be integers, got {x!r}")
@@ -317,6 +320,18 @@ def _point_moments(
     a random tree of order 3,000 83 -> 8 ms; random graphs of order 150
     to 560 (e0 = 4 to 6) and 3,900 of order 2 to 40 keep their times.
 
+    One block is one ball-growing pass (_ball_sums) or one BFS per
+    nonzero entry.  With B_d(i) the vertices within distance d of i and
+    X = sum(x), (D*x)(i) is the sum over d >= 0 of X - x(B_d(i)), and
+    x(B) is the sum over k of 2**k * popcount(B & plane_k), plane_k the
+    vertices whose x has bit k set.  The pass needs x >= 0, and
+    _one_block takes it when e0 * (S + 1200) * (3 + planes) <= 2400 * S,
+    S the nonzero entries (measured constants in its docstring).  So
+    Theorem 1's host term on the rooted product of
+    random_connected_graph(Random(2000), 2000) with K2 and P3 on
+    alternate vertices takes 0.05 s, not 0.9 s by one BFS per entry
+    (CPython 3.11, 2 shared cores).
+
     The blocks: the graph is their graft product, glued at cut vertices;
     a shortest path between two vertices of a block, and every edge
     between them, stays in it.  Up pass, blocks from the leaves: mass(v)
@@ -373,22 +388,36 @@ def _point_moments(
 def _one_block(adjacency: _Adjacency, c: int, x: Mapping[int, int], row0: list[int]) -> list[int]:
     """c * s + D*x for c in {0, 1}: s the row sums of a connected graph that is no cycle.
 
-    D*x takes one BFS per nonzero entry, row0, the _distances row from
-    0, standing in for the one there.  s is bit-parallel (Akiba, Iwata and
-    Yoshida, SIGMOD 2013: D passes over n-bit sets) if n <= 64 or e0 *
-    (n + 1200) <= 600 * n, e0 = max(row0), else one BFS per source.
-    Measured with CPython 3.11 on paths, grids, random trees and random
-    graphs of order 40 to 10,000, bit-parallel over per-source time is
-    about (D/n) * (1 + n/1200), 0.02 to 0.96; the bound is where that
-    reaches 1 for D = 2*e0, so for D = e0 the per-source fallback takes
-    at most about twice as long.  Small graphs break the model (0.58 on a
-    2 x 32 grid), so order 64 and below always goes bit-parallel.
+    For x given, y = c * 1 + x takes one _ball_sums pass if y >= 0 and
+    e0 * (S + 1200) * (3 + planes) <= 2400 * S, with e0 = max(row0), S
+    the nonzero entries of y and planes = max(y).bit_length().
+    Otherwise s is a pass over y = 1 if n <= 64 or e0 * (n + 1200) <=
+    600 * n (the first bound at y = 1), else one BFS per source, and D*x
+    is one BFS per nonzero entry of x, row0, the _distances row from 0,
+    standing in for the one there.  Measured with CPython 3.11 on random graphs (m =
+    1.05n to 3.5n), cycles with chords and grids of order 20 to 3,000,
+    for y = 1 and for y of 1 to 40 bits nonzero on 2% to 100% of the
+    vertices: the pass takes about (D/S) * (1 + S/1200) * (3 +
+    planes)/4 times as long as the BFS route for D passes, and the bound
+    is where that reaches 1 for D = 2*e0.  Over all those cases the
+    rule's time was within 2% of always taking the faster route, and no
+    case took more than 2.2 times its faster route.  Small graphs break
+    the model (the pass takes 0.4 to 0.7 of the BFS time on grids of
+    order 30 to 120), so row sums of order 64 and below always take it.
     """
     n = len(adjacency)
+    e0 = max(row0)
+    if x:
+        y = [c] * n
+        for v, k in x.items():
+            y[v] += k
+        support, planes = n - y.count(0), max(y).bit_length()
+        if min(y) >= 0 and e0 * (support + 1200) * (3 + planes) <= 2400 * support:
+            return _ball_sums(adjacency, y)
     if not c:
         moments = [0] * n
-    elif n <= 64 or max(row0) * (n + 1200) <= 600 * n:
-        moments = _level_sums(adjacency, lambda d: d)
+    elif n <= 64 or e0 * (n + 1200) <= 600 * n:
+        moments = _ball_sums(adjacency, [1] * n)
     else:
         moments = list(_row_sums_per_source(adjacency))
     for v, k in x.items():
@@ -516,49 +545,70 @@ def _row_sums_per_source(adjacency: _Adjacency) -> tuple[int, ...]:
     return tuple(sum(_distances(adjacency, s)) for s in range(len(adjacency)))
 
 
-def _level_sums(adjacency: _Adjacency, weight: Callable[[int], int]) -> list[int]:
-    """sum_j weight(dist(i, j)) over the vertices j that i reaches, for every i.
+def _ball_sums(adjacency: _Adjacency, x: Sequence[int]) -> list[int]:
+    """D*x by position on a connected graph, x a list of ints >= 0, in one ball-growing pass.
 
-    All sources at once (Akiba, Iwata and Yoshida, SIGMOD 2013): bit j of
-    reach[i] is set once source j reached i.  At each level a vertex ORs
-    its neighbours' frontiers (the sources they first reached one level
-    earlier); the new bits are the sources at exactly that distance.  A
-    vertex reached by every source leaves the scan, and a level that
-    brings nothing ends it, so disconnected graphs work too.  Three lists
-    of n-bit ints; diameter passes.
+    B_d(i) is the set of vertices within distance d of i.  Each j counts
+    x[j] once for every d < dist(i, j), so with X = sum(x), (D*x)(i) is
+    the sum over d >= 0 of X - x(B_d(i)).  The balls grow for all
+    vertices at once, as ints with one bit per vertex of the support S of
+    x (Akiba, Iwata and Yoshida, SIGMOD 2013, as ball growth): B_1(i) is
+    i and its neighbours, and for d >= 1, B_d+1(i) is the union of the
+    neighbours' B_d(j), since i lies in each of them and every other
+    vertex of B_d+1(i) lies in one.  Intersection with S distributes over
+    the unions, so balls that keep only S's bits grow exactly.  If x is
+    0 or 1 everywhere, x(B) is B's popcount; otherwise x(B) is the sum
+    over k of 2**k * popcount(B & plane_k), plane_k the vertices of S
+    whose x has bit k set.  A vertex leaves the pass once its ball covers
+    S, and its ball then stays S, which it is.  Two lists of |S|-bit ints
+    plus the planes; as many passes as the largest distance from a
+    vertex to S.
     """
     n = len(adjacency)
-    everyone = (1 << n) - 1
-    frontier = [1 << i for i in range(n)]
-    reach = frontier[:]
-    sums = [weight(0)] * n
-    active = range(n)
-    level = 0
+    total = sum(x)
+    support = [i for i, v in enumerate(x) if v]
+    bits = [0] * n
+    for r, i in enumerate(support):
+        bits[i] = 1 << r
+    full = (1 << len(support)) - 1
+    if max(x) == 1:
+        weigh = int.bit_count
+    else:
+        planes = []
+        for k in range(max(x).bit_length()):
+            plane = sum([bit for bit, v in zip(bits, x) if v >> k & 1])
+            if plane:
+                planes.append((k, plane))
+
+        def weigh(ball: int) -> int:
+            return sum([(ball & plane).bit_count() << k for k, plane in planes])
+
+    balls = []
+    for i, nbrs in enumerate(adjacency):  # B_1
+        ball = bits[i]
+        for j in nbrs:
+            ball |= bits[j]
+        balls.append(ball)
+    sums = [2 * total - v - weigh(ball) for v, ball in zip(x, balls)]  # d = 0 and d = 1
+    active = [i for i, ball in enumerate(balls) if ball != full]
     while active:
-        level += 1
-        step = weight(level)
-        grown = [0] * n
+        grown = balls[:]
         still = []
         for i in active:
-            known = reach[i]
-            seen = known
+            ball = 0
             for j in adjacency[i]:
-                seen |= frontier[j]
-            new = seen ^ known
-            reach[i] = seen
-            sums[i] += step * new.bit_count()
-            grown[i] = new
-            if seen != everyone:
+                ball |= balls[j]
+            grown[i] = ball
+            if ball != full:
+                sums[i] += total - weigh(ball)
                 still.append(i)
-        if not any(grown):
-            break
-        frontier = grown
+        balls = grown
         active = still
     return sums
 
 
 def _level_signatures(adjacency: _Adjacency) -> tuple[list[int], list[int]]:
-    """Each vertex's isomorphism signature and row sum, from one _level_sums pass.
+    """Each vertex's isomorphism signature and row sum, from one BFS per vertex.
 
     The signature of i packs the number of vertices at each distance d
     from i into one int, in a field of width = n.bit_length() bits from
@@ -567,11 +617,18 @@ def _level_signatures(adjacency: _Adjacency) -> tuple[list[int], list[int]]:
     and a row sum below n * n, so no field carries into the next.  So in graphs
     of one order (the only ones that share an isomorphism bucket), two
     vertices have equal signatures exactly when their level sizes are
-    equal, and a signature's low bits are its row sum.
+    equal, and a signature's low bits are its row sum.  Vertices that i
+    does not reach weigh nothing, so the graph need not be connected.
+    The rows are _distances rows: O(n * m) steps, which isomorphism_classes'
+    default cap of order 16 keeps small; a raised cap pays one BFS per
+    vertex of every graph.
     """
     n = len(adjacency)
     width, low = n.bit_length(), (n * n).bit_length()
-    signatures = _level_sums(adjacency, lambda d: d + (1 << (low + width * d)))
+    signatures = [
+        sum(d + (1 << (low + width * d)) for d in _distances(adjacency, i) if d >= 0)
+        for i in range(n)
+    ]
     mask = (1 << low) - 1
     return signatures, [s & mask for s in signatures]
 
@@ -711,8 +768,8 @@ def isomorphism_classes(
 
     Returns one (representative, member positions) pair per class, in
     the order classes first appear; the representative is the first
-    member.  Each graph is filed by the int signatures of one
-    _level_signatures pass (see _Classes), so it need not be connected.
+    member.  Each graph is filed by its _level_signatures ints, one BFS
+    per vertex (see _Classes), so it need not be connected.
     The cap bounds every graph's order (search is exponential in the
     worst case).  Only the representatives are kept, so `graphs` may be
     a generator.

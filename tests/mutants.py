@@ -196,6 +196,27 @@ MUTANTS = [
         ("test_graph.py",),
     ),
     Mutant(
+        "ball-plane-weight-doubled", "graph.py",
+        "(ball & plane).bit_count() << k for", "(ball & plane).bit_count() << (k + 1) for",
+        ("test_graph.py", "test_properties.py"),
+    ),
+    Mutant(
+        "ball-level-0-without-own-entry", "graph.py",
+        "sums = [2 * total - v - weigh(ball) for v, ball in zip(x, balls)]",
+        "sums = [2 * total - weigh(ball) for ball in balls]",
+        ("test_graph.py", "test_properties.py"),
+    ),
+    Mutant(
+        "ball-leaves-on-every-vertex-not-the-support", "graph.py",
+        "support = [i for i, v in enumerate(x) if v]", "support = list(range(n))",
+        ("test_graph.py", "test_properties.py"),
+    ),
+    Mutant(
+        "combined-ball-pass-never-taken", "graph.py",
+        "<= 2400 * support", "< 0",
+        ("test_graph.py",),
+    ),
+    Mutant(
         "private-graph-import-in-verify", "verify.py",
         "from .graph import Graph, bfs_distances,",
         "from .graph import Graph, _int_adjacency, bfs_distances,",
@@ -230,6 +251,13 @@ EQUIVALENT = [
             "if len(neighbor_sets) != len(vertex_list):", "if len(neighbor_sets) < len(vertex_list):", (),
         ),
         "the neighbour map has one key per distinct id, so it is never longer than the id list",
+    ),
+    (
+        Mutant(
+            "ball-union-starts-from-its-own-ball", "graph.py",
+            "            ball = 0\n", "            ball = balls[i]\n", (),
+        ),
+        "for d >= 1 every neighbour's ball holds i and B_d(i) lies in their union, so adding it changes no bit",
     ),
     (
         Mutant(

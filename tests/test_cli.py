@@ -246,6 +246,17 @@ SHAPE_ERRORS = {
         lambda bad, graph, spec: ["indices", bad],
         "edge [0, 1, 2] is not a pair",
     ),
+    # two characters or two keys are no pair of endpoints
+    "indices-string-edge": (
+        '{"vertices": [0, 1], "edges": ["01"]}',
+        lambda bad, graph, spec: ["indices", bad],
+        "edge '01' is not a pair",
+    ),
+    "indices-object-edge": (
+        '{"vertices": [0, 1], "edges": [{"0": 1, "1": 0}]}',
+        lambda bad, graph, spec: ["indices", bad],
+        "edge {'0': 1, '1': 0} is not a pair",
+    ),
     "isomoment-host-edge": (
         '{"vertices": [0, 1], "edges": [[0, 0]]}',
         lambda bad, graph, spec: ["isomoment", bad, graph],
@@ -594,7 +605,7 @@ def no_product_bfs(monkeypatch):
             refuse()
         return distances(adjacency, source)
 
-    monkeypatch.setattr(graph_module, "_level_sums", refuse)
+    monkeypatch.setattr(graph_module, "_ball_sums", refuse)
     monkeypatch.setattr(graph_module, "_distances", factor_distances)
     monkeypatch.setattr(isomoment_module, "_permutation_order", recorded_order)
 

@@ -51,6 +51,7 @@ from graft_moments import (
 )
 from graft_moments.randgen import (
     random_comparison_instance,
+    random_connected_graph,
     random_extended_cycle_instance,
     random_flower_branches,
     random_graft_spec,
@@ -783,6 +784,26 @@ def test_a_tree_host_term_takes_the_probe_not_a_bfs_per_host_vertex(monkeypatch)
     monkeypatch.setattr(graph, "_distances", lambda adj, v: sources.append(v) or distances(adj, v))
     value = graft_moment_formula(spec)
     assert len(sources) <= 4
+    monkeypatch.undo()
+    product = graft(spec)
+    assert value == moment(product.graph, product.gamma)
+
+
+def test_a_dense_host_term_takes_one_ball_pass_not_a_bfs_per_host_vertex(monkeypatch):
+    # K2 and P3 on alternate vertices of a host of small eccentricity: D*(n - 1)
+    # has entries 1 and 2 at every host vertex, one pass over two bit planes
+    host = random_connected_graph(random.Random(2000), 2000)
+    k2, p3 = path_graph(2), path_graph(3)
+    spec = GraftSpec(
+        host,
+        [Attachment(x, p3 if i % 2 else k2, 0, DEGREE) for i, x in enumerate(host.vertices)],
+        DEGREE,
+    )
+    orders = []
+    distances = graph._distances
+    monkeypatch.setattr(graph, "_distances", lambda adj, v: orders.append(len(adj)) or distances(adj, v))
+    value = graft_moment_formula(spec)
+    assert orders.count(host.order) == 2  # the probes of s and of D*(n - 1)
     monkeypatch.undo()
     product = graft(spec)
     assert value == moment(product.graph, product.gamma)

@@ -6,6 +6,7 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter, deque
+from operator import mul
 
 import pytest
 
@@ -36,12 +37,12 @@ from graft_moments import (
 from graft_moments import graph as graph_module
 from graft_moments.graph import (
     MAX_ORDER,
+    _ball_sums,
     _bfs_reached,
     _blocks,
     _distances,
     _int_adjacency,
     _level_signatures,
-    _level_sums,
     _point_moments,
     _ring,
     _row_sums_per_source,
@@ -89,6 +90,8 @@ def test_construction_rejects_non_simple_input(vertices, edges):
         # an edge that is not a pair
         ([(0, 1, 2)], "edge (0, 1, 2) is not a pair"),
         ([5], "edge 5 is not a pair"),
+        (["01"], "edge '01' is not a pair"),
+        ([{"0": 1, "1": 0}], "edge {'0': 1, '1': 0} is not a pair"),
     ],
 )
 def test_construction_reports_the_first_fault(edges, message):
@@ -557,7 +560,7 @@ def test_distance_row_sums_match_the_matrix(name, g):
     expected = distance_matrix(g).row_sums
     assert distance_row_sums(g) == expected
     adjacency = _int_adjacency(g)
-    assert tuple(_level_sums(adjacency, lambda d: d)) == expected
+    assert tuple(_ball_sums(adjacency, [1] * g.order)) == expected
     assert _row_sums_per_source(adjacency) == expected
     # D*1 by the dispatcher, which then takes its own probe
     assert _point_moments(adjacency, dict.fromkeys(range(g.order), 1)) == list(expected)
@@ -581,7 +584,7 @@ def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
     def refuse(*args):
         raise AssertionError("a whole-graph kernel ran")
 
-    for kernel in ("_one_block", "_level_sums", "_row_sums_per_source"):
+    for kernel in ("_one_block", "_ball_sums", "_row_sums_per_source"):
         monkeypatch.setattr(graph_module, kernel, refuse)
     assert distance_row_sums(g) == expected
 
@@ -590,7 +593,7 @@ def _refuse_the_whole_graph_kernels(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("a bit-parallel or per-source kernel ran")
 
-    for kernel in ("_level_sums", "_row_sums_per_source"):
+    for kernel in ("_ball_sums", "_row_sums_per_source"):
         monkeypatch.setattr(graph_module, kernel, refuse)
 
 
@@ -851,12 +854,63 @@ def test_point_moments_agree_with_networkx(name, g):
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges())
-    for x in _multiplier_maps(g.order, random.Random(name)):
+    rng = random.Random(name)
+    for x in _multiplier_maps(g.order, rng) + _nonnegative_maps(g.order, rng, (1, 40)):
         expected = [0] * g.order
         for p, c in x.items():
             dist = nx.single_source_shortest_path_length(h, g.vertices[p])
             expected = [e + c * dist[v] for e, v in zip(expected, g.vertices)]
         assert _point_moments(_int_adjacency(g), x) == expected
+
+
+def _nonnegative_maps(
+    n: int, rng: random.Random, bits: tuple[int, ...] = (1, 2, 8, 40)
+) -> list[dict[int, int]]:
+    """Maps x >= 0 of each bit length: sparse (a tenth of the positions,
+    at least two), half full and dense (every position), values from 1 up;
+    so 1 bit gives indicator maps and, dense, x = 1."""
+    maps = []
+    for b in bits:
+        for share in (max(2, n // 10), n // 2, n):
+            positions = rng.sample(range(n), min(n, share))
+            maps.append({p: rng.randint(1, (1 << b) - 1) for p in positions})
+    return maps
+
+
+def _matrix_product(entries: tuple[tuple[int, ...], ...], x: dict[int, int]) -> list[int]:
+    column = [x.get(p, 0) for p in range(len(entries))]
+    return [sum(map(mul, row, column)) for row in entries]
+
+
+@pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
+def test_nonnegative_point_moments_are_the_matrix_product(name, g):
+    # the ball pass itself on every case, whatever route the dispatcher takes
+    entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
+    for x in _nonnegative_maps(g.order, random.Random(name)):
+        expected = _matrix_product(entries, x)
+        assert _point_moments(adjacency, x) == expected
+        assert _ball_sums(adjacency, [x.get(p, 0) for p in range(g.order)]) == expected
+
+
+@pytest.mark.parametrize("name", ["rand-300", "complete-30", "star-120"])
+def test_dense_nonnegative_point_moments_take_one_ball_pass(monkeypatch, name):
+    # every entry nonzero, of 1 to 40 bits, on a graph of small eccentricity:
+    # the probe BFS from 0, then one pass, and no BFS per entry
+    g = dict(ROW_SUM_CASES)[name]
+    entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
+    sources, passes = [], []
+    distances, ball_sums = graph_module._distances, graph_module._ball_sums
+    monkeypatch.setattr(
+        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
+    )
+    monkeypatch.setattr(
+        graph_module, "_ball_sums", lambda adj, y: passes.append(len(y)) or ball_sums(adj, y)
+    )
+    for x in _nonnegative_maps(g.order, random.Random(name))[2::3]:  # the dense maps
+        sources.clear()
+        passes.clear()
+        assert _point_moments(adjacency, x) == _matrix_product(entries, x)
+        assert sources == [0] and passes == [g.order]
 
 
 def _cycle_with_trees(r: int, trees: list[tuple[int, Graph]]) -> Graph:
@@ -884,8 +938,9 @@ def test_the_cyclic_slide_is_the_matrix_product_on_cycles_and_cacti():
     for name, g in CYCLE_GATE_CASES:
         matrix = distance_matrix(g)
         assert distance_row_sums(g) == matrix.row_sums, name
-        for x in _multiplier_maps(g.order, random.Random(name)):
-            expected = [sum(c * row[p] for p, c in x.items()) for row in matrix.entries]
+        rng = random.Random(name)
+        for x in _multiplier_maps(g.order, rng) + _nonnegative_maps(g.order, rng, (1, 40)):
+            expected = _matrix_product(matrix.entries, x)
             assert _point_moments(_int_adjacency(g), x) == expected, name
 
 
@@ -895,7 +950,8 @@ def test_the_cyclic_slide_agrees_with_networkx_on_cycles_and_cacti():
         h = nx.Graph(list(g.edges()))
         dist = dict(nx.all_pairs_shortest_path_length(h))
         assert distance_row_sums(g) == tuple(sum(dist[v].values()) for v in g.vertices), name
-        for x in _multiplier_maps(g.order, random.Random(name)):
+        rng = random.Random(name)
+        for x in _multiplier_maps(g.order, rng) + _nonnegative_maps(g.order, rng, (40,)):
             expected = [sum(c * dist[u][g.vertices[p]] for p, c in x.items()) for u in g.vertices]
             assert _point_moments(_int_adjacency(g), x) == expected, name
 

@@ -50,7 +50,7 @@ from graft_moments import (
     unicyclic_degree_distance,
 )
 from graft_moments.cli import _emit_json
-from graft_moments.graph import _blocks, _int_adjacency
+from graft_moments.graph import _ball_sums, _blocks, _int_adjacency, _point_moments
 from graft_moments.verify import (
     _comparison_oracle,
     _cycle_graft_oracle,
@@ -309,6 +309,29 @@ def test_row_sums_by_blocks_equal_the_matrix(g):
     assert _reaches_the_blocks(g)
     assert len(_blocks(_int_adjacency(g))) > 1
     assert distance_row_sums(g) == distance_matrix(g).row_sums
+
+
+# a connected graph and x >= 0 on it: small values (a plane or three) or up to 40 bits
+graphs_with_nonnegative_maps = connected_graphs(max_order=12).flatmap(
+    lambda g: st.tuples(
+        st.just(g),
+        st.lists(
+            st.one_of(st.integers(0, 5), st.integers(0, 1 << 40)),
+            min_size=g.order,
+            max_size=g.order,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graphs_with_nonnegative_maps)
+def test_nonnegative_point_moments_equal_the_matrix_product(gx):
+    g, x = gx
+    expected = [sum(map(lambda d, c: d * c, row, x)) for row in distance_matrix(g).entries]
+    adjacency = _int_adjacency(g)
+    assert _ball_sums(adjacency, x) == expected
+    assert _point_moments(adjacency, dict(enumerate(x))) == expected
 
 
 # each vertex's explicit weight in twelfths from 0 to 6: int draws are fast

@@ -56,7 +56,7 @@ def _code_names(path: Path) -> list[tuple[int, str, str | None]]:
 def test_the_bfs_kernels_stay_inside_graph():
     # D*x is graph._point_moments: only graph runs the int BFS and the
     # bit-parallel pass under it, and the verify oracle imports public names only
-    kernels = {"_distances", "_bfs_reached", "_level_sums"}
+    kernels = {"_distances", "_bfs_reached", "_ball_sums"}
     stray = [
         f"{path.name}:{line}: {name}"
         for path in SOURCES

@@ -182,7 +182,7 @@ def _refuse_the_certified_kernels(monkeypatch):
 
     for module in (graph_module, moments_module, closed_forms_module):
         for name in (
-            "distance_row_sums", "_distances", "_point_moments", "_level_sums",
+            "distance_row_sums", "_distances", "_point_moments", "_ball_sums",
             "_level_signatures",
         ):
             if hasattr(module, name):
