@@ -1,29 +1,35 @@
 """Formula-vs-oracle verification over seeded random instances.
 
-The oracle is always the same: run one plain BFS (`bfs_distances`) from
-every vertex of the product graph, sum its distances into that vertex's
-row sum, and sum weight times row sum; no n x n matrix is kept.  Each
-weight is its reduced int pair p/q, p * s(v) goes into one int per
-denominator q, and one `Fraction` per distinct denominator gives the
-exact result; the weights' `value` and `vector` are not called.
-`_graft_oracle` builds a graft product with `graft` and sums it so,
-weighted by its gamma unless told otherwise; every graft-based checker
-and the test suite go through it.  The oracle shares no distance code
-with what it certifies: `moments.moment`, `moments.indices` and the
-closed forms take their row sums (`distance_row_sums`, D*1), their
-point-moment rows and D*x from `graph._point_moments`, so a fault
-in either shows up as a mismatch instead of cancelling out; the oracle
-imports no private name from `graph`, and neither reads nor fills the
-int adjacency and row sums a `Graph` keeps for them.  Only connectivity
-validation (`is_connected`, when a product or a closed form checks its
-factors) runs the oracle's BFS loop on both sides.  A verifier draws
-random instances, evaluates the closed form and the oracle, and records
-every disagreement (there should be none) in a report; an instance is
-kept as its graphs, weights and numbers and written out as JSON only
-when it disagrees.  Some verifiers chain extra checks onto each instance
--- the comparison formula must also be invariant under swapping the
-branch for another of equal order and total weight, and the proper-cycle
-formula must agree with the extended-cycle formula.
+The oracle is always the same: one level-synchronous BFS from every
+vertex of the product graph at once, each source one bit of an int
+(Then et al., "The More the Merrier: Efficient Multi-Source Graph
+Traversal", PVLDB 2014).  At level d each vertex ORs its neighbours'
+frontiers, keeps the sources it had not yet reached, and adds d times
+their count to its row sum s(v); the oracle then sums weight times row
+sum, and no n x n matrix is kept.  Each weight is its reduced int pair
+p/q, p * s(v) goes into one int per denominator q, and one `Fraction`
+per distinct denominator gives the exact result; the weights' `value`
+and `vector` are not called.  `_graft_oracle` builds a graft product
+with `graft` and sums it so, weighted by its gamma unless told
+otherwise; every graft-based checker and the test suite go through it.
+The oracle shares no distance code with what it certifies:
+`moments.moment`, `moments.indices` and the closed forms take their row
+sums (`distance_row_sums`, D*1), their point-moment rows and D*x from
+`graph._point_moments`, whose ball pass sums X - x(B_d) where the
+oracle counts newly reached sources, so a fault in either shows up as a
+mismatch instead of cancelling out.  The oracle reads each graph
+through its public `vertices` and `neighbors` alone, imports no private
+name from `graph`, runs none of its BFS code (`bfs_distances`,
+`_bfs_reached`), and neither reads nor fills anything a `Graph` keeps;
+on the oracle's side only `graft`'s factor validation (`is_connected`)
+runs a BFS of `graph`'s.  A verifier draws random instances, evaluates
+the closed form and the oracle, and records every disagreement (there
+should be none) in a report; an instance is kept as its graphs, weights
+and numbers and written out as JSON, with its 0-based index in the run,
+only when it disagrees.  Some verifiers chain extra checks onto each
+instance -- the comparison formula must also be invariant under
+swapping the branch for another of equal order and total weight, and
+the proper-cycle formula must agree with the extended-cycle formula.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ from .closed_forms import (
     proper_cycle_degree_distance,
     unicyclic_degree_distance,
 )
-from .errors import EmptyGraph, GraphFormatError
-from .graph import Graph, bfs_distances, cycle_graph, graph_to_json_dict
+from .errors import DisconnectedGraph, EmptyGraph, GraphFormatError
+from .graph import Graph, cycle_graph, graph_to_json_dict
 from .products import Attachment, GraftSpec, flower, graft, permutation_graph
 from .randgen import (
     random_comparison_instance,
@@ -71,19 +77,55 @@ Check = tuple[Fraction, Fraction, dict]
 
 
 def _oracle_moment(g: Graph, weights: WeightFunction) -> Fraction:
-    """sum_v w(v) * s(v), each row sum s(v) from its own plain BFS.
+    """sum_v w(v) * s(v), the row sums s(v) from one BFS of every source at once.
 
-    Each weight is taken as its reduced pair p/q; p * s(v) is added to
-    one int per denominator q, and each denominator makes one Fraction
-    at the end.  Raises what distance_matrix raises, with the same
-    messages, and a vertex's row error before its weight error.
+    reach[i] holds the sources that have reached vertex i, one bit each,
+    and frontier[i] those that reached it at the last level; at level d,
+    new = (OR of the neighbours' frontiers) & ~reach[i] is the set of
+    sources at distance d from i, so d * popcount(new) goes into i's row,
+    which by symmetry is s(v).  A vertex leaves the loop once nothing new
+    reaches it or every source has.  Each weight is taken as its reduced
+    pair p/q; p * s(v) is added to one int per denominator q, and each
+    denominator makes one Fraction at the end.  Raises what
+    distance_matrix raises, with the same messages, and a row error
+    before any weight error.
     """
-    if g.order == 0:
+    vertices = g.vertices
+    n = len(vertices)
+    if n == 0:
         raise EmptyGraph("distance matrix of the empty graph")
+    position = {v: i for i, v in enumerate(vertices)}
+    neighbours = [[position[w] for w in g.neighbors(v)] for v in vertices]
+    everyone = (1 << n) - 1
+    reach = [1 << i for i in range(n)]
+    frontier = reach[:]
+    rows = [0] * n
+    active = [i for i in range(n) if neighbours[i]]
+    d = 0
+    while active:
+        d += 1
+        grown = [0] * n
+        still = []
+        for i in active:
+            new = 0
+            for j in neighbours[i]:
+                new |= frontier[j]
+            new &= ~reach[i]
+            if new:
+                reach[i] |= new
+                rows[i] += d * new.bit_count()
+                grown[i] = new
+                if reach[i] != everyone:
+                    still.append(i)
+        active = still
+        frontier = grown
+    if reach[0] != everyone:
+        raise DisconnectedGraph(
+            f"only {reach[0].bit_count()} of {n} vertices reachable from {vertices[0]!r}"
+        )
     sums: dict[int, int] = {}
-    for v, degree in zip(g.vertices, g.degrees):
-        row_sum = sum(bfs_distances(g, v).values())
-        p, q = weights._at(v, degree)
+    for v, nbrs, row_sum in zip(vertices, neighbours, rows):
+        p, q = weights._at(v, len(nbrs))
         sums[q] = sums.get(q, 0) + p * row_sum
     return sum((Fraction(p, q) for q, p in sums.items()), Fraction(0))
 
@@ -118,6 +160,7 @@ def _cycles_oracle(host_order: int, branch_orders) -> Fraction:
 
 @dataclass(frozen=True)
 class Mismatch:
+    index: int  # the instance's 0-based position; the seed and count index + 1 draw it again
     expected: str
     got: str
     instance: dict
@@ -315,11 +358,12 @@ def run_verification(
     rng = random.Random(seed)
     report = VerificationReport(formula=formula, instances=count, seed=seed)
     start = time.perf_counter()
-    for _ in range(count):
+    for index in range(count):
         for expected, got, instance in checker(rng, max_size):
             if expected != got:
                 report.mismatches.append(
                     Mismatch(
+                        index=index,
                         expected=format_rational(expected),
                         got=format_rational(got),
                         instance=_describe(instance),

@@ -11,8 +11,9 @@ unmutated package), checks that the unmutated copy passes the listed test
 files, then for each mutant applies it and runs its listed test files
 with -x.  A mutant they do not fail is a survivor; the rest of the suite
 then runs only to say whether some other file kills it.  The gate fails
-on a survivor, and on a table entry whose old text is missing or is not
-unique, so a refactor that moves the text must update the table.
+on a survivor, on a mutant run that takes longer than MUTANT_TIMEOUT (a
+hang is not a kill), and on a table entry whose old text is missing or
+is not unique, so a refactor that moves the text must update the table.
 Equivalent mutants are listed with their reasons and never run.  The
 standard library is all it needs besides pytest and the test suite's own
 dependencies; pytest does not collect this file.
@@ -218,9 +219,37 @@ MUTANTS = [
     ),
     Mutant(
         "private-graph-import-in-verify", "verify.py",
-        "from .graph import Graph, bfs_distances,",
-        "from .graph import Graph, _int_adjacency, bfs_distances,",
+        "from .graph import Graph, cycle_graph,",
+        "from .graph import Graph, _int_adjacency, cycle_graph,",
         ("test_runtime.py",),
+    ),
+    Mutant(
+        "graph-bfs-import-in-verify", "verify.py",
+        "from .graph import Graph, cycle_graph,",
+        "from .graph import Graph, bfs_distances, cycle_graph,",
+        ("test_runtime.py",),
+    ),
+    Mutant(
+        "oracle-level-weight-off-by-one", "verify.py",
+        "rows[i] += d * new.bit_count()", "rows[i] += (d + 1) * new.bit_count()",
+        ("test_verify.py",),
+    ),
+    # without the mask a vertex of a disconnected graph never leaves the
+    # loop, so this relies on -x stopping at the first (connected) failure
+    Mutant(
+        "oracle-without-the-reach-mask", "verify.py",
+        "            new &= ~reach[i]\n", "",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "oracle-frontier-is-reach", "verify.py",
+        "frontier = reach[:]", "frontier = reach",
+        ("test_verify.py",),
+    ),
+    Mutant(
+        "oracle-reports-the-last-vertex-reach", "verify.py",
+        "f\"only {reach[0].bit_count()}", "f\"only {reach[-1].bit_count()}",
+        ("test_verify.py",),
     ),
     Mutant(
         "bfs-kernel-import-in-closed-forms", "closed_forms.py",
@@ -261,6 +290,14 @@ EQUIVALENT = [
     ),
     (
         Mutant(
+            "oracle-keeps-every-vertex-that-grew", "verify.py",
+            "                if reach[i] != everyone:\n                    still.append(i)\n",
+            "                still.append(i)\n", (),
+        ),
+        "a vertex every source has reached finds nothing new at the next level and leaves then",
+    ),
+    (
+        Mutant(
             "oracle-absolute-numerator", "verify.py",
             "sums.get(q, 0) + p * row_sum", "sums.get(q, 0) + abs(p) * row_sum", (),
         ),
@@ -276,13 +313,20 @@ EQUIVALENT = [
 ]
 
 
-def _pytest(copy: Path, files: list[str], *extra: str) -> int:
-    """pytest's exit code on the copy: 0 all passed, 1 some test failed."""
+MUTANT_TIMEOUT = 120  # seconds for one mutant's test run; a mutant that hangs fails the gate
+
+
+def _pytest(copy: Path, files: list[str], *extra: str, timeout: float | None = None) -> int | str:
+    """pytest's exit code on the copy (0 all passed, 1 some test failed), or "timed out"."""
     # no bytecode cache: a mutant and its undoing can share a size and an mtime second
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *extra, *files]
-    return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL).returncode
+    try:
+        run = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return run.returncode
 
 
 def _check_texts(mutants: list[Mutant]) -> list[str]:
@@ -315,16 +359,16 @@ def main() -> int:
             source.write_text(original.replace(m.old, m.new), encoding="utf-8")
             start = time.perf_counter()
             kills = [f"tests/{f}" for f in m.kills]
-            code = _pytest(copy, kills, "-x")
+            code = _pytest(copy, kills, "-x", timeout=MUTANT_TIMEOUT)
             if code == 1:
                 verdict = "killed"
             elif code == 0:
                 ignores = [f"--ignore={f}" for f in kills]
-                rest = _pytest(copy, ["tests"], "-x", *ignores)
+                rest = _pytest(copy, ["tests"], "-x", *ignores, timeout=MUTANT_TIMEOUT)
                 verdict = "SURVIVED" if rest == 0 else f"killed only outside {m.kills}: update the table"
                 failures += 1
             else:
-                verdict = f"pytest exited {code}"
+                verdict = f"pytest {code}" if code == "timed out" else f"pytest exited {code}"
                 failures += 1
             source.write_text(original, encoding="utf-8")
             print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)

@@ -1230,7 +1230,7 @@ def test_emitted_text_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(verify_module, "graft_moment_formula", lambda spec: formula(spec) + 1)
     code, out, _ = run_cli(capsys, "verify", "theorem1", "--count", "3", "--seed", "7")
     assert code == 1
-    assert len(emitted[-1]["mismatches"]) == 3
+    assert [m["index"] for m in emitted[-1]["mismatches"]] == [0, 1, 2]
     assert out == json.dumps(emitted[-1], indent=2) + "\n"
 
     product = tmp_path / "product.json"

@@ -652,7 +652,7 @@ def test_graft_forms_with_equal_branches_in_different_vertex_orders(p3, diamond)
     assert flower_moment_formula(center, branches) == _oracle_moment(product.graph, product.gamma)
 
 
-# -- independence from the oracle's distance matrix -----------------------------
+# -- independence from the distance matrix and the plain BFS ---------------------
 
 
 def _no_matrix_instances(k2, p3, p4, c3, diamond):
@@ -702,9 +702,9 @@ def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diam
         raise AssertionError("a closed form built a distance matrix")
 
     def refuse_bfs(*args):
-        raise AssertionError("a closed form ran the oracle's BFS")
+        raise AssertionError("a closed form ran the plain BFS under bfs_distances")
 
-    def connected(g):  # what factor validation needs, without the oracle's BFS
+    def connected(g):  # what factor validation needs, without the plain BFS
         return -1 not in graph._distances(graph._int_adjacency(g), 0)
 
     monkeypatch.setattr(graph.DistanceMatrix, "__init__", refuse)

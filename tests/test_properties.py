@@ -26,6 +26,8 @@ from graft_moments import (
     AffineWeight,
     Attachment,
     ConstantWeight,
+    DisconnectedGraph,
+    EmptyGraph,
     ExplicitWeight,
     Graph,
     bfs_distances,
@@ -181,6 +183,34 @@ def test_flower_form_equals_the_oracle(center, branches):
     assert flower_moment_formula(center, branches) == _oracle_moment(
         product.graph, product.gamma
     )
+
+
+@st.composite
+def relabelled_graphs(draw, max_order: int = 12) -> Graph:
+    """A simple graph on distinct ids of either sign: connected_graphs, or any, empty included."""
+    if draw(st.booleans()):
+        g = draw(connected_graphs(max_order))
+    else:
+        n = draw(st.integers(0, max_order))
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        g = Graph(range(n), draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    ids = draw(st.lists(st.integers(-1000, 1000), min_size=g.order, max_size=g.order, unique=True))
+    return Graph(ids, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+@PROPERTY_SETTINGS
+@given(relabelled_graphs(), st.data())
+def test_the_oracle_is_the_matrix_sum_or_raises_as_the_matrix_does(g, data):
+    weights = data.draw(weighted(g))
+    try:
+        row_sums = distance_matrix(g).row_sums
+    except (EmptyGraph, DisconnectedGraph) as exc:
+        with pytest.raises(type(exc)) as got:
+            _oracle_moment(g, weights)
+        assert str(got.value) == str(exc)
+        return
+    expected = sum((weights.value(g, v) * s for v, s in zip(g.vertices, row_sums)), Fraction(0))
+    assert _oracle_moment(g, weights) == expected
 
 
 @PROPERTY_SETTINGS
