@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -36,10 +36,11 @@ from .errors import (
 # only its int adjacency, O(n + m), and its O(n) row sums.  The block
 # route of _point_moments adds O(n + m) lists and runs the kernel on one
 # block at a time; its block search is iterative, so D*x on a path or
-# tree of this order takes tens of milliseconds.  The verify oracle and
-# theta keep one BFS dict at a time; no command builds the O(n^2)
-# distance matrix (about 800 MB of tuples at n = 10,000), which stays
-# for tests and library users.
+# tree of this order takes tens of milliseconds.  The verify oracle keeps
+# n-bit ints per vertex (reach, frontier, grown): tracemalloc peaks at
+# 4.7 MB for random_connected_graph(Random(1), 3000), growing as n^2
+# (CPython 3.11).  theta keeps one BFS dict at a time; no command builds
+# the O(n^2) distance matrix (about 800 MB of tuples at n = 10,000).
 MAX_ORDER = 10_000
 
 
@@ -68,13 +69,15 @@ class Graph:
         if len(neighbor_sets) != len(vertex_list):
             raise GraphFormatError("duplicate vertex ids")
         for edge in edges:
+            # two characters, bytes or keys unpack like a pair; lists and tuples skip isinstance
+            if type(edge) is not list and type(edge) is not tuple:
+                if isinstance(edge, (str, bytes, bytearray, dict)):
+                    raise GraphFormatError(f"edge {edge!r} is not a pair")
             try:
                 u, v = edge
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {edge!r} is not a pair") from None
             if type(u) is not int or type(v) is not int:  # int subclasses but bool pass
-                if isinstance(edge, (str, dict)):  # two characters or two keys
-                    raise GraphFormatError(f"edge {edge!r} is not a pair")
                 for x in (u, v):
                     if not isinstance(x, int) or isinstance(x, bool):
                         raise GraphFormatError(f"edge endpoints must be integers, got {x!r}")
@@ -320,18 +323,6 @@ def _point_moments(
     a random tree of order 3,000 83 -> 8 ms; random graphs of order 150
     to 560 (e0 = 4 to 6) and 3,900 of order 2 to 40 keep their times.
 
-    One block is one ball-growing pass (_ball_sums) or one BFS per
-    nonzero entry.  With B_d(i) the vertices within distance d of i and
-    X = sum(x), (D*x)(i) is the sum over d >= 0 of X - x(B_d(i)), and
-    x(B) is the sum over k of 2**k * popcount(B & plane_k), plane_k the
-    vertices whose x has bit k set.  The pass needs x >= 0, and
-    _one_block takes it when e0 * (S + 1200) * (3 + planes) <= 2400 * S,
-    S the nonzero entries (measured constants in its docstring).  So
-    Theorem 1's host term on the rooted product of
-    random_connected_graph(Random(2000), 2000) with K2 and P3 on
-    alternate vertices takes 0.05 s, not 0.9 s by one BFS per entry
-    (CPython 3.11, 2 shared cores).
-
     The blocks: the graph is their graft product, glued at cut vertices;
     a shortest path between two vertices of a block, and every edge
     between them, stays in it.  Up pass, blocks from the leaves: mass(v)
@@ -339,30 +330,27 @@ def _point_moments(
     the total X.  Down pass from (D*x)(0), the probe's dot product with
     x: each vertex hangs on one vertex a of a block B, with mass M_a (at
     the head, X minus the others' masses), so D*x on B is D_B*M plus
-    (D*x)(head) - (D_B*M)(head).  For x = 1, M is the vertex counts m and
-    D_B*m = s_B + D_B*(m - 1) keeps the kernel and is sparse where little
-    hangs: _one_block takes c * s_B + D_B*(M - c), c = 1 for row sums and
-    0 otherwise, and a cycle block slides M - c, s_B being constant on
-    it.  A bridge (head p, other vertex w) is one step, (D*x)(w) =
-    (D*x)(p) + X - 2 * mass(w), so a tree takes the probe alone.
+    (D*x)(head) - (D_B*M)(head), D_B*M by a slide on a cycle block and
+    by _one_block on any other.  A bridge (head p, other vertex w) is one
+    step, (D*x)(w) = (D*x)(p) + X - 2 * mass(w), so a tree takes the
+    probe alone.
     """
     n = len(adjacency)
-    c = 1 if len(x) == n and set(x.values()) == {1} else 0
-    nonzero = x if c else {v: k for v, k in x.items() if k}
-    if len(nonzero) < 2:  # one plain BFS, or none
-        for v, k in nonzero.items():
-            row = _distances(adjacency, v)
-            return row if k == 1 else [k * d for d in row]
+    if sum(map(bool, x.values())) < 2:  # one plain BFS, or none
+        for v, k in x.items():
+            if k:
+                row = _distances(adjacency, v)
+                return row if k == 1 else [k * d for d in row]
         return [0] * n
+    mass = list(map(x.get, range(n), repeat(0)))
     ring = _ring(adjacency)
     if ring is not None:
-        return _slide(ring, nonzero)
+        return _slide(ring, mass)
     probe = probe or _distances(adjacency, 0)
     blocks = _blocks(adjacency) if max(probe) > n.bit_length() else []
     if len(blocks) < 2:
-        return _one_block(adjacency, c, {} if c else nonzero, probe)
+        return _one_block(adjacency, mass, probe)
 
-    mass = [x.get(v, 0) for v in range(n)]
     moments = [0] * n
     moments[0] = sum(map(mul, probe, mass))
     for block in blocks:
@@ -375,52 +363,48 @@ def _point_moments(
             continue
         slot = {v: i for i, v in enumerate(block)}
         local = [[slot[w] for w in adjacency[v] if w in slot] for v in block]
-        extra = {a: mass[v] - c for a, v in enumerate(block) if a}  # M - c
-        extra[0] = total - sum(extra.values()) - c * len(block)
+        y = [0, *map(mass.__getitem__, block[1:])]
+        y[0] = total - sum(y)
         ring = _ring(local)
-        row = _slide(ring, extra) if ring else _one_block(local, c, extra, _distances(local, 0))
+        row = _slide(ring, y) if ring else _one_block(local, y, _distances(local, 0))
         constant = moments[head] - row[0]
         for v, s in zip(block[1:], row[1:]):
             moments[v] = s + constant
     return moments
 
 
-def _one_block(adjacency: _Adjacency, c: int, x: Mapping[int, int], row0: list[int]) -> list[int]:
-    """c * s + D*x for c in {0, 1}: s the row sums of a connected graph that is no cycle.
+def _one_block(adjacency: _Adjacency, y: list[int], row0: list[int]) -> list[int]:
+    """D*y by position on a connected graph that is no cycle, row0 the _distances row from 0.
 
-    For x given, y = c * 1 + x takes one _ball_sums pass if y >= 0 and
-    e0 * (S + 1200) * (3 + planes) <= 2400 * S, with e0 = max(row0), S
-    the nonzero entries of y and planes = max(y).bit_length().
-    Otherwise s is a pass over y = 1 if n <= 64 or e0 * (n + 1200) <=
-    600 * n (the first bound at y = 1), else one BFS per source, and D*x
-    is one BFS per nonzero entry of x, row0, the _distances row from 0,
-    standing in for the one there.  Measured with CPython 3.11 on random graphs (m =
-    1.05n to 3.5n), cycles with chords and grids of order 20 to 3,000,
-    for y = 1 and for y of 1 to 40 bits nonzero on 2% to 100% of the
-    vertices: the pass takes about (D/S) * (1 + S/1200) * (3 +
-    planes)/4 times as long as the BFS route for D passes, and the bound
-    is where that reaches 1 for D = 2*e0.  Over all those cases the
-    rule's time was within 2% of always taking the faster route, and no
-    case took more than 2.2 times its faster route.  Small graphs break
-    the model (the pass takes 0.4 to 0.7 of the BFS time on grids of
-    order 30 to 120), so row sums of order 64 and below always take it.
+    One _ball_sums pass if y >= 0 and either e0 * (S + 1200) * (3 +
+    planes) <= 2400 * S, with e0 = max(row0), S the nonzero entries of y
+    and planes = max(y).bit_length(), or y is nonzero on all n <= 64
+    vertices.  Otherwise one BFS per nonzero entry, row0 standing in for
+    the one at 0; a constant y takes y[0] times each source's own row
+    sum, 20% faster than that loop on a 2 x 1000 ladder.  Measured with
+    CPython 3.11 on random graphs (m = 1.05n to 3.5n), cycles with chords
+    and grids of order 20 to 3,000, for y of 1 to 40 bits nonzero on 2%
+    to 100% of the vertices: the pass takes about (D/S) * (1 + S/1200) *
+    (3 + planes)/4 times as long as the BFS route for D passes, and the
+    bound is where that reaches 1 for D = 2*e0.  The rule's time was
+    within 2% of always taking the faster route, and at most 2.2 times
+    it.  Small graphs break the model (the pass takes 0.4 to 0.7 of the
+    BFS time on grids of order 30 to 120), hence n <= 64.  Theorem 1's
+    host term on the rooted product of random_connected_graph(Random(2000),
+    2000) with K2 and P3 on alternate vertices takes 0.05 s by the pass,
+    not 0.9 s by BFS (CPython 3.11, 2 shared cores).
     """
     n = len(adjacency)
-    e0 = max(row0)
-    if x:
-        y = [c] * n
-        for v, k in x.items():
-            y[v] += k
-        support, planes = n - y.count(0), max(y).bit_length()
-        if min(y) >= 0 and e0 * (support + 1200) * (3 + planes) <= 2400 * support:
-            return _ball_sums(adjacency, y)
-    if not c:
-        moments = [0] * n
-    elif n <= 64 or e0 * (n + 1200) <= 600 * n:
-        moments = _ball_sums(adjacency, [1] * n)
-    else:
-        moments = list(_row_sums_per_source(adjacency))
-    for v, k in x.items():
+    support = n - y.count(0)
+    if min(y) >= 0 and (
+        support == n <= 64
+        or max(row0) * (support + 1200) * (3 + max(y).bit_length()) <= 2400 * support
+    ):
+        return _ball_sums(adjacency, y)
+    if support == n and y.count(y[0]) == n:
+        return [y[0] * sum(_distances(adjacency, s)) for s in range(n)]
+    moments = [0] * n
+    for v, k in enumerate(y):
         if k:
             row = row0 if v == 0 else _distances(adjacency, v)
             moments = [m + k * d for m, d in zip(moments, row)]
@@ -503,15 +487,15 @@ def _ring(adjacency: _Adjacency) -> list[int] | None:
     return ring
 
 
-def _slide(ring: list[int], x: Mapping[int, int]) -> list[int]:
-    """D*x by position on a cycle in O(n), ring its positions in cyclic order from 0 (_ring).
+def _slide(ring: list[int], y: Sequence[int]) -> list[int]:
+    """D*y by position on a cycle in O(n), ring its positions in cyclic order from 0 (_ring).
 
     From ring[i] to ring[i + 1], the vertex k steps ahead comes one step
     nearer for 1 <= k <= n // 2 and one step farther for k = 0 and k >
-    (n + 1) // 2: window sums of prefix sums of x in ring order, twice round.
+    (n + 1) // 2: window sums of prefix sums of y in ring order, twice round.
     """
     n = len(ring)
-    v = [x.get(p, 0) for p in ring]
+    v = [y[p] for p in ring]
     prefix = list(accumulate(v + v, initial=0))
     near, far = n // 2, (n + 1) // 2 + 1
     slid = sum(min(k, n - k) * c for k, c in enumerate(v))
@@ -538,11 +522,6 @@ def _int_adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
             adjacency = tuple([tuple([position[w] for w in neighbours[v]]) for v in vertices])
         g._int_adj = adjacency
     return adjacency
-
-
-def _row_sums_per_source(adjacency: _Adjacency) -> tuple[int, ...]:
-    """One level-synchronous BFS per source: O(n*m) steps, O(n) memory."""
-    return tuple(sum(_distances(adjacency, s)) for s in range(len(adjacency)))
 
 
 def _ball_sums(adjacency: _Adjacency, x: Sequence[int]) -> list[int]:

@@ -139,14 +139,14 @@ MUTANTS = [
     ),
     Mutant(
         "head-mass-off-by-one", "graph.py",
-        "extra[0] = total - sum(extra.values()) - c * len(block)",
-        "extra[0] = total - sum(extra.values()) - c * len(block) + 1",
+        "y[0] = total - sum(y)",
+        "y[0] = total - sum(y) + 1",
         ("test_graph.py", "test_properties.py"),
     ),
     Mutant(
         "head-x-mass-without-what-lies-above", "graph.py",
-        "extra[0] = total - sum(extra.values()) - c * len(block)",
-        "extra[0] = mass[head] - c",
+        "y[0] = total - sum(y)",
+        "y[0] = mass[head]",
         ("test_graph.py", "test_properties.py"),
     ),
     Mutant(
@@ -186,8 +186,9 @@ MUTANTS = [
         ("test_graph.py",),
     ),
     Mutant(
-        "point-moments-drop-negative-multipliers", "graph.py",
-        "{v: k for v, k in x.items() if k}", "{v: k for v, k in x.items() if k > 0}",
+        "one-entry-bfs-drops-a-negative-multiplier", "graph.py",
+        "            if k:\n                row = _distances(adjacency, v)",
+        "            if k > 0:\n                row = _distances(adjacency, v)",
         ("test_graph.py",),
     ),
     Mutant(
@@ -215,6 +216,16 @@ MUTANTS = [
     Mutant(
         "combined-ball-pass-never-taken", "graph.py",
         "<= 2400 * support", "< 0",
+        ("test_graph.py",),
+    ),
+    Mutant(
+        "constant-y-without-its-factor", "graph.py",
+        "y[0] * sum(", "sum(",
+        ("test_graph.py",),
+    ),
+    Mutant(
+        "small-block-pass-for-sparse-y", "graph.py",
+        "support == n <= 64", "n <= 64",
         ("test_graph.py",),
     ),
     Mutant(

@@ -43,9 +43,9 @@ from graft_moments.graph import (
     _distances,
     _int_adjacency,
     _level_signatures,
+    _one_block,
     _point_moments,
     _ring,
-    _row_sums_per_source,
 )
 from graft_moments.closed_forms import permutation_unit_moment
 from graft_moments.products import Attachment, GraftSpec, graft, permutation_graph
@@ -92,6 +92,10 @@ def test_construction_rejects_non_simple_input(vertices, edges):
         ([5], "edge 5 is not a pair"),
         (["01"], "edge '01' is not a pair"),
         ([{"0": 1, "1": 0}], "edge {'0': 1, '1': 0} is not a pair"),
+        # two bytes unpack to two ints, which may even be vertices
+        ([b"\x00\x01"], "edge b'\\x00\\x01' is not a pair"),
+        ([b"01"], "edge b'01' is not a pair"),
+        ([bytearray(b"\x00\x01")], "edge bytearray(b'\\x00\\x01') is not a pair"),
     ],
 )
 def test_construction_reports_the_first_fault(edges, message):
@@ -561,7 +565,7 @@ def test_distance_row_sums_match_the_matrix(name, g):
     assert distance_row_sums(g) == expected
     adjacency = _int_adjacency(g)
     assert tuple(_ball_sums(adjacency, [1] * g.order)) == expected
-    assert _row_sums_per_source(adjacency) == expected
+    assert tuple(sum(_distances(adjacency, v)) for v in range(g.order)) == expected
     # D*1 by the dispatcher, which then takes its own probe
     assert _point_moments(adjacency, dict.fromkeys(range(g.order), 1)) == list(expected)
 
@@ -576,31 +580,40 @@ def test_the_route_rule_splits_the_kernel_cases():
     assert all(sides[name] for name, _ in BLOCK_CASES if name.startswith(("graft-like", "block-with")))
 
 
+def _bfs_sources(monkeypatch) -> list[int]:
+    """The source of every _distances call from here on, in call order."""
+    sources: list[int] = []
+    distances = graph_module._distances
+    monkeypatch.setattr(
+        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
+    )
+    return sources
+
+
 @pytest.mark.parametrize("g", [path_graph(500), _caterpillar(random.Random(3), 200)], ids=["path", "caterpillar"])
 def test_tree_row_sums_need_no_whole_graph_kernel(monkeypatch, g):
     g = Graph(g.vertices, g.edges())  # keeps no row sums yet, however often this runs
     expected = distance_matrix(g).row_sums
-
-    def refuse(*args):
-        raise AssertionError("a whole-graph kernel ran")
-
-    for kernel in ("_one_block", "_ball_sums", "_row_sums_per_source"):
-        monkeypatch.setattr(graph_module, kernel, refuse)
+    sources = _refuse_the_ball_pass(monkeypatch)
     assert distance_row_sums(g) == expected
+    assert sources == [0]  # the probe alone: no block BFS, so no _one_block
 
 
-def _refuse_the_whole_graph_kernels(monkeypatch) -> None:
+def _refuse_the_ball_pass(monkeypatch) -> list[int]:
+    """Refuse the ball pass; the sources of the BFS runs that follow."""
+
     def refuse(*args):
-        raise AssertionError("a bit-parallel or per-source kernel ran")
+        raise AssertionError("the bit-parallel kernel ran")
 
-    for kernel in ("_ball_sums", "_row_sums_per_source"):
-        monkeypatch.setattr(graph_module, kernel, refuse)
+    monkeypatch.setattr(graph_module, "_ball_sums", refuse)
+    return _bfs_sources(monkeypatch)
 
 
 @pytest.mark.parametrize("n", [3, 10, 30, 64])
 def test_small_cycles_take_the_cyclic_slide(monkeypatch, n):
-    _refuse_the_whole_graph_kernels(monkeypatch)
+    sources = _refuse_the_ball_pass(monkeypatch)
     assert distance_row_sums(cycle_graph(n)) == (n * n // 4,) * n
+    assert sources == [0]  # the probe, then the slide
 
 
 def _ladder(rungs: int) -> Graph:
@@ -614,16 +627,72 @@ def _ladder(rungs: int) -> Graph:
 def test_larger_cycles_take_the_cyclic_slide_but_a_ladder_goes_per_source(monkeypatch):
     ladder = _ladder(100)
     expected = distance_matrix(ladder).row_sums
-    sources = []
-    per_source = graph_module._row_sums_per_source
-    monkeypatch.setattr(
-        graph_module, "_row_sums_per_source", lambda adj: sources.append(1) or per_source(adj)
-    )
+    sources = _refuse_the_ball_pass(monkeypatch)
     assert distance_row_sums(ladder) == expected  # one block, not a cycle
-    assert sources == [1]
-    _refuse_the_whole_graph_kernels(monkeypatch)
+    assert sources == [0, *range(ladder.order)]  # the probe, then one BFS per source
     for n in (65, 500):
+        sources.clear()
         assert distance_row_sums(cycle_graph(n)) == (n * n // 4,) * n
+        assert sources == [0]
+
+
+def _block_vectors(n: int, rng: random.Random) -> list[list[int]]:
+    """y = 1, y = -3, y >= 1 of 1, 8 and 40 bits, y half zero, y with two
+    nonzero entries (fewer below order 3), and y >= 1 with one negative entry."""
+    vectors = [[1] * n, [-3] * n]
+    vectors += [[rng.randint(1, 1 << bits) for _ in range(n)] for bits in (1, 8, 40)]
+    for share in (n // 2, min(n - 1, 2)):
+        y = [0] * n
+        for p in rng.sample(range(n), share):
+            y[p] = rng.randint(1, 1 << 40)
+        vectors.append(y)
+    y = [rng.randint(1, 255) for _ in range(n)]
+    y[rng.randrange(n)] = -rng.randint(1, 255)
+    vectors.append(y)
+    return vectors
+
+
+class _PassRefused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
+def test_one_block_is_the_matrix_product_by_either_route(monkeypatch, name, g):
+    # as routed, then with the ball pass refused: the BFS route gives the
+    # same product, and only a y >= 0 may take the pass
+    entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
+    n, row0 = g.order, _distances(adjacency, 0)
+    sources, passes = _bfs_sources(monkeypatch), []
+    ball_sums = graph_module._ball_sums
+
+    def refuse(*args):
+        raise _PassRefused
+
+    for y in _block_vectors(n, random.Random(name)):
+        expected = _matrix_product(entries, dict(enumerate(y)))
+        sources.clear()
+        monkeypatch.setattr(
+            graph_module, "_ball_sums", lambda adj, y: passes.append(1) or ball_sums(adj, y)
+        )
+        passes.clear()
+        assert _one_block(adjacency, y, row0) == expected
+        if passes:
+            assert passes == [1] and sources == [] and min(y) >= 0
+        elif y.count(y[0]) == n != y.count(0):  # each source sums its own row
+            assert sources == list(range(n))
+        else:  # row0 stands in for the BFS from 0
+            assert sources == [p for p in range(1, n) if y[p]]
+        # the pass needs y >= 0, and two entries never pay for it once e0 >= 1
+        if min(y) < 0 or n > 1 and 0 in y and n - y.count(0) <= 2:
+            assert not passes
+        elif y.count(0) == 0 and n <= 64:  # small and nonzero everywhere: the pass
+            assert passes
+        monkeypatch.setattr(graph_module, "_ball_sums", refuse)
+        if passes:
+            with pytest.raises(_PassRefused):
+                _one_block(adjacency, y, row0)
+        else:
+            assert _one_block(adjacency, y, row0) == expected
 
 
 def _queue_bfs(g: Graph, source: int) -> dict[int, int]:
@@ -812,11 +881,7 @@ def _block_rows(adjacency: list[list[int]]) -> int:
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
 def test_point_moments_are_the_matrix_product(monkeypatch, name, g):
     entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
-    sources = []
-    distances = graph_module._distances
-    monkeypatch.setattr(
-        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
-    )
+    sources = _bfs_sources(monkeypatch)
     for x in _multiplier_maps(g.order, random.Random(name)):
         sources.clear()
         expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
@@ -827,7 +892,7 @@ def test_point_moments_are_the_matrix_product(monkeypatch, name, g):
         elif name in CYCLE_CASES:  # the slide round the ring
             assert sources == []
         elif not _routes_by_blocks(g):  # the probe, standing in for position 0's row
-            assert sources == [0] + [p for p in nonzero if p]
+            assert sources == [0] + sorted(p for p in nonzero if p)
         else:  # the probe, then rows inside the blocks only, whatever x is
             assert sources[0] == 0 and len(sources) <= 1 + _block_rows(adjacency)
 
@@ -836,11 +901,7 @@ def test_dense_point_moments_on_a_tree_take_only_the_probe(monkeypatch):
     tree = random_tree(random.Random(20), 400)
     entries, adjacency = distance_matrix(tree).entries, _int_adjacency(tree)
     assert _eccentricity(adjacency) > tree.order.bit_length()
-    sources = []
-    distances = graph_module._distances
-    monkeypatch.setattr(
-        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
-    )
+    sources = _bfs_sources(monkeypatch)
     for x in _multiplier_maps(tree.order, random.Random(20))[-3:]:  # the dense maps
         sources.clear()
         expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
@@ -898,11 +959,8 @@ def test_dense_nonnegative_point_moments_take_one_ball_pass(monkeypatch, name):
     # the probe BFS from 0, then one pass, and no BFS per entry
     g = dict(ROW_SUM_CASES)[name]
     entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
-    sources, passes = [], []
-    distances, ball_sums = graph_module._distances, graph_module._ball_sums
-    monkeypatch.setattr(
-        graph_module, "_distances", lambda adj, v: sources.append(v) or distances(adj, v)
-    )
+    sources, passes = _bfs_sources(monkeypatch), []
+    ball_sums = graph_module._ball_sums
     monkeypatch.setattr(
         graph_module, "_ball_sums", lambda adj, y: passes.append(len(y)) or ball_sums(adj, y)
     )
