@@ -7,15 +7,15 @@ from the data its Graph object keeps.  No form builds a distance
 matrix: a factor moment M_K^b is `moments.moment`, on the row sums the
 object keeps (`graph.distance_row_sums`, one pass per object however
 many attachments and forms share it), a factor total is
-`WeightFunction.total`, and every row and D*x is `graph._point_moments`
-(on the int adjacency the object keeps: one BFS for a single entry, a
-slide round a cycle, one pass over the blocks of a tree-like graph).  A
-row gives a point moment by linearity, M^(a*w+c)(y) = a*M^w(y) + c*s(y)
-with s(y) the row sum at y.  Weights enter as int numerators over one
-denominator (`WeightFunction.vector`), so totals, moments and point
-moments are int dot products divided once.  Host distances between
-receptors come from those same rows, and the cycle forms' r^T D m from
-the same D*x on C_r.
+`WeightFunction.total`, and every D*y, y a list of ints by position
+(one-hot for a row), is `graph._point_moments` on the int adjacency the
+object keeps (one BFS for a single entry, a slide round a cycle, one
+pass over the blocks of a tree-like graph).  A row gives a point moment
+by linearity, M^(a*w+c)(v) = a*M^w(v) + c*s(v) with s(v) the row sum
+at v.  Weights enter as int numerators over one denominator
+(`WeightFunction.vector`), so totals, moments and point moments are int
+dot products divided once.  Host distances between receptors come from
+those same rows, and the cycle forms' r^T D m from D*m on C_r.
 
 Theorem 1 is evaluated once, in its vector form (_graft_moment): the
 graft, family, flower and unicyclic forms only hand it their
@@ -70,14 +70,21 @@ def attachments_by_receptor(spec: GraftSpec) -> dict[int, list[tuple[Graph, int,
     return family
 
 
+def _int_at_least(what: str, value: object, least: int, error=InvalidExtendedCycle) -> None:
+    """Refuse an order or edge count below least, or not an int (a bool neither, as in Graph)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphFormatError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+
+
 def cycle_distance_row_sum(r: int) -> int:
     """Common row sum of the distance matrix of C_r: floor(r/2)*floor((r+1)/2).
 
     Also its largest eigenvalue (the all-ones vector is an eigenvector).
     Degenerate orders work too: r=1 gives 0, r=2 gives 1.
     """
-    if r < 1:
-        raise InvalidExtendedCycle(f"cycle order {r} must be >= 1")
+    _int_at_least("cycle order", r, 1)
     return (r // 2) * ((r + 1) // 2)
 
 
@@ -116,7 +123,7 @@ def _graft_moment(
     grand_total = sum(glued)
     product_order = sum(block_orders.values())
 
-    heavy = {x: n_x - 1 for x, n_x in enumerate(block_orders.values()) if n_x > 1}
+    heavy = [n_x - 1 for n_x in block_orders.values()]
     result = sum(map(mul, glued, distance_row_sums(host)))
     result += sum(map(mul, glued, _point_moments(_int_adjacency(host), heavy)))
     # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * s_K(y),
@@ -126,7 +133,8 @@ def _graft_moment(
         key = (id(branch), root)
         if key not in columns:
             y, sums = branch.vertices.index(root), distance_row_sums(branch)
-            outside = _point_moments(_int_adjacency(branch), {y: product_order - branch.order})
+            outside = [(product_order - branch.order) * (v == root) for v in branch.vertices]
+            outside = _point_moments(_int_adjacency(branch), outside)
             columns[key] = list(map(add, sums, outside)), sums[y]
         column, row_total = columns[key]
         result += (unit // den) * sum(map(mul, numerators, column))
@@ -259,8 +267,7 @@ def concentration_difference_formula(
     with xi = (order-1)*alpha + B.  The value depends on the branches
     only through their order and total weight.
     """
-    if branch_order < 1:
-        raise GraphFormatError(f"branch order {branch_order} must be >= 1")
+    _int_at_least("branch order", branch_order, 1, GraphFormatError)
     total = _as_rational(branch_total_weight)
     if total < 0:
         raise NegativeWeight(f"branch total weight {total} is negative")
@@ -268,13 +275,13 @@ def concentration_difference_formula(
     _validate_factors(host, [(receptor, _CENTER, 0) for receptor in [x, *receptors]])
     numerators, denominator = alpha.vector(host.vertices, host.degrees)
     adjacency = _int_adjacency(host)
-    row_x = _point_moments(adjacency, {host.vertices.index(x): 1})
+    row_x = _point_moments(adjacency, [int(v == x) for v in host.vertices])
     copies = dict.fromkeys(host.vertices, 0)
     for receptor in receptors:
         copies[receptor] += 1
     # every term is linear in the receptors' rows, so they enter summed:
     # spread = D * copies, and moved = k * row(x) - spread for k receptors
-    spread = _point_moments(adjacency, dict(enumerate(copies.values())))
+    spread = _point_moments(adjacency, list(copies.values()))
     moved = [len(receptors) * d - a for d, a in zip(row_x, spread)]
     grown = branch_order - 1
     # sum_i [M_H^xi(x) - M_H^xi(x_i)] = grown * <alpha, moved> + B * sum(moved)
@@ -299,10 +306,7 @@ def unicyclic_degree_distance(
     for N the product order.  Branches must be trees.  It is _graft_moment
     with degree weights: a + w = 2 + 2(n_x - 1) = 2 n_x at cycle vertex x.
     """
-    if cycle_order < 3:
-        raise InvalidExtendedCycle(
-            f"unicyclic host cycle needs order >= 3, got {cycle_order}"
-        )
+    _int_at_least("unicyclic host cycle order", cycle_order, 3)
     host = cycle_graph(cycle_order)
     flattened: list[tuple[int, Graph, int]] = []
     for x, branches in forest.items():
@@ -321,7 +325,7 @@ def unicyclic_degree_distance(
 
 def _cycle_quadratic(u: Sequence[int], v: Sequence[int]) -> int:
     """u^T D v for D the distance matrix of C_r, r = len(u); cycle_graph gives P_r for r < 3."""
-    moments = _point_moments(_int_adjacency(cycle_graph(len(u))), dict(enumerate(v)))
+    moments = _point_moments(_int_adjacency(cycle_graph(len(u))), list(v))
     return sum(map(mul, u, moments))
 
 
@@ -334,8 +338,7 @@ def _extended_degree(r: int) -> int:
 
 def extended_cycle_edge_count(r: int) -> int:
     """Edges of the extended cycle C_r: r for r >= 3, else r - 1."""
-    if r < 1:
-        raise InvalidExtendedCycle(f"extended cycle order {r} must be >= 1")
+    _int_at_least("extended cycle order", r, 1)
     if r >= 3:
         return r
     return r - 1
@@ -343,6 +346,7 @@ def extended_cycle_edge_count(r: int) -> int:
 
 def _check_extended_pair(r: int, m: int) -> None:
     expected = extended_cycle_edge_count(r)
+    _int_at_least("extended cycle edge count", m, 0)
     if m != expected:
         raise InvalidExtendedCycle(
             f"extended cycle of order {r} has {expected} edges, not {m}"
@@ -363,8 +367,7 @@ def extended_cycle_degree_distance(
 
     m_C, delta_C, theta_C are the HOST's edge count, degree, and row sum.
     """
-    if host_order < 1:
-        raise InvalidExtendedCycle(f"host order {host_order} must be >= 1")
+    _int_at_least("host order", host_order, 1)
     if len(pairs) != host_order:
         raise ArityMismatch(
             f"need one branch per host vertex: {host_order} != {len(pairs)}"
@@ -400,17 +403,13 @@ def proper_cycle_degree_distance(
     4[r][theta] + 2(theta_C*[r] + r_C*[theta] - <r, theta>) + 2 r^T D r.
     Agrees with the extended-cycle formula on its whole domain.
     """
-    if host_order < 3:
-        raise InvalidExtendedCycle(
-            f"proper cycle host needs order >= 3, got {host_order}"
-        )
+    _int_at_least("proper cycle host order", host_order, 3)
     if len(branch_orders) != host_order:
         raise ArityMismatch(
             f"need one branch per host vertex: {host_order} != {len(branch_orders)}"
         )
     for r in branch_orders:
-        if r < 3:
-            raise InvalidExtendedCycle(f"proper cycle branch needs order >= 3, got {r}")
+        _int_at_least("proper cycle branch order", r, 3)
     _check_order(host_order)
     theta_vec = [cycle_distance_row_sum(r) for r in branch_orders]
     host_theta = cycle_distance_row_sum(host_order)

@@ -7,9 +7,9 @@ also keeps what is derived from it once asked, filled on the first call
 and never shared with an equal graph: its connectivity (is_connected),
 its int adjacency (_int_adjacency: neighbour positions as tuples) and its
 distance row sums (distance_row_sums: D*1 from _point_moments, the one
-dispatcher for every D*x).  An empty or disconnected graph caches no row
-sums; it raises on every call.  Distances are hop counts computed by
-breadth-first search; no floating point anywhere.
+dispatcher for every D*y, y a list of ints by position).  An empty or
+disconnected graph caches no row sums and raises on every call.  BFS
+gives hop counts; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -301,56 +301,55 @@ def distance_row_sums(g: Graph) -> tuple[int, ...]:
             raise DisconnectedGraph(
                 f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
             )
-        sums = g._sums = tuple(_point_moments(adjacency, dict.fromkeys(range(n), 1), probe))
+        sums = g._sums = tuple(_point_moments(adjacency, [1] * n, probe))
     return sums
 
 
 def _point_moments(
-    adjacency: _Adjacency, x: Mapping[int, int], probe: list[int] | None = None
+    adjacency: _Adjacency, y: list[int], probe: list[int] | None = None
 ) -> list[int]:
-    """D*x by position: sum_v x[v] * dist(u, v) at every u, x mapping positions to ints.
+    """D*y by position: sum_v y[v] * dist(u, v) at every u, y a list of ints by position.
 
-    The one dispatcher for D*x on a connected graph, row sums (x = 1)
-    included; probe, if given, is the _distances row from 0.  Routes, in
-    order: at most one nonzero entry takes one BFS, or none; a cycle
-    slides (_slide); if the probe's eccentricity e0 (the diameter lies in
-    [e0, 2*e0]) exceeds n.bit_length(), _blocks splits the graph and two
-    or more blocks go by them; otherwise the whole graph is _one_block.
-    A small e0 means few bit-parallel passes, a large one usually long
-    tree-like parts with small blocks.  Measured for x = 1 with CPython
-    3.11 (whole kernel -> this rule): 64 graft products of order 150 to
-    1,852 (e0 = 9 to 61) 0.37 -> 0.13 s in all; path-3000 2.4 s -> 6 ms;
-    a random tree of order 3,000 83 -> 8 ms; random graphs of order 150
-    to 560 (e0 = 4 to 6) and 3,900 of order 2 to 40 keep their times.
+    The one dispatcher for D*y on a connected graph, row sums (y = 1)
+    included; probe, if given, is the _distances row from 0; y is only
+    read.  Routes, in order: at most one nonzero entry takes one BFS, or
+    none; a cycle slides (_slide); if the probe's eccentricity e0 (the
+    diameter lies in [e0, 2*e0]) exceeds n.bit_length(), _blocks splits the
+    graph and two or more blocks go by them; otherwise the whole graph is
+    _one_block.  A small e0 means few bit-parallel passes, a large one
+    usually long tree-like parts with small blocks.  Measured for y = 1 with
+    CPython 3.11 (whole kernel -> this rule): 64 graft products of order 150
+    to 1,852 (e0 = 9 to 61) 0.37 -> 0.13 s in all; path-3000 2.4 s -> 6 ms;
+    a random tree of order 3,000 83 -> 8 ms; random graphs of order 150 to
+    560 (e0 = 4 to 6) and 3,900 of order 2 to 40 keep their times.
 
-    The blocks: the graph is their graft product, glued at cut vertices;
-    a shortest path between two vertices of a block, and every edge
-    between them, stays in it.  Up pass, blocks from the leaves: mass(v)
-    sums x over the vertices hanging below v, v included, so mass(0) is
-    the total X.  Down pass from (D*x)(0), the probe's dot product with
-    x: each vertex hangs on one vertex a of a block B, with mass M_a (at
-    the head, X minus the others' masses), so D*x on B is D_B*M plus
-    (D*x)(head) - (D_B*M)(head), D_B*M by a slide on a cycle block and
-    by _one_block on any other.  A bridge (head p, other vertex w) is one
-    step, (D*x)(w) = (D*x)(p) + X - 2 * mass(w), so a tree takes the
-    probe alone.
+    The blocks: the graph is their graft product, glued at cut vertices; a
+    shortest path between two vertices of a block, and every edge between
+    them, stays in it.  Up pass, blocks from the leaves: mass(v) sums y
+    over the vertices hanging below v, v included, so mass(0) is the total
+    Y.  Down pass from (D*y)(0), the probe's dot product with y: each
+    vertex hangs on one vertex a of a block B, with mass M_a (at the head,
+    Y minus the others' masses), so D*y on B is D_B*M plus (D*y)(head) -
+    (D_B*M)(head), D_B*M by a slide on a cycle block and by _one_block on
+    any other.  A bridge (head p, other vertex w) is one step, (D*y)(w) =
+    (D*y)(p) + Y - 2 * mass(w), so a tree takes the probe alone.
     """
     n = len(adjacency)
-    if sum(map(bool, x.values())) < 2:  # one plain BFS, or none
-        for v, k in x.items():
-            if k:
-                row = _distances(adjacency, v)
-                return row if k == 1 else [k * d for d in row]
-        return [0] * n
-    mass = list(map(x.get, range(n), repeat(0)))
+    if y.count(0) >= n - 1:  # one plain BFS, or none
+        k = max(y) or min(y)
+        if not k:
+            return [0] * n
+        row = _distances(adjacency, y.index(k))
+        return row if k == 1 else [k * d for d in row]
     ring = _ring(adjacency)
     if ring is not None:
-        return _slide(ring, mass)
+        return _slide(ring, y)
     probe = probe or _distances(adjacency, 0)
     blocks = _blocks(adjacency) if max(probe) > n.bit_length() else []
     if len(blocks) < 2:
-        return _one_block(adjacency, mass, probe)
+        return _one_block(adjacency, y, probe)
 
+    mass = y[:]
     moments = [0] * n
     moments[0] = sum(map(mul, probe, mass))
     for block in blocks:

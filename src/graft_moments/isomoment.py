@@ -41,7 +41,8 @@ def _colour_orbits(g: Graph, colourings: Iterable[tuple[int, ...]]) -> Iterator[
     """
     adjacency = _int_adjacency(g)
     n = len(adjacency)
-    scaled = [_point_moments(adjacency, {i: n}) for i in range(n)]  # rows of n * D
+    # the rows of n * D
+    scaled = [_point_moments(adjacency, [n * (j == i) for j in range(n)]) for i in range(n)]
     classes = _Classes()
     label_of: dict[tuple[int, ...], int] = {}
     for colouring in colourings:
@@ -107,8 +108,9 @@ def _permutation_products(host: Graph, branch: Graph) -> Callable[[Sequence[int]
     mask = (1 << low) - 1
     host_adjacency = [tuple(sorted(nbrs)) for nbrs in _int_adjacency(host)]
     branch_adjacency = [sorted(nbrs) for nbrs in _int_adjacency(branch)]
-    host_rows = [_point_moments(_int_adjacency(host), {i: 1}) for i in range(r)]
-    branch_rows = [_point_moments(_int_adjacency(branch), {p: 1}) for p in range(r)]
+    one_hot = [[int(q == p) for q in range(r)] for p in range(r)]
+    host_rows = [_point_moments(_int_adjacency(host), row) for row in one_hot]
+    branch_rows = [_point_moments(_int_adjacency(branch), row) for row in one_hot]
     branch_sums = [sum(row) for row in branch_rows]
     # A(q) in the level fields, above the row sum
     profiles = [sum(1 << (low + width * d) for d in row) for row in branch_rows]

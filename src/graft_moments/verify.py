@@ -14,21 +14,21 @@ with `graft` and sums it so, weighted by its gamma unless told
 otherwise; every graft-based checker and the test suite go through it.
 The oracle shares no distance code with what it certifies:
 `moments.moment`, `moments.indices` and the closed forms take their row
-sums (`distance_row_sums`, D*1), their point-moment rows and D*x from
-`graph._point_moments`, whose ball pass sums X - x(B_d) where the
-oracle counts newly reached sources, so a fault in either shows up as a
-mismatch instead of cancelling out.  The oracle reads each graph
-through its public `vertices` and `neighbors` alone, imports no private
-name from `graph`, runs none of its BFS code (`bfs_distances`,
-`_bfs_reached`), and neither reads nor fills anything a `Graph` keeps;
-on the oracle's side only `graft`'s factor validation (`is_connected`)
-runs a BFS of `graph`'s.  A verifier draws random instances, evaluates
-the closed form and the oracle, and records every disagreement (there
-should be none) in a report; an instance is kept as its graphs, weights
-and numbers and written out as JSON, with its 0-based index in the run,
-only when it disagrees.  Some verifiers chain extra checks onto each
-instance -- the comparison formula must also be invariant under
-swapping the branch for another of equal order and total weight, and
+sums (`distance_row_sums`, D*1), their point-moment rows and D*y, y a
+list of ints by position, from `graph._point_moments`, whose ball pass
+sums Y - y(B_d) where the oracle counts newly reached sources, so a
+fault in either shows up as a mismatch instead of cancelling out.  The
+oracle reads each graph through its public `vertices` and `neighbors`
+alone, imports no private name from `graph`, runs none of its BFS code
+(`bfs_distances`, `_bfs_reached`), and neither reads nor fills anything a
+`Graph` keeps; on the oracle's side only `graft`'s factor validation
+(`is_connected`) runs a BFS of `graph`'s.  A verifier draws random
+instances, evaluates the closed form and the oracle, and records every
+disagreement (there should be none) in a report; an instance is kept as
+its graphs, weights and numbers and written out as JSON, with its 0-based
+index in the run, only when it disagrees.  Some verifiers chain extra
+checks onto each instance -- the comparison formula must also be invariant
+under swapping the branch for another of equal order and total weight, and
 the proper-cycle formula must agree with the extended-cycle formula.
 """
 

@@ -590,6 +590,34 @@ def test_proper_cycles_reject_bad_input():
         proper_cycle_degree_distance(3, [3, 3])
 
 
+@pytest.mark.parametrize(
+    "form, args, value",
+    [
+        (proper_cycle_degree_distance, (3, [3.5, 3, 3]), 3.5),
+        (proper_cycle_degree_distance, (3.0, [3, 3, 3]), 3.0),
+        (cycle_distance_row_sum, (3.5,), 3.5),
+        (cycle_distance_row_sum, (True,), True),
+        (extended_cycle_edge_count, (2.5,), 2.5),
+        (extended_cycle_degree_distance, (1, [(3, 3.0)]), 3.0),
+        (extended_cycle_degree_distance, (1, [(3.0, 3)]), 3.0),
+        (extended_cycle_degree_distance, (3.0, [(1, 0)] * 3), 3.0),
+        (extended_cycle_degree_distance, (1, [(1, False)]), False),
+        (unicyclic_degree_distance, (5.0, {}), 5.0),
+        (concentration_difference_formula, (path_graph(4), DEGREE, 0, [1, 3], 2.5, 1), 2.5),
+        (concentration_difference_formula, (path_graph(4), DEGREE, 0, [1, 3], True, 1), True),
+    ],
+    ids=[
+        "proper-branch", "proper-host", "row-sum", "row-sum-bool", "edge-count",
+        "extended-edge-count", "extended-branch", "extended-host", "extended-bool-edge-count",
+        "unicyclic-host", "concentration-branch", "concentration-bool-branch",
+    ],
+)
+def test_cycle_and_concentration_forms_refuse_an_order_that_is_no_int(form, args, value):
+    # as Graph refuses a bool id: an order or edge count must be an int, and a bool is not
+    with pytest.raises(GraphFormatError, match=rf"must be an integer, got {value!r}$"):
+        form(*args)
+
+
 def test_cycle_forms_keep_the_order_cap():
     message = r"^graph order 10001 exceeds cap 10000$"
     with pytest.raises(TooLarge, match=message):
@@ -742,9 +770,9 @@ def test_graft_forms_take_each_factor_pass_once(monkeypatch, p4, diamond):
     rows, passes = [], []
     point_moments = closed_forms._point_moments
 
-    def recorded(adjacency, x):
-        rows.extend(y for y, c in x.items() if c)
-        return point_moments(adjacency, x)
+    def recorded(adjacency, y):
+        rows.extend(p for p, c in enumerate(y) if c)
+        return point_moments(adjacency, y)
 
     monkeypatch.setattr(closed_forms, "_point_moments", recorded)
     # distance_row_sums takes D*1 from graph's own _point_moments

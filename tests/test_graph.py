@@ -567,7 +567,7 @@ def test_distance_row_sums_match_the_matrix(name, g):
     assert tuple(_ball_sums(adjacency, [1] * g.order)) == expected
     assert tuple(sum(_distances(adjacency, v)) for v in range(g.order)) == expected
     # D*1 by the dispatcher, which then takes its own probe
-    assert _point_moments(adjacency, dict.fromkeys(range(g.order), 1)) == list(expected)
+    assert _point_moments(adjacency, [1] * g.order) == list(expected)
 
 
 def test_the_route_rule_splits_the_kernel_cases():
@@ -669,7 +669,7 @@ def test_one_block_is_the_matrix_product_by_either_route(monkeypatch, name, g):
         raise _PassRefused
 
     for y in _block_vectors(n, random.Random(name)):
-        expected = _matrix_product(entries, dict(enumerate(y)))
+        expected = _matrix_product(entries, y)
         sources.clear()
         monkeypatch.setattr(
             graph_module, "_ball_sums", lambda adj, y: passes.append(1) or ball_sums(adj, y)
@@ -843,24 +843,28 @@ def test_distance_row_sums_agree_with_networkx(name, g):
         assert sum(nx.single_source_shortest_path_length(h, v).values()) == s
 
 
-def _multiplier_maps(n: int, rng: random.Random) -> list[dict[int, int]]:
-    """The empty map, an all-zero map, then sparse and dense maps of 1, 8 and 200 bits.
+def _multiplier_lists(n: int, rng: random.Random) -> list[list[int]]:
+    """y = 0, one negative entry alone, then sparse and dense lists of 1, 8 and 200 bits.
 
-    A sparse map has up to 6 positions, with a zero and a negative
-    multiplier (only the negative one on K1).  A dense map has every
-    position nonzero, of either sign, and one negative.
+    The lone negative entries lie at the last and the middle position,
+    so at 0 only on K1.  A sparse list has up to 6 drawn positions, one
+    of them zero and one negative (only the negative one on K1).  A
+    dense list has every entry nonzero, of either sign, and one negative.
     """
-    maps: list[dict[int, int]] = [{}, dict.fromkeys(range(n), 0)]
+    vectors = [[0] * n]
+    vectors += [[-k * (p == q) for p in range(n)] for k, q in ((7, n - 1), (1 << 200, n // 2))]
     for bits in (1, 8, 200):
         positions = rng.sample(range(n), min(n, 6))
-        x = {p: rng.randint(-(1 << bits), 1 << bits) for p in positions}
-        x[positions[0]], x[positions[-1]] = 0, -(1 << bits)
-        maps.append(x)
+        y = [0] * n
+        for p in positions:
+            y[p] = rng.randint(-(1 << bits), 1 << bits)
+        y[positions[0]], y[positions[-1]] = 0, -(1 << bits)
+        vectors.append(y)
     for bits in (1, 8, 200):
-        x = {p: rng.choice((-1, 1)) * rng.randint(1, 1 << bits) for p in range(n)}
-        x[rng.randrange(n)] = -(1 << bits)
-        maps.append(x)
-    return maps
+        y = [rng.choice((-1, 1)) * rng.randint(1, 1 << bits) for _ in range(n)]
+        y[rng.randrange(n)] = -(1 << bits)
+        vectors.append(y)
+    return vectors
 
 
 def _routes_by_blocks(g: Graph) -> bool:
@@ -882,18 +886,18 @@ def _block_rows(adjacency: list[list[int]]) -> int:
 def test_point_moments_are_the_matrix_product(monkeypatch, name, g):
     entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
     sources = _bfs_sources(monkeypatch)
-    for x in _multiplier_maps(g.order, random.Random(name)):
+    for y in _multiplier_lists(g.order, random.Random(name)):
         sources.clear()
-        expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
-        assert _point_moments(adjacency, x) == expected
-        nonzero = [p for p, c in x.items() if c]
+        expected = _matrix_product(entries, y)
+        assert _point_moments(adjacency, y) == expected
+        nonzero = [p for p, c in enumerate(y) if c]
         if len(nonzero) < 2:  # one plain BFS, or none
             assert sources == nonzero
         elif name in CYCLE_CASES:  # the slide round the ring
             assert sources == []
         elif not _routes_by_blocks(g):  # the probe, standing in for position 0's row
             assert sources == [0] + sorted(p for p in nonzero if p)
-        else:  # the probe, then rows inside the blocks only, whatever x is
+        else:  # the probe, then rows inside the blocks only, whatever y is
             assert sources[0] == 0 and len(sources) <= 1 + _block_rows(adjacency)
 
 
@@ -902,10 +906,9 @@ def test_dense_point_moments_on_a_tree_take_only_the_probe(monkeypatch):
     entries, adjacency = distance_matrix(tree).entries, _int_adjacency(tree)
     assert _eccentricity(adjacency) > tree.order.bit_length()
     sources = _bfs_sources(monkeypatch)
-    for x in _multiplier_maps(tree.order, random.Random(20))[-3:]:  # the dense maps
+    for y in _multiplier_lists(tree.order, random.Random(20))[-3:]:  # the dense lists
         sources.clear()
-        expected = [sum(c * row[p] for p, c in x.items()) for row in entries]
-        assert _point_moments(adjacency, x) == expected
+        assert _point_moments(adjacency, y) == _matrix_product(entries, y)
         assert sources == [0]
 
 
@@ -916,41 +919,42 @@ def test_point_moments_agree_with_networkx(name, g):
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges())
     rng = random.Random(name)
-    for x in _multiplier_maps(g.order, rng) + _nonnegative_maps(g.order, rng, (1, 40)):
+    for y in _multiplier_lists(g.order, rng) + _nonnegative_lists(g.order, rng, (1, 40)):
         expected = [0] * g.order
-        for p, c in x.items():
+        for p in filter(y.__getitem__, range(g.order)):
             dist = nx.single_source_shortest_path_length(h, g.vertices[p])
-            expected = [e + c * dist[v] for e, v in zip(expected, g.vertices)]
-        assert _point_moments(_int_adjacency(g), x) == expected
+            expected = [e + y[p] * dist[v] for e, v in zip(expected, g.vertices)]
+        assert _point_moments(_int_adjacency(g), y) == expected
 
 
-def _nonnegative_maps(
+def _nonnegative_lists(
     n: int, rng: random.Random, bits: tuple[int, ...] = (1, 2, 8, 40)
-) -> list[dict[int, int]]:
-    """Maps x >= 0 of each bit length: sparse (a tenth of the positions,
+) -> list[list[int]]:
+    """Lists y >= 0 of each bit length: sparse (a tenth of the positions,
     at least two), half full and dense (every position), values from 1 up;
-    so 1 bit gives indicator maps and, dense, x = 1."""
-    maps = []
+    so 1 bit gives indicator lists and, dense, y = 1."""
+    vectors = []
     for b in bits:
         for share in (max(2, n // 10), n // 2, n):
-            positions = rng.sample(range(n), min(n, share))
-            maps.append({p: rng.randint(1, (1 << b) - 1) for p in positions})
-    return maps
+            y = [0] * n
+            for p in rng.sample(range(n), min(n, share)):
+                y[p] = rng.randint(1, (1 << b) - 1)
+            vectors.append(y)
+    return vectors
 
 
-def _matrix_product(entries: tuple[tuple[int, ...], ...], x: dict[int, int]) -> list[int]:
-    column = [x.get(p, 0) for p in range(len(entries))]
-    return [sum(map(mul, row, column)) for row in entries]
+def _matrix_product(entries: tuple[tuple[int, ...], ...], y: list[int]) -> list[int]:
+    return [sum(map(mul, row, y)) for row in entries]
 
 
 @pytest.mark.parametrize("name,g", ROW_SUM_CASES, ids=[c[0] for c in ROW_SUM_CASES])
 def test_nonnegative_point_moments_are_the_matrix_product(name, g):
     # the ball pass itself on every case, whatever route the dispatcher takes
     entries, adjacency = distance_matrix(g).entries, _int_adjacency(g)
-    for x in _nonnegative_maps(g.order, random.Random(name)):
-        expected = _matrix_product(entries, x)
-        assert _point_moments(adjacency, x) == expected
-        assert _ball_sums(adjacency, [x.get(p, 0) for p in range(g.order)]) == expected
+    for y in _nonnegative_lists(g.order, random.Random(name)):
+        expected = _matrix_product(entries, y)
+        assert _point_moments(adjacency, y) == expected
+        assert _ball_sums(adjacency, y) == expected
 
 
 @pytest.mark.parametrize("name", ["rand-300", "complete-30", "star-120"])
@@ -964,11 +968,44 @@ def test_dense_nonnegative_point_moments_take_one_ball_pass(monkeypatch, name):
     monkeypatch.setattr(
         graph_module, "_ball_sums", lambda adj, y: passes.append(len(y)) or ball_sums(adj, y)
     )
-    for x in _nonnegative_maps(g.order, random.Random(name))[2::3]:  # the dense maps
+    for y in _nonnegative_lists(g.order, random.Random(name))[2::3]:  # the dense lists
         sources.clear()
         passes.clear()
-        assert _point_moments(adjacency, x) == _matrix_product(entries, x)
+        assert _point_moments(adjacency, y) == _matrix_product(entries, y)
         assert sources == [0] and passes == [g.order]
+
+
+def test_point_moments_only_read_y(monkeypatch):
+    # every route leaves the caller's list as it was: the block route
+    # writes its masses into a copy, and the others never write
+    calls = []
+
+    def recorded(name, kernel):
+        return lambda *args: calls.append(name) or kernel(*args)
+
+    for name in ("_slide", "_blocks", "_ball_sums"):
+        monkeypatch.setattr(graph_module, name, recorded(name, getattr(graph_module, name)))
+    rng = random.Random(31)
+    tails, k12 = dict(BLOCK_CASES)["block-with-tails"], complete_graph(12)
+    signed = [rng.choice((-1, 1)) * rng.randint(1, 99) for _ in range(tails.order)]
+    assert _routes_by_blocks(tails)
+    routes = [  # (graph, y, the kernels its route runs)
+        (path_graph(6), [0] * 6, []),  # no nonzero entry
+        (path_graph(6), [0, 0, 0, -5, 0, 0], []),  # one, by its BFS
+        (cycle_graph(9), [3, -1, 0, 2, 5, 0, 0, 1, 7], ["_slide"]),
+        # the block route: its one large block by BFS, as the masses take either sign
+        (tails, signed, ["_blocks"]),
+        (k12, list(range(1, 13)), ["_ball_sums"]),  # _one_block by the pass
+        (k12, [5, -2, *range(10)], []),  # _one_block, one BFS per entry
+        (k12, [-3] * 12, []),  # _one_block, a constant y by each source's row sum
+    ]
+    for g, y, kernels in routes:
+        before = y[:]
+        calls.clear()
+        expected = _matrix_product(distance_matrix(g).entries, y)
+        assert _point_moments(_int_adjacency(g), y) == expected
+        assert calls == kernels
+        assert y == before
 
 
 def _cycle_with_trees(r: int, trees: list[tuple[int, Graph]]) -> Graph:
@@ -997,9 +1034,9 @@ def test_the_cyclic_slide_is_the_matrix_product_on_cycles_and_cacti():
         matrix = distance_matrix(g)
         assert distance_row_sums(g) == matrix.row_sums, name
         rng = random.Random(name)
-        for x in _multiplier_maps(g.order, rng) + _nonnegative_maps(g.order, rng, (1, 40)):
-            expected = _matrix_product(matrix.entries, x)
-            assert _point_moments(_int_adjacency(g), x) == expected, name
+        for y in _multiplier_lists(g.order, rng) + _nonnegative_lists(g.order, rng, (1, 40)):
+            expected = _matrix_product(matrix.entries, y)
+            assert _point_moments(_int_adjacency(g), y) == expected, name
 
 
 def test_the_cyclic_slide_agrees_with_networkx_on_cycles_and_cacti():
@@ -1009,9 +1046,9 @@ def test_the_cyclic_slide_agrees_with_networkx_on_cycles_and_cacti():
         dist = dict(nx.all_pairs_shortest_path_length(h))
         assert distance_row_sums(g) == tuple(sum(dist[v].values()) for v in g.vertices), name
         rng = random.Random(name)
-        for x in _multiplier_maps(g.order, rng) + _nonnegative_maps(g.order, rng, (40,)):
-            expected = [sum(c * dist[u][g.vertices[p]] for p, c in x.items()) for u in g.vertices]
-            assert _point_moments(_int_adjacency(g), x) == expected, name
+        for y in _multiplier_lists(g.order, rng) + _nonnegative_lists(g.order, rng, (40,)):
+            expected = [sum(c * dist[u][v] for v, c in zip(g.vertices, y)) for u in g.vertices]
+            assert _point_moments(_int_adjacency(g), y) == expected, name
 
 
 # -- isomorphism classes ---------------------------------------------------

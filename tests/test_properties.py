@@ -361,7 +361,7 @@ def test_nonnegative_point_moments_equal_the_matrix_product(gx):
     expected = [sum(map(lambda d, c: d * c, row, x)) for row in distance_matrix(g).entries]
     adjacency = _int_adjacency(g)
     assert _ball_sums(adjacency, x) == expected
-    assert _point_moments(adjacency, dict(enumerate(x))) == expected
+    assert _point_moments(adjacency, x) == expected
 
 
 # each vertex's explicit weight in twelfths from 0 to 6: int draws are fast
