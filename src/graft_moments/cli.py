@@ -8,7 +8,10 @@ Subcommands:
   theta      tabulate cycle distance-matrix row sums against the closed form
 
 Standard output is deterministic for fixed inputs and seed (timings go
-to stderr), so runs can be diffed byte for byte.  Exit codes: 0 success,
+to stderr), so runs can be diffed byte for byte.  It is the text of
+json.dumps(obj, indent=2): every command writes it through _json_text,
+but isomoment's classes bypass it, each written as it is filled into a
+template, so no command holds the isomoment document.  Exit codes: 0 success,
 1 verification failure, 2 unreadable/malformed input, 3 domain error
 (disconnected graph, bad orders, and the like).  The seed defaults to
 the GRAFT_MOMENTS_SEED environment variable, then 0.
@@ -25,7 +28,7 @@ import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .closed_forms import cycle_distance_row_sum
 from .errors import GraftMomentsError, GraphFormatError, TooLarge
@@ -61,6 +64,8 @@ def _json_text(obj: object, pad: str = "\n") -> str:
     and any other flat container of scalars goes through the C encoder,
     given the item separator the indent would have written.  Anything
     else recurses, with keys and scalars written as json writes them.
+    isomoment's classes bypass it: _write_classes fills one template,
+    made here, per class shape.
     """
     if isinstance(obj, (list, tuple)):
         brackets, values = "[]", obj
@@ -115,6 +120,38 @@ def _emit_json(obj: object, out: str | None = None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_classes(write: Callable[[str], object], kept: Iterable[Sequence]) -> None:
+    """Each (sigma, adjacency, size) class, as _json_text writes it in the classes list.
+
+    A class's text is filled into one template per shape (sigma length,
+    edge count), made by _json_text from a class with "%d" for every
+    number it prints but the vertices, 0 .. n-1 for n the adjacency's
+    length.  Each class text is written as it is made, led by the item
+    separator; none is kept.
+    """
+    templates: dict[tuple[int, int], str] = {}
+    sep = "\n    "
+    for sigma, adjacency, size in kept:
+        # neighbour lists are sorted, so the edges are too
+        ends = [x for u, ws in enumerate(adjacency) for w in ws if u < w for x in (u, w)]
+        shape = len(sigma), len(ends)
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = "%s" + _json_text(
+                {
+                    "sigma": ["%d"] * len(sigma),
+                    "size": "%d",
+                    "graph": {
+                        "vertices": list(range(len(adjacency))),
+                        "edges": [["%d", "%d"]] * (len(ends) // 2),
+                    },
+                },
+                "\n    ",
+            ).replace('"%d"', "%d")
+        write(template % (sep, *sigma, size, *ends))
+        sep = ",\n    "
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -195,28 +232,22 @@ def cmd_isomoment(args: argparse.Namespace) -> int:
         spec_name: format_rational(*seen) if len(seen) == 1 else sorted(map(format_rational, seen))
         for spec_name, seen in values.items()
     }
-
-    _emit_json(
+    # the frame through _json_text, with one null standing in for the
+    # classes; the keys and values written before it hold no null
+    head, _, tail = _json_text(
         {
             "order": r,
             "enumeration": enumeration,
             "permutations": sum(size for _, _, size in kept),
-            "classes": [
-                {
-                    "sigma": list(sigma),
-                    "size": size,
-                    "graph": {  # neighbour lists are sorted, so the edges are too
-                        "vertices": list(range(len(adjacency))),
-                        # tuples of ints, which the cyclic GC does not track
-                        "edges": [(u, w) for u, ws in enumerate(adjacency) for w in ws if u < w],
-                    },
-                }
-                for sigma, adjacency, size in kept
-            ],
+            "classes": [None],
             "moments": moments_out,
             "all_equal": all_equal,
         }
-    )
+    ).partition("\n    null")
+    write = sys.stdout.write
+    write(head)
+    _write_classes(write, kept)
+    write(tail + "\n")
     return 0 if all_equal else 1
 
 

@@ -78,6 +78,23 @@ def _int_at_least(what: str, value: object, least: int, error=InvalidExtendedCyc
         raise error(f"{what} must be >= {least}, got {value}")
 
 
+def _pair(what: str, entry: object) -> tuple[object, object]:
+    """entry unpacked as a pair, or a GraphFormatError that names it."""
+    try:
+        first, second = entry  # type: ignore[misc]
+    except (TypeError, ValueError):
+        raise GraphFormatError(f"{what} {entry!r} is not a pair") from None
+    return first, second
+
+
+def _sized(what: str, value: object) -> int:
+    """len(value), or a GraphFormatError that names value."""
+    try:
+        return len(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise GraphFormatError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def cycle_distance_row_sum(r: int) -> int:
     """Common row sum of the distance matrix of C_r: floor(r/2)*floor((r+1)/2).
 
@@ -312,7 +329,7 @@ def unicyclic_degree_distance(
     for x, branches in forest.items():
         if not host.has_vertex(x):
             raise UnknownVertex(f"forest receptor {x!r} is not a cycle vertex")
-        flattened.extend((x, tree, root) for tree, root in branches)
+        flattened.extend((x, *_pair("branch entry", entry)) for entry in branches)
     _validate_factors(host, flattened)
     for x, tree, _ in flattened:
         if tree.edge_count != tree.order - 1:
@@ -368,11 +385,12 @@ def extended_cycle_degree_distance(
     m_C, delta_C, theta_C are the HOST's edge count, degree, and row sum.
     """
     _int_at_least("host order", host_order, 1)
-    if len(pairs) != host_order:
+    if _sized("branch pairs", pairs) != host_order:
         raise ArityMismatch(
             f"need one branch per host vertex: {host_order} != {len(pairs)}"
         )
     _check_order(host_order)
+    pairs = [_pair("branch entry", entry) for entry in pairs]
     for r_x, m_x in pairs:
         _check_extended_pair(r_x, m_x)
     r_vec = [r for r, _ in pairs]
@@ -404,7 +422,7 @@ def proper_cycle_degree_distance(
     Agrees with the extended-cycle formula on its whole domain.
     """
     _int_at_least("proper cycle host order", host_order, 3)
-    if len(branch_orders) != host_order:
+    if _sized("branch orders", branch_orders) != host_order:
         raise ArityMismatch(
             f"need one branch per host vertex: {host_order} != {len(branch_orders)}"
         )

@@ -99,6 +99,21 @@ MUTANTS = [
         ("test_cli.py::test_isomoment_stdout_is_golden",),
     ),
     Mutant(
+        "class-separator-without-comma", "cli.py",
+        'sep = ",\\n    "', 'sep = "\\n    "',
+        ("test_cli.py::test_isomoment_diamond_p4",),
+    ),
+    Mutant(
+        "class-template-keyed-on-edge-count", "cli.py",
+        "shape = len(sigma), len(ends)", "shape = len(ends)",
+        ("test_cli.py::test_class_writer_takes_one_template_per_shape",),
+    ),
+    Mutant(
+        "class-edges-both-ways", "cli.py",
+        "for w in ws if u < w for x in (u, w)]", "for w in ws if u != w for x in (u, w)]",
+        ("test_cli.py::test_isomoment_stdout_is_golden",),
+    ),
+    Mutant(
         "duplicate-ids-pass", "graph.py",
         "if len(neighbor_sets) != len(vertex_list):", "if len(neighbor_sets) > len(vertex_list):",
         ("test_graph.py::test_construction_rejects_non_simple_input[vertices0-edges0]",),
@@ -353,7 +368,12 @@ def _pytest(
     # no bytecode cache: a mutant and its undoing can share a size and an mtime second
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
+    # the tests that use hypothesis import it; its plugin's start-up is
+    # most of a one-test run
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+        "-p", "no:hypothesispytest",
+    ]
     try:
         run = subprocess.run(
             [*command, *extra, *targets],
@@ -406,6 +426,7 @@ def _verdict(copy: Path, m: Mutant) -> tuple[str, str]:
 
 
 def main() -> int:
+    began = time.perf_counter()
     problems = _check_texts(MUTANTS + [m for m, _ in EQUIVALENT])
     if problems:
         print(*problems, sep="\n")
@@ -440,7 +461,10 @@ def main() -> int:
             print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
     for m, reason in EQUIVALENT:
         print(f"{m.name}: equivalent, not run ({reason})")
-    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    print(
+        f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed "
+        f"in {time.perf_counter() - began:.0f} s"
+    )
     return 1 if failures else 0
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -1216,14 +1217,16 @@ def test_emitted_text_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch)
     ]
     runs.append(["graft", write_json(tmp_path / "spec.json", COALESCENCE_SPEC)])
     runs += [["verify", formula, "--count", "3", "--seed", "7"] for formula in FORMULAS]
-    for i, (host, branch, _, _) in enumerate(ISOMOMENT_GOLDEN):
-        runs.append([
-            "isomoment", write_json(tmp_path / f"host{i}.json", host),
-            write_json(tmp_path / f"branch{i}.json", branch), "--weights", "unit,half,degree",
-        ])
     for argv in runs:
         _, out, _ = run_cli(capsys, *argv)
         assert out == json.dumps(emitted[-1], indent=2) + "\n", argv
+    # isomoment writes its classes itself, and no object reaches _emit_json
+    for i, (host, branch, _, _) in enumerate(ISOMOMENT_GOLDEN):
+        _, out, _ = run_cli(
+            capsys, "isomoment", write_json(tmp_path / f"host{i}.json", host),
+            write_json(tmp_path / f"branch{i}.json", branch), "--weights", "unit,half,degree",
+        )
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     # a mismatch report carries each failing instance
     formula = verify_module.graft_moment_formula
@@ -1237,6 +1240,120 @@ def test_emitted_text_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch)
     run_cli(capsys, "graft", str(tmp_path / "spec.json"), "--out", str(product))
     assert product.read_text(encoding="utf-8") == json.dumps(emitted[-1], indent=2) + "\n"
     assert len(emitted) == len(runs) + 2
+
+
+def _class_objects(kept) -> list[dict]:
+    """Each (sigma, adjacency, size) class as the output object it prints."""
+    return [
+        {
+            "sigma": list(sigma),
+            "size": size,
+            "graph": {
+                "vertices": list(range(len(adjacency))),
+                "edges": [[u, w] for u, ws in enumerate(adjacency) for w in ws if u < w],
+            },
+        }
+        for sigma, adjacency, size in kept
+    ]
+
+
+def _isomoment_reference(host, branch, specs, count=100, seed=0) -> tuple[int, str]:
+    """The exit code and stdout of isomoment as one json.dumps of the whole document."""
+    r = host.order
+    if r <= cli.FULL_ENUMERATION_MAX:
+        sigmas, enumeration = itertools.permutations(range(1, r + 1)), "full"
+    else:
+        rng = random.Random(seed)
+        sigmas = [tuple(rng.sample(range(1, r + 1), r)) for _ in range(count)]
+        enumeration = "sampled"
+    weights = {w: cli.parse_weight_spec(w) for w in specs}
+    kept, values = isomoment_module.classify(host, branch, weights, sigmas)
+    all_equal = all(len(seen) == 1 for seen in values.values())
+    document = {
+        "order": r,
+        "enumeration": enumeration,
+        "permutations": sum(size for _, _, size in kept),
+        "classes": _class_objects(kept),
+        "moments": {
+            name: cli.format_rational(*seen) if len(seen) == 1
+            else sorted(map(cli.format_rational, seen))
+            for name, seen in values.items()
+        },
+        "all_equal": all_equal,
+    }
+    return 0 if all_equal else 1, json.dumps(document, indent=2) + "\n"
+
+
+ISOMOMENT_STREAM_CASES = [
+    # r = 1: one product vertex and "edges": []
+    (path_graph(1), path_graph(1), "unit,degree", (), 0),
+    (path_graph(2), path_graph(2), "unit,half,degree,const:7/3", (), 0),
+    (diamond_graph(), path_graph(4), "unit,degree", (), 0),
+    # sampled: order 9 is past the full-enumeration cap
+    (random_connected_graph(random.Random(91), 9), random_connected_graph(random.Random(92), 9),
+     "unit,degree", ("--count", "3", "--seed", "5"), 0),
+    # a file: weight that no two classes agree on: all_equal is false
+    (diamond_graph(), cycle_graph(4), "unit,file:{dir}/w.json", (), 1),
+    # weight names that need escaping, or read like the frame's own text
+    (path_graph(3), cycle_graph(3), 'degree,file:{dir}/null é\\"classes": null.json', (), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "host,branch,specs,extra,code", ISOMOMENT_STREAM_CASES,
+    ids=["r1", "r2", "diamond-p4", "sampled-r9", "file-unequal", "escaped-names"],
+)
+def test_isomoment_stdout_is_json_dumps_of_the_whole_document(
+    tmp_path, capsys, host, branch, specs, extra, code
+):
+    for name in ("w.json", 'null é\\"classes": null.json'):
+        write_json(tmp_path / name, {str(v): f"{v * v + 1}/2" for v in range(host.order**2)})
+    specs = specs.format(dir=tmp_path)
+    host_path = graph_file(tmp_path, host, "host.json")
+    branch_path = graph_file(tmp_path, branch, "branch.json")
+    got = run_cli(capsys, "isomoment", host_path, branch_path, "--weights", specs, *extra)[:2]
+    count, seed = (int(extra[1]), int(extra[3])) if extra else (100, 0)
+    assert got == _isomoment_reference(host, branch, specs.split(","), count, seed)
+    assert got[0] == code
+
+
+def test_class_writer_takes_one_template_per_shape():
+    # sigma lengths 4 and 5 with 25 edges each, then 4 again with 3
+    diamond, c5, p5 = diamond_graph(), cycle_graph(5), path_graph(5)
+    kept = []
+    for host, branch in [(diamond, diamond), (c5, p5), (diamond, diamond)]:
+        sigma = tuple(range(host.order, 0, -1))
+        kept += isomoment_module.classify(host, branch, {"unit": parse_weight_spec("unit")}, [sigma])[0]
+    kept.append([(1, 2, 3, 4), ((1,), (0, 2), (1, 3), (2,)), 7])
+    written = []
+    cli._write_classes(written.append, kept)
+    classes = _class_objects(kept)
+    assert [len(c["graph"]["edges"]) for c in classes] == [25, 25, 25, 3]
+    assert "[" + "".join(written) + "\n  ]" == json.dumps({"c": classes}, indent=2)[9:-2]
+
+
+def test_isomoment_peak_memory_is_a_fraction_of_its_stdout(tmp_path, monkeypatch):
+    # r = 7 golden pair: 6.7 MB of stdout; holding the whole document text
+    # (and its object) peaked at 33 MB, writing class by class at 12 MB
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    host_path = write_json(tmp_path / "host.json", ISOMOMENT_R7_HOST)
+    branch_path = write_json(tmp_path / "branch.json", ISOMOMENT_R7_BRANCH)
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["isomoment", host_path, branch_path, "--weights", "unit,degree"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 6_000_000
+    assert peak < 3 * sink.size
 
 
 def test_json_text_rejects_a_bad_key_as_json_dumps_does():

@@ -618,6 +618,27 @@ def test_cycle_and_concentration_forms_refuse_an_order_that_is_no_int(form, args
         form(*args)
 
 
+@pytest.mark.parametrize(
+    "form, args, message",
+    [
+        (extended_cycle_degree_distance, (1, [(3,)]), r"^branch entry \(3,\) is not a pair$"),
+        (extended_cycle_degree_distance, (1, [3]), r"^branch entry 3 is not a pair$"),
+        (extended_cycle_degree_distance, (1, 5), r"^branch pairs must be a sequence, got 5$"),
+        (proper_cycle_degree_distance, (3, 5), r"^branch orders must be a sequence, got 5$"),
+        (
+            unicyclic_degree_distance,
+            (4, {0: [(path_graph(2),)]}),
+            r"^branch entry \(Graph\(order=2, edges=1\),\) is not a pair$",
+        ),
+    ],
+    ids=["extended-one-tuple", "extended-int", "extended-no-sequence", "proper-no-sequence",
+         "unicyclic-one-tuple"],
+)
+def test_cycle_forms_refuse_a_malformed_branch_entry(form, args, message):
+    with pytest.raises(GraphFormatError, match=message):
+        form(*args)
+
+
 def test_cycle_forms_keep_the_order_cap():
     message = r"^graph order 10001 exceeds cap 10000$"
     with pytest.raises(TooLarge, match=message):
