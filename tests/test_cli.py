@@ -1266,7 +1266,7 @@ def _isomoment_reference(host, branch, specs, count=100, seed=0) -> tuple[int, s
         rng = random.Random(seed)
         sigmas = [tuple(rng.sample(range(1, r + 1), r)) for _ in range(count)]
         enumeration = "sampled"
-    weights = {w: cli.parse_weight_spec(w) for w in specs}
+    weights = {w: parse_weight_spec(w) for w in specs}
     kept, values = isomoment_module.classify(host, branch, weights, sigmas)
     all_equal = all(len(seen) == 1 for seen in values.values())
     document = {
