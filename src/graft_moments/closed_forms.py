@@ -25,8 +25,9 @@ distance) are weight choices of the one permutation-product formula.
 Every formula is certified against the brute-force oracle (build the
 product, run BFS from every vertex, sum) by the verify module and the
 test suite; agreement is exact, never approximate.  The oracle runs
-none of the distance code above; only the factor checks
-(`_validate_factors`) share its BFS loop.
+none of the distance code above; only the factor checks that `graft`
+runs for it (`_validate_factors`, through `is_connected`) run the BFS
+under that code, `graph._distances`.
 """
 
 from __future__ import annotations
@@ -70,10 +71,15 @@ def attachments_by_receptor(spec: GraftSpec) -> dict[int, list[tuple[Graph, int,
     return family
 
 
-def _int_at_least(what: str, value: object, least: int, error=InvalidExtendedCycle) -> None:
-    """Refuse an order or edge count below least, or not an int (a bool neither, as in Graph)."""
+def _require_int(what: str, value: object) -> None:
+    """Refuse a value that is not an int, or is a bool (as Graph refuses a bool id)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise GraphFormatError(f"{what} must be an integer, got {value!r}")
+
+
+def _int_at_least(what: str, value: object, least: int, error=InvalidExtendedCycle) -> None:
+    """Refuse an order or edge count below least, or not an int (_require_int)."""
+    _require_int(what, value)
     if value < least:
         raise error(f"{what} must be >= {least}, got {value}")
 
@@ -325,10 +331,13 @@ def unicyclic_degree_distance(
     """
     _int_at_least("unicyclic host cycle order", cycle_order, 3)
     host = cycle_graph(cycle_order)
+    if not isinstance(forest, Mapping):
+        raise GraphFormatError(f"forest must be a mapping, got {forest!r}")
     flattened: list[tuple[int, Graph, int]] = []
     for x, branches in forest.items():
         if not host.has_vertex(x):
             raise UnknownVertex(f"forest receptor {x!r} is not a cycle vertex")
+        _sized(f"branches at {x!r}", branches)
         flattened.extend((x, *_pair("branch entry", entry)) for entry in branches)
     _validate_factors(host, flattened)
     for x, tree, _ in flattened:

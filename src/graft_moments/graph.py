@@ -8,8 +8,10 @@ and never shared with an equal graph: its connectivity (is_connected),
 its int adjacency (_int_adjacency: neighbour positions as tuples) and its
 distance row sums (distance_row_sums: D*1 from _point_moments, the one
 dispatcher for every D*y, y a list of ints by position).  An empty or
-disconnected graph caches no row sums and raises on every call.  BFS
-gives hop counts; no floating point anywhere.
+disconnected graph caches no row sums and raises on every call.  Every
+distance row, connectivity check included, is one BFS by position,
+_distances, on the int adjacency; it gives hop counts, so no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -185,37 +187,22 @@ class Graph:
 # -- traversal ----------------------------------------------------------
 
 
-def _bfs_reached(g: Graph, source: int) -> dict[int, int]:
-    """Hop counts from source to every vertex BFS can reach, in BFS order.
-
-    Level by level over the adjacency map; source must be a vertex of g.
-    """
-    adjacency = g._adjacency
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        grown = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if v not in dist:
-                    dist[v] = d
-                    grown.append(v)
-        frontier = grown
-    return dist
+def _full_row(g: Graph, i: int) -> list[int]:
+    """The _distances row from position i; DisconnectedGraph if it leaves a vertex unreached."""
+    row = _distances(_int_adjacency(g), i)
+    if -1 in row:
+        n = len(row)
+        raise DisconnectedGraph(
+            f"only {n - row.count(-1)} of {n} vertices reachable from {g._vertices[i]!r}"
+        )
+    return row
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    """Exact distances from source to every vertex of a connected graph."""
+    """Exact distances from source to every vertex of a connected graph, keys in vertex order."""
     if source not in g:
         raise UnknownVertex(f"vertex {source!r} is not in the graph")
-    dist = _bfs_reached(g, source)
-    if len(dist) != g.order:
-        raise DisconnectedGraph(
-            f"only {len(dist)} of {g.order} vertices reachable from {source!r}"
-        )
-    return dist
+    return dict(zip(g._vertices, _full_row(g, g._vertices.index(source))))
 
 
 def is_connected(g: Graph) -> bool:
@@ -223,7 +210,7 @@ def is_connected(g: Graph) -> bool:
     if g.order == 0:
         raise EmptyGraph("connectivity is undefined for the empty graph")
     if g._connected is None:
-        g._connected = len(_bfs_reached(g, g.vertices[0])) == g.order
+        g._connected = -1 not in _distances(_int_adjacency(g), 0)
     return g._connected
 
 
@@ -271,12 +258,7 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedGraph / EmptyGraph."""
     if g.order == 0:
         raise EmptyGraph("distance matrix of the empty graph")
-    order = g.vertices
-    rows = []
-    for u in order:
-        dist = bfs_distances(g, u)
-        rows.append(tuple(dist[v] for v in order))
-    return DistanceMatrix(order, tuple(rows))
+    return DistanceMatrix(g.vertices, tuple(tuple(_full_row(g, i)) for i in range(g.order)))
 
 
 # -- row sums and D*x without the matrix -----------------------------------
@@ -285,23 +267,19 @@ def distance_matrix(g: Graph) -> DistanceMatrix:
 def distance_row_sums(g: Graph) -> tuple[int, ...]:
     """Distance row sums s(v) in vertex order, keeping no n x n matrix.
 
-    A probe BFS from the first vertex checks connectivity (same errors
-    and messages as distance_matrix); the sums are D*1 from _point_moments,
-    which takes the probe as row 0, once per Graph object, kept on it.
+    A probe BFS from the first vertex checks connectivity (_full_row, as
+    in distance_matrix) and records it; the sums are D*1 from
+    _point_moments, which takes the probe as row 0, once per Graph
+    object, kept on it.
     """
     sums = g._sums
     if sums is None:
-        adjacency = _int_adjacency(g)
-        n = len(adjacency)
+        n = g.order
         if n == 0:
             raise EmptyGraph("distance matrix of the empty graph")
-        probe = _distances(adjacency, 0)
-        reached = n - probe.count(-1)
-        if reached != n:
-            raise DisconnectedGraph(
-                f"only {reached} of {n} vertices reachable from {g._vertices[0]!r}"
-            )
-        sums = g._sums = tuple(_point_moments(adjacency, [1] * n, probe))
+        probe = _full_row(g, 0)
+        g._connected = True
+        sums = g._sums = tuple(_point_moments(_int_adjacency(g), [1] * n, probe))
     return sums
 
 

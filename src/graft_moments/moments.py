@@ -20,8 +20,8 @@ from .weights import UNIT, WeightFunction, format_rational
 
 def moment_at(g: Graph, weights: WeightFunction, u: int) -> Fraction:
     """sum_v w(v) * dist(v, u), by one BFS from u."""
-    dist = bfs_distances(g, u)
-    return _weighted_sum(weights, g.vertices, g.degrees, [dist[v] for v in g.vertices])
+    column = list(bfs_distances(g, u).values())  # in vertex order
+    return _weighted_sum(weights, g.vertices, g.degrees, column)
 
 
 def moment(g: Graph, weights: WeightFunction) -> Fraction:

@@ -20,16 +20,17 @@ sums Y - y(B_d) where the oracle counts newly reached sources, so a
 fault in either shows up as a mismatch instead of cancelling out.  The
 oracle reads each graph through its public `vertices` and `neighbors`
 alone, imports no private name from `graph`, runs none of its BFS code
-(`bfs_distances`, `_bfs_reached`), and neither reads nor fills anything a
-`Graph` keeps; on the oracle's side only `graft`'s factor validation
-(`is_connected`) runs a BFS of `graph`'s.  A verifier draws random
-instances, evaluates the closed form and the oracle, and records every
-disagreement (there should be none) in a report; an instance is kept as
-its graphs, weights and numbers and written out as JSON, with its 0-based
-index in the run, only when it disagrees.  Some verifiers chain extra
-checks onto each instance -- the comparison formula must also be invariant
-under swapping the branch for another of equal order and total weight, and
-the proper-cycle formula must agree with the extended-cycle formula.
+(`_distances`, under `bfs_distances` and `distance_matrix` too), and
+neither reads nor fills anything a `Graph` keeps; on the oracle's side
+only `graft`'s factor validation (`is_connected`) runs `_distances`.  A
+verifier draws random instances, evaluates the closed form and the
+oracle, and records every disagreement (there should be none) in a
+report; an instance is kept as its graphs, weights and numbers and
+written out as JSON, with its 0-based index in the run, only when it
+disagrees.  Some verifiers chain extra checks onto each instance -- the
+comparison formula must also be invariant under swapping the branch for
+another of equal order and total weight, and the proper-cycle formula
+must agree with the extended-cycle formula.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from fractions import Fraction
 from functools import partial
 
 from .closed_forms import (
+    _require_int,
     attachments_by_receptor,
     concentration_difference_formula,
     extended_cycle_degree_distance,
@@ -350,10 +352,13 @@ def run_verification(
         raise GraphFormatError(
             f"unknown formula {formula!r}; choose from {', '.join(FORMULAS)}"
         )
+    _require_int("count", count)
     if count < 0:
         raise GraphFormatError("count must be nonnegative")
-    if max_size is not None and max_size < 1:
-        raise GraphFormatError(f"max size must be at least 1, got {max_size}")
+    if max_size is not None:
+        _require_int("max size", max_size)
+        if max_size < 1:
+            raise GraphFormatError(f"max size must be at least 1, got {max_size}")
     checker = _CHECKERS[formula]
     rng = random.Random(seed)
     report = VerificationReport(formula=formula, instances=count, seed=seed)

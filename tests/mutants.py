@@ -145,6 +145,22 @@ MUTANTS = [
         ("test_cli.py::test_indices_rejects_a_vertex_id_that_is_not_an_int",),
     ),
     Mutant(
+        "full-row-keeps-unreached-vertices", "graph.py",
+        "    if -1 in row:\n", "    if False:\n",
+        ("test_graph.py::test_distances_and_connectivity_agree_with_networkx",),
+    ),
+    # test_graph.py builds graft products at import, so it does not collect on this one
+    Mutant(
+        "is-connected-inverted", "graph.py",
+        "g._connected = -1 not in _distances(", "g._connected = -1 in _distances(",
+        ("test_products.py::test_graft_rejects_disconnected_parts",),
+    ),
+    Mutant(
+        "row-sums-leave-connectivity-unknown", "graph.py",
+        "g._connected = True", "g._connected = None",
+        ("test_graph.py::test_is_connected_runs_one_bfs_per_graph_object",),
+    ),
+    Mutant(
         "up-pass-without-head-mass", "graph.py",
         "sum(map(mass.__getitem__, block))", "sum(map(mass.__getitem__, block[1:]))",
         ("test_graph.py::test_distance_row_sums_match_the_matrix[path-9]",),

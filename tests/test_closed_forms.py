@@ -37,6 +37,7 @@ from graft_moments import (
     flower_moment_formula,
     graft,
     graft_moment_formula,
+    is_connected,
     moment,
     moment_at,
     path_graph,
@@ -60,7 +61,8 @@ from graft_moments.randgen import (
     random_tree,
     random_unicyclic_instance,
 )
-from graft_moments import closed_forms, graph, products
+from graft_moments import closed_forms, graph
+from graft_moments import moments as moments_module
 from graft_moments.closed_forms import _cycle_quadratic
 from graft_moments.verify import (
     _comparison_oracle,
@@ -520,6 +522,10 @@ def test_unicyclic_rejects_bad_input(c3, k2):
         unicyclic_degree_distance(3, {9: [(k2, 0)]})
     with pytest.raises(UnknownVertex):
         unicyclic_degree_distance(3, {0: [(k2, 9)]})
+    with pytest.raises(GraphFormatError, match=r"^forest must be a mapping, got \[1\]$"):
+        unicyclic_degree_distance(4, [1])
+    with pytest.raises(GraphFormatError, match=r"^branches at 0 must be a sequence, got 5$"):
+        unicyclic_degree_distance(4, {0: 5})
 
 
 # -- extended and proper cycles --------------------------------------------------
@@ -751,14 +757,12 @@ def test_closed_forms_build_no_distance_matrix(monkeypatch, k2, p3, p4, c3, diam
         raise AssertionError("a closed form built a distance matrix")
 
     def refuse_bfs(*args):
-        raise AssertionError("a closed form ran the plain BFS under bfs_distances")
-
-    def connected(g):  # what factor validation needs, without the plain BFS
-        return -1 not in graph._distances(graph._int_adjacency(g), 0)
+        raise AssertionError("a closed form ran bfs_distances")
 
     monkeypatch.setattr(graph.DistanceMatrix, "__init__", refuse)
-    monkeypatch.setattr(graph, "_bfs_reached", refuse_bfs)
-    monkeypatch.setattr(products, "is_connected", connected)
+    for module in (graph, moments_module, closed_forms):
+        if hasattr(module, "bfs_distances"):
+            monkeypatch.setattr(module, "bfs_distances", refuse_bfs)
     with pytest.raises(AssertionError):
         distance_matrix(k2)
     with pytest.raises(AssertionError):
@@ -828,6 +832,7 @@ def test_a_tree_host_term_takes_the_probe_not_a_bfs_per_host_vertex(monkeypatch)
     host = random_tree(random.Random(5), 2000)
     k2 = path_graph(2)
     spec = GraftSpec(host, [Attachment(x, k2, 0, DEGREE) for x in host.vertices], DEGREE)
+    assert is_connected(host) and is_connected(k2)  # factor validation's BFS, counted apart
     sources = []
     distances = graph._distances
     monkeypatch.setattr(graph, "_distances", lambda adj, v: sources.append(v) or distances(adj, v))
@@ -848,6 +853,7 @@ def test_a_dense_host_term_takes_one_ball_pass_not_a_bfs_per_host_vertex(monkeyp
         [Attachment(x, p3 if i % 2 else k2, 0, DEGREE) for i, x in enumerate(host.vertices)],
         DEGREE,
     )
+    assert all(map(is_connected, (host, k2, p3)))  # factor validation's BFS, counted apart
     orders = []
     distances = graph._distances
     monkeypatch.setattr(graph, "_distances", lambda adj, v: orders.append(len(adj)) or distances(adj, v))

@@ -38,7 +38,6 @@ from graft_moments import graph as graph_module
 from graft_moments.graph import (
     MAX_ORDER,
     _ball_sums,
-    _bfs_reached,
     _blocks,
     _distances,
     _int_adjacency,
@@ -181,14 +180,18 @@ def test_is_connected(p4, k1):
 
 
 def test_is_connected_runs_one_bfs_per_graph_object(monkeypatch):
-    sources = []
-    bfs = graph_module._bfs_reached
+    rows = []
+    distances = graph_module._distances
     monkeypatch.setattr(
-        graph_module, "_bfs_reached", lambda g, source: sources.append(source) or bfs(g, source)
+        graph_module, "_distances", lambda adjacency, v: rows.append(adjacency) or distances(adjacency, v)
     )
+
+    def one_bfs_each(*graphs):  # one row, in this order, on each graph's kept int adjacency
+        return len(rows) == len(graphs) and all(r is g._int_adj for r, g in zip(rows, graphs))
+
     split = Graph([0, 1, 2, 3], [(0, 1), (2, 3)])
     assert [is_connected(split) for _ in range(3)] == [False] * 3
-    assert sources == [0]
+    assert one_bfs_each(split)
     empty = Graph([], [])
     for _ in range(3):
         with pytest.raises(EmptyGraph):
@@ -198,7 +201,12 @@ def test_is_connected_runs_one_bfs_per_graph_object(monkeypatch):
     backward = Graph([2, 1, 0], [(0, 1), (1, 2)])
     assert forward == backward
     assert [is_connected(g) for g in (forward, backward, forward, backward)] == [True] * 4
-    assert sources == [0, 0, 2]
+    assert one_bfs_each(split, forward, backward)
+    # the probe of distance_row_sums records what it found
+    summed = Graph([0, 1, 2], [(0, 2), (1, 2)])
+    distance_row_sums(summed)
+    rows.clear()
+    assert is_connected(summed) and rows == []
 
 
 def test_isomorphic_path_relabeled(p4):
@@ -503,9 +511,22 @@ def _signature_pass(adjacency: list[list[int]]) -> tuple[list, list[int]]:
     return _level_signatures(adjacency)
 
 
+def _queue_bfs(g: Graph, source: int) -> dict[int, int]:
+    """Textbook FIFO breadth-first search, for comparison."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def _level_sizes(g: Graph, v: int) -> tuple[int, ...]:
     """How many vertices lie at distance 0, 1, 2, ... from v, in v's component."""
-    counts = Counter(_bfs_reached(g, v).values())
+    counts = Counter(_queue_bfs(g, v).values())
     return tuple(counts[d] for d in range(len(counts)))
 
 
@@ -695,28 +716,6 @@ def test_one_block_is_the_matrix_product_by_either_route(monkeypatch, name, g):
             assert _one_block(adjacency, y, row0) == expected
 
 
-def _queue_bfs(g: Graph, source: int) -> dict[int, int]:
-    """Textbook FIFO breadth-first search, for comparison."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def test_bfs_reached_keeps_the_queue_order():
-    rng = random.Random(31)
-    graphs = [Graph([5, 3, 4], [(3, 4)]), Graph([0, 1, 2, 3], [(0, 1), (2, 3)])]
-    graphs += [_relabeled(random_connected_graph(rng, rng.randint(1, 60)), rng) for _ in range(30)]
-    for g in graphs:
-        for v in g.vertices:
-            assert list(_bfs_reached(g, v).items()) == list(_queue_bfs(g, v).items())
-
-
 def _edge_split_wiener(tree: Graph) -> int:
     """sum over edges of n_a * n_b, the orders of the two sides (Wiener 1947)."""
     root = tree.vertices[0]
@@ -841,6 +840,43 @@ def test_distance_row_sums_agree_with_networkx(name, g):
     assert nx.wiener_index(h) == sum(row_sums) / 2
     for v, s in zip(g.vertices, row_sums):
         assert sum(nx.single_source_shortest_path_length(h, v).values()) == s
+
+
+def test_distances_and_connectivity_agree_with_networkx():
+    # distance_matrix and bfs_distances share _distances with _point_moments,
+    # so networkx is their independent reference; ids shuffled and negative
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    graphs = []
+    for n in range(1, 25):
+        g = random_connected_graph(rng, n)
+        k = rng.randint(1, 6)
+        tail = [(u + n, v + n) for u, v in random_tree(rng, k).edges()]
+        graphs += [_relabeled(g, rng), _relabeled(Graph(range(n + k), [*g.edges(), *tail]), rng)]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges())
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        connected = nx.is_connected(h)
+        assert is_connected(g) is connected
+        for v in g.vertices:
+            if connected:
+                dist = bfs_distances(g, v)
+                assert list(dist) == list(g.vertices) and dist == lengths[v]
+            else:
+                message = f"only {len(lengths[v])} of {g.order} vertices reachable from {v}"
+                with pytest.raises(DisconnectedGraph, match=f"^{message}$"):
+                    bfs_distances(g, v)
+        if connected:
+            rows = tuple(tuple(lengths[u][v] for v in g.vertices) for u in g.vertices)
+            assert distance_matrix(g).entries == rows
+        else:
+            first = g.vertices[0]
+            message = f"only {len(lengths[first])} of {g.order} vertices reachable from {first}"
+            with pytest.raises(DisconnectedGraph, match=f"^{message}$"):
+                distance_matrix(g)
+    assert sum(map(is_connected, graphs)) == len(graphs) // 2
 
 
 def _multiplier_lists(n: int, rng: random.Random) -> list[list[int]]:

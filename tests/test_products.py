@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import random
 from fractions import Fraction
 
@@ -381,23 +382,28 @@ def test_spec_json_shares_branches_by_value_not_by_text():
 
 
 def test_a_repeated_branch_is_checked_once(monkeypatch):
-    calls = []
-    bfs = graph_module._bfs_reached
+    rows = []
+    distances = graph_module._distances
     monkeypatch.setattr(
-        graph_module, "_bfs_reached", lambda g, source: calls.append(g) or bfs(g, source)
+        graph_module, "_distances", lambda adjacency, v: rows.append(adjacency) or distances(adjacency, v)
     )
+
+    def one_bfs_each(spec):  # the host's, then the one branch object's, by their kept int adjacency
+        kept = [g._int_adj for g in (spec.host, spec.attachments[0].branch)]
+        return len(rows) == 2 and all(map(operator.is_, rows, kept))
+
     k2 = {"vertices": [0, 1], "edges": [[0, 1]]}
     spec = graft_spec_from_json_dict(_spec_with_branches(k2, k2, k2))
     assert graft(spec).graph.order == 5
-    assert calls == [spec.host, spec.attachments[0].branch]
+    assert one_bfs_each(spec)
 
-    calls.clear()
+    rows.clear()
     broken = {"vertices": [0, 1, 2], "edges": [[0, 1]]}
     spec = graft_spec_from_json_dict(_spec_with_branches(broken, broken, broken))
     for _ in range(2):
         with pytest.raises(DisconnectedGraph, match="^branch graph is not connected$"):
             graft(spec)
-    assert calls == [spec.host, spec.attachments[0].branch]
+    assert one_bfs_each(spec)
 
 
 def test_repeated_receptors_accumulate(p3, k2):

@@ -54,10 +54,10 @@ def _code_names(path: Path) -> list[tuple[int, str, str | None]]:
 
 
 def test_the_bfs_kernels_stay_inside_graph():
-    # D*x is graph._point_moments: only graph runs the int BFS and the
-    # bit-parallel pass under it; the verify oracle runs its own BFS and
-    # imports public names only, none of them graph's distance functions
-    kernels = {"_distances", "_bfs_reached", "_ball_sums"}
+    # D*x is graph._point_moments: only graph runs the int BFS, its checked
+    # row and the bit-parallel pass under it; the verify oracle runs its own
+    # BFS and imports public names only, none of them graph's distance functions
+    kernels = {"_distances", "_full_row", "_ball_sums"}
     graph_distances = {"bfs_distances", "distance_matrix", "distance_row_sums", "is_connected"}
     stray = [
         f"{path.name}:{line}: {name}"

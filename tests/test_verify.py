@@ -105,6 +105,24 @@ def test_unknown_formula_and_bad_count_are_rejected():
             run_verification("theorem1", count=1, seed=0, max_size=max_size)
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"count": 2.5}, r"^count must be an integer, got 2\.5$"),
+        ({"count": True}, r"^count must be an integer, got True$"),
+        ({"count": None}, r"^count must be an integer, got None$"),
+        ({"count": 1, "max_size": 2.5}, r"^max size must be an integer, got 2\.5$"),
+        ({"count": 1, "max_size": False}, r"^max size must be an integer, got False$"),
+    ],
+    ids=["count-float", "count-bool", "count-none", "max-size-float", "max-size-bool"],
+)
+def test_count_and_max_size_must_be_ints(sizes, message):
+    # a float count or max size escaped as a bare TypeError or ValueError, and a bool count
+    # was written as "instances": true
+    with pytest.raises(GraphFormatError, match=message):
+        run_verification("theorem1", seed=0, **sizes)
+
+
 def test_report_json_shape():
     report = run_verification("unicyclic", count=3, seed=5)
     payload = report.to_json_dict()
@@ -184,8 +202,9 @@ def test_mismatch_reports_are_pinned(monkeypatch, formula):
 def _refuse_the_distance_kernels(monkeypatch):
     """Make every distance kernel of graph raise.
 
-    These are the kernels moment and the closed forms take their rows from,
-    and the plain BFS under bfs_distances, distance_matrix and is_connected.
+    These are the kernels moment and the closed forms take their rows from;
+    _distances is also the BFS under bfs_distances, distance_matrix and
+    is_connected.
     """
 
     def refuse(*args, **kwargs):
@@ -194,7 +213,7 @@ def _refuse_the_distance_kernels(monkeypatch):
     for module in (graph_module, moments_module, closed_forms_module):
         for name in (
             "distance_row_sums", "_distances", "_point_moments", "_ball_sums",
-            "_level_signatures", "_bfs_reached", "bfs_distances",
+            "_level_signatures", "bfs_distances",
         ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -339,7 +358,7 @@ def test_the_oracle_sums_int_pairs_without_value_or_the_kernels(monkeypatch):
     for n in (1, 2, 5, 12, 30):
         g = random_connected_graph(rng, n)
         for weights in _every_weight_kind(rng, g):
-            row_sums = distance_matrix(g).row_sums
+            row_sums = distance_matrix(_fresh(g)).row_sums  # g itself stays untouched
             plain = sum(
                 (weights.value(g, v) * s for v, s in zip(g.vertices, row_sums)), Fraction(0)
             )
@@ -376,21 +395,22 @@ def test_the_oracle_sums_int_pairs_without_value_or_the_kernels(monkeypatch):
 
 def test_the_graft_oracle_keeps_no_row_sums(monkeypatch):
     # the oracle builds the product and sums it by its own BFS: no factor
-    # and no product gets row sums or (but for the host, which graft
-    # copies) an int adjacency from it, and the product no connectivity
+    # and no product gets row sums from it, and the product no int
+    # adjacency or connectivity; graft's factor validation (is_connected)
+    # keeps each factor's int adjacency and connectivity
     built = []
     monkeypatch.setattr(verify, "graft", lambda spec: built.append(graft(spec)) or built[-1])
     rng = random.Random(8)
     for _ in range(60):
         spec = random_graft_spec(rng, max_host=6, max_branch_order=5, allow_repeated_receptors=True)
         verify._graft_oracle(spec)
-        branches = [a.branch for a in spec.attachments]
-        assert spec.host._sums is None
-        assert _untouched(built[-1].graph) and _keeps_nothing(*branches)
+        factors = [spec.host, *(a.branch for a in spec.attachments)]
+        assert all(g._sums is None and g._connected for g in factors)
+        assert _untouched(built[-1].graph)
     host, branch = cycle_graph(4), cycle_graph(3)
     verify._comparison_oracle(host, UNIT, 0, [1, 2], branch, 0, DEGREE)
     verify._cycle_graft_oracle(4, {0: [(branch, 1)], 2: [(branch, 0)]})
-    assert host._sums is None and _keeps_nothing(branch)
+    assert host._sums is None and branch._sums is None
     assert _untouched(*(p.graph for p in built[-3:]))
 
 
@@ -406,11 +426,12 @@ def test_the_graft_oracle_keeps_no_row_sums(monkeypatch):
     ],
 )
 def test_the_oracle_raises_like_the_matrix(monkeypatch, g, error):
+    # the expected messages come from fresh, equal graphs, so g stays untouched
     with pytest.raises(error) as expected:
-        distance_matrix(g)
+        distance_matrix(_fresh(g))
     if g.order:  # the first vertex's row is the one the oracle reports
         with pytest.raises(error) as first_row:
-            bfs_distances(g, g.vertices[0])
+            bfs_distances(_fresh(g), g.vertices[0])
         assert str(first_row.value) == str(expected.value)
     _refuse_the_distance_kernels(monkeypatch)
     with pytest.raises(error) as got:
