@@ -18,8 +18,8 @@ dot products divided once.  Host distances between receptors come from
 those same rows, and the cycle forms' r^T D m from D*m on C_r.
 
 Theorem 1 is evaluated once, in its vector form (_graft_moment): the
-graft, family, flower and unicyclic forms only hand it their
-attachments (a flower's host is one vertex, a unicyclic host a cycle).
+graft, family, flower and unicyclic forms each hand it a GraftSpec (a
+flower's host is one vertex, a unicyclic host a cycle).
 Likewise the sigma corollaries (unit moment, mean distance, degree
 distance) are weight choices of the one permutation-product formula.
 Every formula is certified against the brute-force oracle (build the
@@ -32,10 +32,11 @@ under that code, `graph._distances`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import add, mul
-from typing import Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -55,26 +56,23 @@ from .graph import (
 )
 from .moments import moment
 from .weights import DEGREE, UNIT, ConstantWeight, WeightFunction, _as_rational
-from .products import _CENTER, GraftSpec, _permutation_order, _validate_factors
+from .products import (
+    _CENTER, Attachment, GraftSpec, _as_attachments, _flower_spec, _permutation_order,
+    _require_int, _sized, _validate_factors,
+)
 
 # A family maps a host vertex to the rooted, weighted branches glued there.
 Family = Mapping[int, Sequence[tuple[Graph, int, WeightFunction]]]
 
 
 def attachments_by_receptor(spec: GraftSpec) -> dict[int, list[tuple[Graph, int, WeightFunction]]]:
-    """Group a spec's attachments into the family mapping the vector form uses."""
+    """Group a spec's attachments into the mapping family_graft_moment_formula takes."""
     family: dict[int, list[tuple[Graph, int, WeightFunction]]] = {}
     for att in spec.attachments:
         family.setdefault(att.receptor, []).append(
             (att.branch, att.root, att.weights)
         )
     return family
-
-
-def _require_int(what: str, value: object) -> None:
-    """Refuse a value that is not an int, or is a bool (as Graph refuses a bool id)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise GraphFormatError(f"{what} must be an integer, got {value!r}")
 
 
 def _int_at_least(what: str, value: object, least: int, error=InvalidExtendedCycle) -> None:
@@ -93,14 +91,6 @@ def _pair(what: str, entry: object) -> tuple[object, object]:
     return first, second
 
 
-def _sized(what: str, value: object) -> int:
-    """len(value), or a GraphFormatError that names value."""
-    try:
-        return len(value)  # type: ignore[arg-type]
-    except TypeError:
-        raise GraphFormatError(f"{what} must be a sequence, got {value!r}") from None
-
-
 def cycle_distance_row_sum(r: int) -> int:
     """Common row sum of the distance matrix of C_r: floor(r/2)*floor((r+1)/2).
 
@@ -114,12 +104,8 @@ def cycle_distance_row_sum(r: int) -> int:
 # -- general graft products: Theorem 1 in vector form ------------------------
 
 
-def _graft_moment(
-    host: Graph,
-    alpha: WeightFunction,
-    attachments: Sequence[tuple[int, Graph, int, WeightFunction]],
-) -> Fraction:
-    """Theorem 1 in vector form, for (receptor, branch, root, weights) tuples.
+def _graft_moment(spec: GraftSpec) -> Fraction:
+    """Theorem 1 in vector form, for any graft spec.
 
     n^T D (a + w) + sum_i [M_Ki^bi + M_Ki^(eta_i)(y_i)], eta_i =
     (N - |V_i|)*b_i + (W - B_i): n_x is the order of the product block
@@ -131,16 +117,17 @@ def _graft_moment(
     factors, divided once at the end.
     A branch object glued at one root several times takes one root BFS.
     """
-    _validate_factors(host, ((x, branch, root) for x, branch, root, _ in attachments))
-    host_numerators, host_denominator = alpha.vector(host.vertices, host.degrees)
-    vectors = [beta.vector(branch.vertices, branch.degrees) for _, branch, _, beta in attachments]
+    _validate_factors(spec)
+    host, attachments = spec.host, spec.attachments
+    host_numerators, host_denominator = spec.host_weights.vector(host.vertices, host.degrees)
+    vectors = [att.weights.vector(att.branch.vertices, att.branch.degrees) for att in attachments]
     unit = lcm(host_denominator, *(den for _, den in vectors))
     totals = [sum(numerators) * (unit // den) for numerators, den in vectors]
     block_orders = dict.fromkeys(host.vertices, 1)
     attached = dict.fromkeys(host.vertices, 0)
-    for (x, branch, _, _), total in zip(attachments, totals):
-        block_orders[x] += branch.order - 1
-        attached[x] += total
+    for att, total in zip(attachments, totals):
+        block_orders[att.receptor] += att.branch.order - 1
+        attached[att.receptor] += total
     scale = unit // host_denominator
     glued = [a * scale + w for a, w in zip(host_numerators, attached.values())]  # a + w
     grand_total = sum(glued)
@@ -152,7 +139,8 @@ def _graft_moment(
     # M_K^b + M_K^(eta)(y) = <b, s_K + outside * row> + (W - B) * s_K(y),
     # with the column taken once per (branch object, root)
     columns: dict[tuple[int, int], tuple[list[int], int]] = {}
-    for (_, branch, root, _), (numerators, den), total in zip(attachments, vectors, totals):
+    for att, (numerators, den), total in zip(attachments, vectors, totals):
+        branch, root = att.branch, att.root
         key = (id(branch), root)
         if key not in columns:
             y, sums = branch.vertices.index(root), distance_row_sums(branch)
@@ -174,11 +162,7 @@ def graft_moment_formula(spec: GraftSpec) -> Fraction:
     The sums run over the attachment list, so repeated receptors are
     fine; _graft_moment evaluates them grouped by receptor.
     """
-    return _graft_moment(
-        spec.host,
-        spec.host_weights,
-        [(a.receptor, a.branch, a.root, a.weights) for a in spec.attachments],
-    )
+    return _graft_moment(spec)
 
 
 def family_graft_moment_formula(
@@ -192,14 +176,16 @@ def family_graft_moment_formula(
     _graft_moment evaluates both forms.  A receptor with no branches
     must still be a host vertex.
     """
+    if not isinstance(family, Mapping):
+        raise GraphFormatError(f"family must be a mapping, got {family!r}")
+    attachments = []
+    for x, branches in family.items():
+        attachments += _as_attachments(repeat(x), branches, f"branches at {x!r}")
+    spec = GraftSpec(host, attachments, alpha)
     for x, branches in family.items():
         if not branches and not host.has_vertex(x):
             raise UnknownVertex(f"family receptor {x!r} is not a host vertex")
-    return _graft_moment(
-        host,
-        alpha,
-        [(x, b, root, beta) for x, bs in family.items() for b, root, beta in bs],
-    )
+    return _graft_moment(spec)
 
 
 def flower_moment_formula(
@@ -212,11 +198,7 @@ def flower_moment_formula(
     the graft product on a one-vertex host weighted `center`, whose host
     terms all vanish.
     """
-    return _graft_moment(
-        _CENTER,
-        ConstantWeight(center_weight),
-        [(0, branch, root, beta) for branch, root, beta in branches],
-    )
+    return _graft_moment(_flower_spec(center_weight, branches))
 
 
 # -- permutation products ---------------------------------------------------
@@ -295,7 +277,8 @@ def concentration_difference_formula(
     if total < 0:
         raise NegativeWeight(f"branch total weight {total} is negative")
     # the branches count only by order and total weight: one vertex stands for each
-    _validate_factors(host, [(receptor, _CENTER, 0) for receptor in [x, *receptors]])
+    _sized("receptors", receptors)
+    _validate_factors(GraftSpec(host, [Attachment(r, _CENTER, 0) for r in [x, *receptors]]))
     numerators, denominator = alpha.vector(host.vertices, host.degrees)
     adjacency = _int_adjacency(host)
     row_x = _point_moments(adjacency, [int(v == x) for v in host.vertices])
@@ -333,20 +316,21 @@ def unicyclic_degree_distance(
     host = cycle_graph(cycle_order)
     if not isinstance(forest, Mapping):
         raise GraphFormatError(f"forest must be a mapping, got {forest!r}")
-    flattened: list[tuple[int, Graph, int]] = []
+    attachments = []
     for x, branches in forest.items():
         if not host.has_vertex(x):
             raise UnknownVertex(f"forest receptor {x!r} is not a cycle vertex")
         _sized(f"branches at {x!r}", branches)
-        flattened.extend((x, *_pair("branch entry", entry)) for entry in branches)
-    _validate_factors(host, flattened)
-    for x, tree, _ in flattened:
-        if tree.edge_count != tree.order - 1:
+        attachments += (Attachment(x, *_pair("branch entry", e), DEGREE) for e in branches)
+    spec = GraftSpec(host, attachments, DEGREE)
+    _validate_factors(spec)
+    for att in attachments:
+        if att.branch.edge_count != att.branch.order - 1:
             raise NotATree(
-                f"branch at {x!r} has {tree.edge_count} edges "
-                f"on {tree.order} vertices"
+                f"branch at {att.receptor!r} has {att.branch.edge_count} edges "
+                f"on {att.branch.order} vertices"
             )
-    return _graft_moment(host, DEGREE, [(x, tree, root, DEGREE) for x, tree, root in flattened])
+    return _graft_moment(spec)
 
 
 def _cycle_quadratic(u: Sequence[int], v: Sequence[int]) -> int:

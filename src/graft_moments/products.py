@@ -3,9 +3,11 @@
 A graft product takes a connected host H, a list of attachments
 (receptor vertex of H, rooted connected branch), and identifies each
 branch root with its receptor.  Receptors may repeat; stacking several
-branches on one vertex is allowed.  The classic constructions --
-vertex coalescence, rooted product, flowers, permutation products,
-hierarchical products -- are thin wrappers over the same build.
+branches on one vertex is allowed.  A spec is always a `GraftSpec` of
+`Attachment`s, which check their own field types when built.  The
+classic constructions -- vertex coalescence, rooted product, flowers,
+permutation products, hierarchical products -- are thin wrappers that
+build one, reading branch tuples with `_as_attachments` alone.
 
 Product vertex ids are deterministic: host vertices keep positions
 0..|V_H|-1 in host order, then each attachment's non-root vertices
@@ -16,9 +18,9 @@ weight gamma in the same pass that assigns those ids.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, repeat
 
 from .errors import (
     ArityMismatch,
@@ -46,6 +48,26 @@ from .weights import (
 )
 
 
+def _require_int(what: str, value: object) -> None:
+    """Refuse a value that is not an int, or is a bool (as Graph refuses a bool id)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GraphFormatError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_type(what: str, value: object, kind: type) -> None:
+    """Refuse a value that is not an instance of kind."""
+    if not isinstance(value, kind):
+        raise GraphFormatError(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
+def _sized(what: str, value: object) -> int:
+    """len(value), or a GraphFormatError that names value."""
+    try:
+        return len(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise GraphFormatError(f"{what} must be a sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Attachment:
     """One rooted branch to glue: branch's root lands on host's receptor."""
@@ -54,6 +76,13 @@ class Attachment:
     branch: Graph
     root: int
     weights: WeightFunction = UNIT
+
+    def __post_init__(self) -> None:
+        for v in (self.receptor, self.root):  # int subclasses but bool pass
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+                raise GraphFormatError("receptor and root must be integer vertex ids")
+        _require_type("branch", self.branch, Graph)
+        _require_type("branch weights", self.weights, WeightFunction)
 
 
 @dataclass(frozen=True)
@@ -65,27 +94,33 @@ class GraftSpec:
     host_weights: WeightFunction = UNIT
 
     def __post_init__(self) -> None:
+        _require_type("host", self.host, Graph)
+        _require_type("host weights", self.host_weights, WeightFunction)
+        _require_type("attachments", self.attachments, Iterable)
         object.__setattr__(self, "attachments", tuple(self.attachments))
+        for att in self.attachments:
+            _require_type("attachment", att, Attachment)
 
     @property
     def product_order(self) -> int:
         return self.host.order + sum(a.branch.order - 1 for a in self.attachments)
 
 
-def _validate_factors(host: Graph, triples: Iterable[tuple[int, Graph, int]]) -> None:
+def _validate_factors(spec: GraftSpec) -> None:
     """The checks every graft construction and closed form shares.
 
-    The host must be connected, and each (receptor, branch, root) triple
-    needs a host receptor, a branch root and a connected branch.
+    The host must be connected, and each attachment needs a host
+    receptor, a branch root and a connected branch.
     """
-    if not is_connected(host):
+    _require_type("spec", spec, GraftSpec)
+    if not is_connected(spec.host):
         raise DisconnectedGraph("host graph is not connected")
-    for receptor, branch, root in triples:
-        if not host.has_vertex(receptor):
-            raise UnknownVertex(f"receptor {receptor!r} is not a host vertex")
-        if not branch.has_vertex(root):
-            raise UnknownVertex(f"root {root!r} is not a branch vertex")
-        if not is_connected(branch):
+    for att in spec.attachments:
+        if not spec.host.has_vertex(att.receptor):
+            raise UnknownVertex(f"receptor {att.receptor!r} is not a host vertex")
+        if not att.branch.has_vertex(att.root):
+            raise UnknownVertex(f"root {att.root!r} is not a branch vertex")
+        if not is_connected(att.branch):
             raise DisconnectedGraph("branch graph is not connected")
 
 
@@ -111,9 +146,9 @@ def graft(spec: GraftSpec) -> GraftProduct:
     checks only their count against MAX_ORDER; a branch repeated on many
     attachments is one Graph object, which is_connected checks once.
     """
-    host = spec.host
-    _validate_factors(host, ((a.receptor, a.branch, a.root) for a in spec.attachments))
+    _validate_factors(spec)
     _check_order(spec.product_order)
+    host = spec.host
 
     host_map = {v: i for i, v in enumerate(host.vertices)}
     # neighbour lists and gamma as reduced pairs, both indexed by product id;
@@ -154,22 +189,15 @@ _CENTER = Graph([0], [])
 
 
 def _as_attachments(
-    receptors: Sequence[int],
-    branches: Sequence[tuple],
+    receptors: Iterable[int], branches: Sequence[tuple], what: str = "branches"
 ) -> list[Attachment]:
-    """Accept (graph, root) or (graph, root, weights) branch tuples."""
+    """Read (graph, root) or (graph, root, weights) branch tuples, one per receptor."""
+    _sized(what, branches)
     out = []
-    for receptor, branch_tuple in zip(receptors, branches):
-        if len(branch_tuple) == 2:
-            branch, root = branch_tuple
-            weights: WeightFunction = UNIT
-        elif len(branch_tuple) == 3:
-            branch, root, weights = branch_tuple
-        else:
-            raise GraphFormatError(
-                "branch must be (graph, root) or (graph, root, weights)"
-            )
-        out.append(Attachment(receptor, branch, root, weights))
+    for receptor, entry in zip(receptors, branches):
+        if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
+            raise GraphFormatError("branch must be (graph, root) or (graph, root, weights)")
+        out.append(Attachment(receptor, *entry))
     return out
 
 
@@ -183,10 +211,8 @@ def coalescence(
     branch_weights: WeightFunction = UNIT,
 ) -> GraftProduct:
     """Identify one vertex of each graph (the dot product H . K)."""
-    spec = GraftSpec(
-        host, (Attachment(receptor, branch, root, branch_weights),), host_weights
-    )
-    return graft(spec)
+    attachment = Attachment(receptor, branch, root, branch_weights)
+    return graft(GraftSpec(host, [attachment], host_weights))
 
 
 def rooted_product(
@@ -196,12 +222,18 @@ def rooted_product(
     host_weights: WeightFunction = UNIT,
 ) -> GraftProduct:
     """One rooted branch per host vertex, glued in host vertex order."""
-    if len(branches) != host.order:
+    _require_type("host", host, Graph)
+    if _sized("branches", branches) != host.order:
         raise ArityMismatch(
             f"rooted product needs {host.order} branches, got {len(branches)}"
         )
-    attachments = _as_attachments(list(host.vertices), branches)
-    return graft(GraftSpec(host, tuple(attachments), host_weights))
+    return graft(GraftSpec(host, _as_attachments(host.vertices, branches), host_weights))
+
+
+def _flower_spec(center_weight, branches: Sequence[tuple]) -> GraftSpec:
+    """A flower: every branch root glued at one center vertex (id 0) of scalar weight."""
+    weights = ConstantWeight(center_weight)
+    return GraftSpec(_CENTER, _as_attachments(repeat(0), branches), weights)
 
 
 def flower(
@@ -209,14 +241,13 @@ def flower(
     branches: Sequence[tuple],
 ) -> GraftProduct:
     """All branch roots identified with a single center vertex (id 0)."""
-    attachments = _as_attachments([0] * len(branches), branches)
-    return graft(
-        GraftSpec(_CENTER, tuple(attachments), ConstantWeight(center_weight))
-    )
+    return graft(_flower_spec(center_weight, branches))
 
 
 def _equal_orders(host: Graph, branch: Graph) -> int:
     """r, the common order of a permutation product's host and branch."""
+    _require_type("host", host, Graph)
+    _require_type("branch", branch, Graph)
     if host.order != branch.order:
         raise OrderMismatch(
             f"permutation product needs equal orders, got {host.order} and {branch.order}"
@@ -231,7 +262,8 @@ def _permutation_order(host: Graph, branch: Graph) -> int:
     copy: every copy is the same branch.
     """
     r = _equal_orders(host, branch)
-    _validate_factors(host, [(x, branch, branch.vertices[0]) for x in host.vertices[:1]])
+    copy = [Attachment(x, branch, branch.vertices[0]) for x in host.vertices[:1]]
+    _validate_factors(GraftSpec(host, copy))
     return r
 
 
@@ -250,6 +282,9 @@ def permutation_graph(
     sigma(i)-th vertex of `branch`, counting in branch vertex order.
     """
     r = _equal_orders(host, branch)
+    _sized("sigma", sigma)
+    for s in sigma:
+        _require_int("sigma entry", s)
     if sorted(sigma) != list(range(1, r + 1)):
         raise GraphFormatError(f"sigma {list(sigma)!r} is not a permutation of 1..{r}")
     attachments = tuple(
@@ -273,16 +308,15 @@ def hierarchical_product(
     receptors defaults to every host vertex (the full hierarchical
     product); they must be distinct and nonempty when given.
     """
-    if receptors is None:
-        receptors = list(host.vertices)
+    _require_type("host", host, Graph)
+    receptors = host.vertices if receptors is None else receptors
+    _sized("receptors", receptors)
     receptors = list(receptors)
+    attachments = [Attachment(x, branch, root, branch_weights) for x in receptors]
     if not receptors:
         raise ArityMismatch("hierarchical product needs at least one receptor")
     if len(set(receptors)) != len(receptors):
         raise DuplicateReceptor(f"repeated receptor in {receptors!r}")
-    attachments = tuple(
-        Attachment(x, branch, root, branch_weights) for x in receptors
-    )
     return graft(GraftSpec(host, attachments, host_weights))
 
 
@@ -297,16 +331,16 @@ def star_receptor_graft(
     branch_weights: WeightFunction = UNIT,
 ) -> GraftProduct:
     """Stack `copies` identical rooted branches on one receptor vertex."""
+    _require_int("copies", copies)
     if copies < 0:
         raise GraphFormatError("copies must be nonnegative")
-    attachments = tuple(
-        Attachment(receptor, branch, root, branch_weights) for _ in range(copies)
-    )
+    attachments = [Attachment(receptor, branch, root, branch_weights)] * copies
     return graft(GraftSpec(host, attachments, host_weights))
 
 
 def binomial_tree(n: int) -> Graph:
     """Iterated hierarchical product of single edges: 2**n vertices."""
+    _require_int("binomial tree index", n)
     if n < 0:
         raise GraphFormatError("binomial tree index must be nonnegative")
     tree = _CENTER
@@ -353,11 +387,6 @@ def graft_spec_from_json_dict(obj: object, *, base_dir: str | None = None) -> Gr
         missing = {"receptor", "branch", "root"} - set(raw)
         if missing:
             raise GraphFormatError(f"attachment is missing {sorted(missing)}")
-        if any(
-            not isinstance(raw[key], int) or isinstance(raw[key], bool)
-            for key in ("receptor", "root")
-        ):
-            raise GraphFormatError("receptor and root must be integer vertex ids")
         attachments.append(
             Attachment(
                 receptor=raw["receptor"],

@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import partial
 
 from .closed_forms import (
-    _require_int,
     attachments_by_receptor,
     concentration_difference_formula,
     extended_cycle_degree_distance,
@@ -55,7 +54,7 @@ from .closed_forms import (
 )
 from .errors import DisconnectedGraph, EmptyGraph, GraphFormatError
 from .graph import Graph, cycle_graph, graph_to_json_dict
-from .products import Attachment, GraftSpec, flower, graft, permutation_graph
+from .products import Attachment, GraftSpec, _require_int, flower, graft, permutation_graph
 from .randgen import (
     random_comparison_instance,
     random_connected_graph,

@@ -207,8 +207,20 @@ MUTANTS = [
     ),
     Mutant(
         "unicyclic-branches-unit-weighted", "closed_forms.py",
-        "(x, tree, root, DEGREE)", "(x, tree, root, UNIT)",
+        '*_pair("branch entry", e), DEGREE)', '*_pair("branch entry", e), UNIT)',
         ("test_closed_forms.py::test_unicyclic_matches_oracle_randomly",),
+    ),
+    Mutant(
+        "attachment-root-type-unchecked", "products.py",
+        "for v in (self.receptor, self.root):",
+        "for v in (self.receptor,):",
+        ("test_products.py::test_builders_reject_bad_arguments[root-a-string]",),
+    ),
+    Mutant(
+        "factor-checks-skip-the-root", "products.py",
+        "        if not att.branch.has_vertex(att.root):\n",
+        "        if False:\n",
+        ("test_products.py::test_graft_rejects_bad_vertices",),
     ),
     Mutant(
         "slide-far-window-one-step-early", "graph.py",

@@ -30,16 +30,21 @@ from graft_moments import (
     are_isomorphic,
     binomial_tree,
     coalescence,
+    concentration_difference_formula,
     cycle_graph,
     diamond_graph,
+    family_graft_moment_formula,
     flower,
+    flower_moment_formula,
     graft,
+    graft_moment_formula,
     graft_product_to_json_dict,
     graft_spec_from_json_dict,
     hierarchical_product,
     is_connected,
     path_graph,
     permutation_graph,
+    permutation_moment_formula,
     rooted_product,
     star_graph,
     star_receptor_graft,
@@ -280,16 +285,182 @@ def test_star_receptor_graft(p3, k2, k1):
     assert are_isomorphic(hub.graph, flower(0, [(k2, 0)] * 3).graph)
 
 
-def test_builders_reject_bad_arguments(k2, p3):
-    with pytest.raises(GraphFormatError) as caught:
-        rooted_product(k2, [(k2,), (k2, 0)])
-    assert str(caught.value) == "branch must be (graph, root) or (graph, root, weights)"
-    with pytest.raises(GraphFormatError) as caught:
-        binomial_tree(-1)
-    assert str(caught.value) == "binomial tree index must be nonnegative"
-    with pytest.raises(GraphFormatError) as caught:
-        star_receptor_graft(p3, 0, k2, 0, copies=-1)
-    assert str(caught.value) == "copies must be nonnegative"
+_K2, _P3 = path_graph(2), path_graph(3)
+_NOT_A_BRANCH = "branch must be (graph, root) or (graph, root, weights)"
+
+# (call, error class, message): every malformed argument of a builder or a
+# Theorem 1 form is a GraftMomentsError with its own message, never a bare
+# TypeError, AttributeError or ValueError from deep inside the build
+BAD_ARGUMENTS = {
+    "rooted-entry-of-one": (
+        lambda: rooted_product(_K2, [(_K2,), (_K2, 0)]), GraphFormatError, _NOT_A_BRANCH,
+    ),
+    "rooted-branches-not-a-sequence": (
+        lambda: rooted_product(_K2, 5), GraphFormatError, "branches must be a sequence, got 5",
+    ),
+    "flower-branches-not-a-sequence": (
+        lambda: flower(1, 5), GraphFormatError, "branches must be a sequence, got 5",
+    ),
+    "flower-entry-not-a-sequence": (lambda: flower(1, [5]), GraphFormatError, _NOT_A_BRANCH),
+    "flower-form-branches-not-a-sequence": (
+        lambda: flower_moment_formula(1, 5),
+        GraphFormatError,
+        "branches must be a sequence, got 5",
+    ),
+    "flower-form-entry-not-a-sequence": (
+        lambda: flower_moment_formula(1, [5]), GraphFormatError, _NOT_A_BRANCH,
+    ),
+    "family-not-a-mapping": (
+        lambda: family_graft_moment_formula(_P3, UNIT, [1]),
+        GraphFormatError,
+        "family must be a mapping, got [1]",
+    ),
+    "family-branches-not-a-sequence": (
+        lambda: family_graft_moment_formula(_P3, UNIT, {0: 5}),
+        GraphFormatError,
+        "branches at 0 must be a sequence, got 5",
+    ),
+    "family-entry-of-one": (
+        lambda: family_graft_moment_formula(_P3, UNIT, {0: [(_K2,)]}),
+        GraphFormatError,
+        _NOT_A_BRANCH,
+    ),
+    "spec-entry-not-an-attachment": (
+        lambda: graft(GraftSpec(_P3, [5])),
+        GraphFormatError,
+        "attachment must be of type Attachment, got 5",
+    ),
+    "spec-entry-a-tuple": (
+        lambda: graft_moment_formula(GraftSpec(_P3, [(0, _K2, 0)])),
+        GraphFormatError,
+        "attachment must be of type Attachment, got (0, Graph(order=2, edges=1), 0)",
+    ),
+    "spec-attachments-not-iterable": (
+        lambda: graft(GraftSpec(_P3, 5)),
+        GraphFormatError,
+        "attachments must be of type Iterable, got 5",
+    ),
+    "spec-not-a-spec": (
+        lambda: graft(5), GraphFormatError, "spec must be of type GraftSpec, got 5",
+    ),
+    "spec-not-a-spec-formula": (
+        lambda: graft_moment_formula(5),
+        GraphFormatError,
+        "spec must be of type GraftSpec, got 5",
+    ),
+    "spec-host-not-a-graph": (
+        lambda: graft(GraftSpec(5)), GraphFormatError, "host must be of type Graph, got 5",
+    ),
+    "spec-host-a-list": (
+        lambda: graft_moment_formula(GraftSpec([0])),
+        GraphFormatError,
+        "host must be of type Graph, got [0]",
+    ),
+    "rooted-host-not-a-graph": (
+        lambda: rooted_product(5, [(_K2, 0)]),
+        GraphFormatError,
+        "host must be of type Graph, got 5",
+    ),
+    "hierarchical-host-not-a-graph": (
+        lambda: hierarchical_product(5, _K2, 0),
+        GraphFormatError,
+        "host must be of type Graph, got 5",
+    ),
+    "permutation-host-not-a-graph": (
+        lambda: permutation_graph(5, _K2, [1, 2]),
+        GraphFormatError,
+        "host must be of type Graph, got 5",
+    ),
+    "permutation-form-branch-not-a-graph": (
+        lambda: permutation_moment_formula(_K2, UNIT, 5, UNIT),
+        GraphFormatError,
+        "branch must be of type Graph, got 5",
+    ),
+    "branch-not-a-graph": (
+        lambda: coalescence(_P3, 0, 5, 0), GraphFormatError, "branch must be of type Graph, got 5",
+    ),
+    "branch-a-string": (
+        lambda: graft_moment_formula(GraftSpec(_P3, [Attachment(0, "k2", 0)])),
+        GraphFormatError,
+        "branch must be of type Graph, got 'k2'",
+    ),
+    "branch-weights-not-a-weight": (
+        lambda: coalescence(_P3, 0, _K2, 0, branch_weights=1),
+        GraphFormatError,
+        "branch weights must be of type WeightFunction, got 1",
+    ),
+    "host-weights-a-spec-string": (
+        lambda: graft(GraftSpec(_P3, (), "unit")),
+        GraphFormatError,
+        "host weights must be of type WeightFunction, got 'unit'",
+    ),
+    "host-weights-an-int": (
+        lambda: graft_moment_formula(GraftSpec(_P3, (), 2)),
+        GraphFormatError,
+        "host weights must be of type WeightFunction, got 2",
+    ),
+    "root-a-string": (
+        lambda: graft(GraftSpec(_P3, [Attachment(0, _K2, "0")])),
+        GraphFormatError,
+        "receptor and root must be integer vertex ids",
+    ),
+    "binomial-index-negative": (
+        lambda: binomial_tree(-1), GraphFormatError, "binomial tree index must be nonnegative",
+    ),
+    "binomial-index-a-float": (
+        lambda: binomial_tree(2.5),
+        GraphFormatError,
+        "binomial tree index must be an integer, got 2.5",
+    ),
+    "copies-negative": (
+        lambda: star_receptor_graft(_P3, 0, _K2, 0, copies=-1),
+        GraphFormatError,
+        "copies must be nonnegative",
+    ),
+    "copies-a-float": (
+        lambda: star_receptor_graft(_P3, 0, _K2, 0, copies=2.5),
+        GraphFormatError,
+        "copies must be an integer, got 2.5",
+    ),
+    "hierarchical-receptors-not-a-sequence": (
+        lambda: hierarchical_product(_P3, _K2, 0, receptors=5),
+        GraphFormatError,
+        "receptors must be a sequence, got 5",
+    ),
+    "hierarchical-receptor-a-list": (
+        lambda: hierarchical_product(_P3, _K2, 0, receptors=[[0]]),
+        GraphFormatError,
+        "receptor and root must be integer vertex ids",
+    ),
+    "sigma-not-a-sequence": (
+        lambda: permutation_graph(_K2, _K2, sigma=5),
+        GraphFormatError,
+        "sigma must be a sequence, got 5",
+    ),
+    "sigma-with-a-string": (
+        lambda: permutation_graph(_K2, _K2, [1, "a"]),
+        GraphFormatError,
+        "sigma entry must be an integer, got 'a'",
+    ),
+    "sigma-of-floats": (
+        lambda: permutation_graph(_K2, _K2, [1.0, 2.0]),
+        GraphFormatError,
+        "sigma entry must be an integer, got 1.0",
+    ),
+    "concentration-receptors-not-a-sequence": (
+        lambda: concentration_difference_formula(_P3, UNIT, 0, 5, 2, 1),
+        GraphFormatError,
+        "receptors must be a sequence, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_builders_reject_bad_arguments(case):
+    call, error, message = BAD_ARGUMENTS[case]
+    with pytest.raises(GraftMomentsError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 def test_spec_json_parsing(tmp_path):
